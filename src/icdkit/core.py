@@ -34,6 +34,7 @@ __all__ = [
     "InexactnessPolicy",
     "SamplingLaw",
     "SolverConfig",
+    "RunWorkspace",
     "IterationRecord",
     "RunResult",
     "sample_block",
@@ -143,7 +144,7 @@ def delta_budget(
     return deltas, delta_bar
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     """Inner-solver selection for compute_update.
 
@@ -158,16 +159,20 @@ class SolverConfig:
     rigorous: bool = False
     lambda_min_estimates: list | None = None
     warm_start: bool = False
-    # cached per-block data, filled lazily
-    _lipschitz_cache: dict = field(default_factory=dict, repr=False)
-    _warm: dict = field(default_factory=dict, repr=False)
+
+
+@dataclass
+class RunWorkspace:
+    """Per-run caches, keyed by block: warm-start iterates and prox step
+    constants. Each icd_run owns one, so repeated runs stay independent."""
+
+    warm: dict = field(default_factory=dict)
+    lipschitz: dict = field(default_factory=dict)
 
     def block_lipschitz(self, objective: CompositeObjective, i: int) -> float:
-        if i not in self._lipschitz_cache:
-            self._lipschitz_cache[i] = estimate_operator_norm_sq(
-                objective.smooth.blocks[i]
-            )
-        return self._lipschitz_cache[i]
+        if i not in self.lipschitz:
+            self.lipschitz[i] = estimate_operator_norm_sq(objective.smooth.blocks[i])
+        return self.lipschitz[i]
 
 
 def compute_update(
@@ -176,14 +181,17 @@ def compute_update(
     i: int,
     delta: float,
     solver: SolverConfig,
+    workspace: RunWorkspace | None = None,
 ) -> tuple[np.ndarray, SolveStats, bool]:
     """Inexact update for block i with budget delta.
 
     Returns (t, stats, vacuous_fallback). delta = 0 routes the smooth
-    path to the exact Cholesky solve.
+    path to the exact Cholesky solve. Without a workspace the update
+    gets a fresh one, so it neither reads nor leaves cached state.
     """
     if delta < 0:
         raise ValueError("delta must be nonnegative")
+    ws = workspace if workspace is not None else RunWorkspace()
     grad = objective.block_gradient(state, i)
     kind = objective.reg.kind
     Ni = objective.partition.sizes[i]
@@ -211,7 +219,7 @@ def compute_update(
                 ),
             )
             prob = LinearSubproblem(B, g)
-            t0 = solver._warm.get(i) if solver.warm_start else None
+            t0 = ws.warm.get(i) if solver.warm_start else None
             if method == "cg":
                 t, stats = solve_cg(prob, stop, t0)
             elif method == "pcg":
@@ -221,7 +229,7 @@ def compute_update(
             else:
                 raise ValueError(f"unknown smooth-path method {method!r}")
         if solver.warm_start:
-            solver._warm[i] = t.copy()
+            ws.warm[i] = t.copy()
     elif kind is RegularizerKind.L1:
         if delta <= 0:
             raise ValueError("the l1 path needs delta > 0 (duality-gap stop)")
@@ -232,7 +240,7 @@ def compute_update(
             objective.reg.lam,
             beta=delta,
             max_iters=solver.max_inner_iters,
-            lipschitz=solver.block_lipschitz(objective, i),
+            lipschitz=ws.block_lipschitz(objective, i),
         )
     else:
         if delta <= 0:
@@ -245,12 +253,14 @@ def compute_update(
             tau,
             beta=delta,
             max_iters=solver.max_inner_iters,
-            lipschitz=solver.block_lipschitz(objective, i),
+            lipschitz=ws.block_lipschitz(objective, i),
         )
 
-    # vacuous guard: never accept an update worse than t = 0
-    v_t = objective.model_value(state, i, t)
-    v_0 = objective.model_value(state, i, np.zeros(Ni))
+    # vacuous guard: never accept an update worse than t = 0. V_i(x, 0) is
+    # Psi_i(x^(i)), and V_i(x, t) reuses the gradient computed above.
+    xi = block_view(state.x, i, objective.partition)
+    v_t = objective.model_from_gradient(i, grad, xi, t)
+    v_0 = objective.reg.block_value(i, xi)
     if v_t > v_0 + 1e-12 * (1.0 + abs(v_0)):
         return np.zeros(Ni), stats, True
     return t, stats, False
@@ -308,6 +318,7 @@ def icd_run(
     10*n consecutive updates when no eps target is available).
     """
     solver = solver if solver is not None else SolverConfig()
+    workspace = RunWorkspace()
     if eps is not None and objective.F_star is None:
         raise ValueError("eps-based stopping requires a known F*")
     rng = np.random.default_rng(law.seed)
@@ -328,7 +339,9 @@ def icd_run(
             i = sample_block(law, rng, k)
         except IndexError:
             break
-        t, stats, fallback = compute_update(objective, state, i, float(deltas[i]), solver)
+        t, stats, fallback = compute_update(
+            objective, state, i, float(deltas[i]), solver, workspace
+        )
         state.apply_update(i, t)
         F_new = state.F_value()
         cum_inner += stats.iterations

@@ -195,11 +195,7 @@ def _build_law(cfg: ExperimentConfig, n: int, seed: int) -> SamplingLaw:
 
 
 def _build_solver(cfg: ExperimentConfig, method: str, mat) -> SolverConfig:
-    solver = SolverConfig(
-        method=method,
-        max_inner_iters=cfg.get_int("inner.max_iters", 10_000),
-        warm_start=cfg.get_bool("inner.warm_start"),
-    )
+    factors = None
     if method == "pcg":
         if mat is None:
             raise ValueError("pcg needs block-angular structure for preconditioners")
@@ -213,8 +209,12 @@ def _build_solver(cfg: ExperimentConfig, method: str, mat) -> SolverConfig:
             else:
                 P = block_angular.build_perturbed(mat, i, rho_shift)
             factors.append(incomplete_cholesky(P, drop_tol))
-        solver.precond_factors = factors
-    return solver
+    return SolverConfig(
+        method=method,
+        max_inner_iters=cfg.get_int("inner.max_iters", 10_000),
+        precond_factors=factors,
+        warm_start=cfg.get_bool("inner.warm_start"),
+    )
 
 
 @dataclass

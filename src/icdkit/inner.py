@@ -1,8 +1,12 @@
 """Inner solvers for the per-block update subproblem.
 
 Smooth blocks reduce to the SPD system B_i t = -(1/l_i) grad_i f, solved
-by CG, preconditioned CG or an exact Cholesky factorization. l1 blocks
-are handled by proximal gradient with a duality-gap stopping test.
+by conjugate gradients or an exact Cholesky factorization. CG and
+preconditioned CG share one Krylov loop: CG is PCG with M = I. The l1
+and group-lasso blocks share one proximal-gradient loop with a
+duality-gap stopping test; only the proximal map, the penalty norm and
+its dual norm differ (soft threshold, l1, l-inf; group soft threshold,
+l2, l2).
 
 The linear-path certificate is the squared normal-equation residual
 1/2 ||B_i t - g||^2 <= beta. For consistent systems this certifies the
@@ -10,11 +14,13 @@ model-gap condition directly (the model minimum is zero there); the
 optional rigorous mode scales the tolerance by an estimate of
 lambda_min(B_i) so that the model gap
 1/2 ||B_i t - g||^2_{B_i^{-1}} <= beta is certified unconditionally.
+A rigorous solve reports StopMode.RESIDUAL_SQUARED_SCALED: its
+certificate is still 1/2 ||B_i t - g||^2, read against
+beta * lambda_min(B_i).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -56,7 +62,8 @@ class LinearSubproblem:
 
 class StopMode(Enum):
     RESIDUAL_SQUARED = "residual_squared"
-    VACUOUS_ONLY = "vacuous_only"
+    # rigorous solves: 1/2||B t - g||^2 compared with beta * lambda_min(B)
+    RESIDUAL_SQUARED_SCALED = "residual_squared_scaled"
     DUALITY_GAP = "duality_gap"
 
 
@@ -84,12 +91,55 @@ class SolveStats:
     certificate: float  # final 1/2||B t - g||^2 or duality gap
     mode: StopMode
     converged: bool = True
-    wall_time_s: float = 0.0
-    notes: str = ""
 
 
 def _half_sq(v: np.ndarray) -> float:
     return 0.5 * float(v @ v)
+
+
+def _krylov(
+    prob: LinearSubproblem,
+    precond,
+    stop: StopRule,
+    t0: np.ndarray | None,
+) -> tuple[np.ndarray, SolveStats]:
+    """The (P)CG loop on B t = g, stopping at 1/2||B t - g||^2 <= tol.
+
+    precond applies M^{-1}; with precond=None the search direction comes
+    from r itself (M = I), which is plain CG. A capped solve returns the
+    iterate with the smallest residual seen.
+    """
+    tol = stop.residual_threshold()
+    mode = StopMode.RESIDUAL_SQUARED_SCALED if stop.rigorous else stop.mode
+    t = np.zeros(prob.dim) if t0 is None else np.array(t0, dtype=float)
+    r = prob.g - (prob.apply(t) if t.any() else np.zeros(prob.dim))
+    best_t, best_res = t.copy(), _half_sq(r)
+    if best_res <= tol:
+        return best_t, SolveStats(0, best_res, mode)
+    z = r if precond is None else precond(r)
+    p = z.copy()
+    rz = float(r @ z)
+    k = 0
+    maxiter = min(stop.max_inner_iters, 10 * prob.dim + 10)
+    while k < maxiter:
+        Bp = prob.apply(p)
+        curv = float(p @ Bp)
+        if curv <= 0:
+            raise ValueError("negative curvature encountered: operator is not SPD")
+        alpha = rz / curv
+        t = t + alpha * p
+        r = r - alpha * Bp
+        k += 1
+        res = _half_sq(r)
+        if res < best_res:
+            best_t, best_res = t.copy(), res
+        if res <= tol:
+            return t, SolveStats(k, res, mode)
+        z = r if precond is None else precond(r)
+        rz_new = float(r @ z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    return best_t, SolveStats(k, best_res, mode, False)
 
 
 def solve_cg(
@@ -98,37 +148,7 @@ def solve_cg(
     t0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, SolveStats]:
     """Conjugate gradients on B t = g, stopping at 1/2||B t - g||^2 <= tol."""
-    start = time.perf_counter()
-    tol = stop.residual_threshold()
-    t = np.zeros(prob.dim) if t0 is None else np.array(t0, dtype=float)
-    r = prob.g - (prob.apply(t) if t.any() else np.zeros(prob.dim))
-    best_t, best_res = t.copy(), _half_sq(r)
-    if best_res <= tol:
-        return best_t, SolveStats(0, best_res, stop.mode, True, time.perf_counter() - start)
-    p = r.copy()
-    rs = float(r @ r)
-    k = 0
-    maxiter = min(stop.max_inner_iters, 10 * prob.dim + 10)
-    while k < maxiter:
-        Bp = prob.apply(p)
-        curv = float(p @ Bp)
-        if curv <= 0:
-            raise ValueError("negative curvature encountered: operator is not SPD")
-        alpha = rs / curv
-        t = t + alpha * p
-        r = r - alpha * Bp
-        k += 1
-        res = _half_sq(r)
-        if res < best_res:
-            best_t, best_res = t.copy(), res
-        if res <= tol:
-            return t, SolveStats(k, res, stop.mode, True, time.perf_counter() - start)
-        rs_new = float(r @ r)
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    return best_t, SolveStats(
-        k, best_res, stop.mode, False, time.perf_counter() - start, "iteration cap"
-    )
+    return _krylov(prob, None, stop, t0)
 
 
 def incomplete_cholesky(P, drop_tol: float) -> sp.csc_matrix:
@@ -237,45 +257,11 @@ def solve_pcg(
     t0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, SolveStats]:
     """Preconditioned CG with M = L L^T; same stopping test as solve_cg."""
-    start = time.perf_counter()
-    tol = stop.residual_threshold()
-    M = _TriangularPreconditioner(precond_factor)
-    t = np.zeros(prob.dim) if t0 is None else np.array(t0, dtype=float)
-    r = prob.g - (prob.apply(t) if t.any() else np.zeros(prob.dim))
-    best_t, best_res = t.copy(), _half_sq(r)
-    if best_res <= tol:
-        return best_t, SolveStats(0, best_res, stop.mode, True, time.perf_counter() - start)
-    z = M.apply(r)
-    p = z.copy()
-    rz = float(r @ z)
-    k = 0
-    maxiter = min(stop.max_inner_iters, 10 * prob.dim + 10)
-    while k < maxiter:
-        Bp = prob.apply(p)
-        curv = float(p @ Bp)
-        if curv <= 0:
-            raise ValueError("negative curvature encountered: operator is not SPD")
-        alpha = rz / curv
-        t = t + alpha * p
-        r = r - alpha * Bp
-        k += 1
-        res = _half_sq(r)
-        if res < best_res:
-            best_t, best_res = t.copy(), res
-        if res <= tol:
-            return t, SolveStats(k, res, stop.mode, True, time.perf_counter() - start)
-        z = M.apply(r)
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    return best_t, SolveStats(
-        k, best_res, stop.mode, False, time.perf_counter() - start, "iteration cap"
-    )
+    return _krylov(prob, _TriangularPreconditioner(precond_factor).apply, stop, t0)
 
 
 def solve_exact_cholesky(B, g: np.ndarray) -> tuple[np.ndarray, SolveStats]:
     """Exact SPD solve: Cholesky factors followed by two triangular solves."""
-    start = time.perf_counter()
     try:
         dense = B.toarray() if sp.issparse(B) else np.asarray(B, dtype=float)
         factor = cho_factor(dense, lower=True)
@@ -285,7 +271,7 @@ def solve_exact_cholesky(B, g: np.ndarray) -> tuple[np.ndarray, SolveStats]:
     except np.linalg.LinAlgError as e:
         raise ValueError("B is not positive definite") from e
     res = _half_sq(dense @ t - g)
-    return t, SolveStats(1, res, StopMode.RESIDUAL_SQUARED, True, time.perf_counter() - start)
+    return t, SolveStats(1, res, StopMode.RESIDUAL_SQUARED)
 
 
 def soft_threshold(v, tau: float):
@@ -306,15 +292,24 @@ def group_soft_threshold(v: np.ndarray, tau: float) -> np.ndarray:
     return (1.0 - tau / nrm) * v
 
 
-def _l1_dual_gap(Ai, c: np.ndarray, y: np.ndarray, lam: float) -> float:
-    """Duality gap for min_y 1/2||A y - c||^2 + lam ||y||_1 at the point y."""
+def _dual_gap(Ai, c: np.ndarray, y: np.ndarray, weight: float, order, dual_order) -> float:
+    """Duality gap for min_y 1/2||A y - c||^2 + weight ||y||_order at the point y.
+
+    The dual point is the residual scaled into the dual_order-norm ball of
+    radius weight.
+    """
     res = Ai @ y - c
-    primal = _half_sq(res) + lam * float(np.abs(y).sum())
-    grad_inf = float(np.max(np.abs(Ai.T @ res))) if y.size else 0.0
-    s = 1.0 if grad_inf <= lam else lam / grad_inf
+    primal = _half_sq(res) + weight * float(np.linalg.norm(y, order))
+    grad_dual = float(np.linalg.norm(Ai.T @ res, dual_order))
+    s = 1.0 if grad_dual <= weight else weight / grad_dual
     nu = s * res
     dual = -_half_sq(nu) - float(nu @ c)
     return primal - dual
+
+
+def _l1_dual_gap(Ai, c: np.ndarray, y: np.ndarray, lam: float) -> float:
+    """Duality gap for min_y 1/2||A y - c||^2 + lam ||y||_1 at the point y."""
+    return _dual_gap(Ai, c, y, lam, 1, np.inf)
 
 
 def estimate_operator_norm_sq(Ai, iters: int = 30, seed: int = 0) -> float:
@@ -333,6 +328,32 @@ def estimate_operator_norm_sq(Ai, iters: int = 30, seed: int = 0) -> float:
     return 1.05 * est
 
 
+def _prox_gradient(
+    Ai, r, x_i, weight, beta, max_iters, lipschitz, prox, order, dual_order
+) -> tuple[np.ndarray, SolveStats]:
+    """Proximal gradient on 1/2||A_i t + r||^2 + weight ||x_i + t||_order.
+
+    Works in y = x_i + t, so the problem reads
+    min_y 1/2||A_i y - c||^2 + weight ||y||_order with c = A_i x_i - r, and
+    terminates when the duality gap at y falls below beta. prox(v, s) is
+    the proximal map of s ||.||_order.
+    """
+    if beta <= 0:
+        raise ValueError("beta must be positive for the duality-gap test")
+    c = Ai @ x_i - r
+    L = lipschitz if lipschitz is not None else estimate_operator_norm_sq(Ai)
+    step = 1.0 / L
+    y = np.array(x_i, dtype=float, copy=True)
+    gap = _dual_gap(Ai, c, y, weight, order, dual_order)
+    k = 0
+    while gap > beta and k < max_iters:
+        grad = Ai.T @ (Ai @ y - c)
+        y = prox(y - step * grad, weight * step)
+        k += 1
+        gap = _dual_gap(Ai, c, y, weight, order, dual_order)
+    return y - x_i, SolveStats(k, gap, StopMode.DUALITY_GAP, gap <= beta)
+
+
 def solve_l1_subproblem(
     Ai,
     r: np.ndarray,
@@ -342,49 +363,13 @@ def solve_l1_subproblem(
     max_iters: int = 50_000,
     lipschitz: float | None = None,
 ) -> tuple[np.ndarray, SolveStats]:
-    """Proximal gradient on V_i(t) = 1/2||A_i t + r||^2 + lam||x_i + t||_1.
-
-    Works in y = x_i + t, so the problem reads
-    min_y 1/2||A_i y - c||^2 + lam||y||_1 with c = A_i x_i - r, and
-    terminates when the duality gap at y falls below beta.
-    """
+    """Proximal gradient on V_i(t) = 1/2||A_i t + r||^2 + lam||x_i + t||_1,
+    stopped when the duality gap falls below beta."""
     if lam <= 0:
         raise ValueError("lam must be positive; use the linear path for lam=0")
-    if beta <= 0:
-        raise ValueError("beta must be positive for the duality-gap test")
-    start = time.perf_counter()
-    c = Ai @ x_i - r
-    L = lipschitz if lipschitz is not None else estimate_operator_norm_sq(Ai)
-    step = 1.0 / L
-    y = np.array(x_i, dtype=float, copy=True)
-    gap = _l1_dual_gap(Ai, c, y, lam)
-    k = 0
-    while gap > beta and k < max_iters:
-        grad = Ai.T @ (Ai @ y - c)
-        y = soft_threshold(y - step * grad, lam * step)
-        k += 1
-        gap = _l1_dual_gap(Ai, c, y, lam)
-    converged = gap <= beta
-    stats = SolveStats(
-        k,
-        gap,
-        StopMode.DUALITY_GAP,
-        converged,
-        time.perf_counter() - start,
-        "" if converged else "iteration cap",
+    return _prox_gradient(
+        Ai, r, x_i, lam, beta, max_iters, lipschitz, soft_threshold, 1, np.inf
     )
-    return y - x_i, stats
-
-
-def _group_dual_gap(Ai, c: np.ndarray, y: np.ndarray, tau: float) -> float:
-    """Duality gap for min_y 1/2||A y - c||^2 + tau ||y||_2 at the point y."""
-    res = Ai @ y - c
-    primal = _half_sq(res) + tau * float(np.linalg.norm(y))
-    grad_nrm = float(np.linalg.norm(Ai.T @ res))
-    s = 1.0 if grad_nrm <= tau else tau / grad_nrm
-    nu = s * res
-    dual = -_half_sq(nu) - float(nu @ c)
-    return primal - dual
 
 
 def solve_group_subproblem(
@@ -403,27 +388,6 @@ def solve_group_subproblem(
     """
     if tau <= 0:
         raise ValueError("tau must be positive; use the linear path otherwise")
-    if beta <= 0:
-        raise ValueError("beta must be positive for the duality-gap test")
-    start = time.perf_counter()
-    c = Ai @ x_i - r
-    L = lipschitz if lipschitz is not None else estimate_operator_norm_sq(Ai)
-    step = 1.0 / L
-    y = np.array(x_i, dtype=float, copy=True)
-    gap = _group_dual_gap(Ai, c, y, tau)
-    k = 0
-    while gap > beta and k < max_iters:
-        grad = Ai.T @ (Ai @ y - c)
-        y = group_soft_threshold(y - step * grad, tau * step)
-        k += 1
-        gap = _group_dual_gap(Ai, c, y, tau)
-    converged = gap <= beta
-    stats = SolveStats(
-        k,
-        gap,
-        StopMode.DUALITY_GAP,
-        converged,
-        time.perf_counter() - start,
-        "" if converged else "iteration cap",
+    return _prox_gradient(
+        Ai, r, x_i, tau, beta, max_iters, lipschitz, group_soft_threshold, 2, 2
     )
-    return y - x_i, stats

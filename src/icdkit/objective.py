@@ -155,11 +155,16 @@ class CompositeObjective:
 
     def model_value(self, state: "ResidualState", i: int, t: np.ndarray) -> float:
         """V_i(x, t) = <grad_i f, t> + (l_i/2) <B_i t, t> + Psi_i(x^(i) + t)."""
-        g = self.block_gradient(state, i)
+        xi = block_view(state.x, i, self.partition)
+        return self.model_from_gradient(i, self.block_gradient(state, i), xi, t)
+
+    def model_from_gradient(
+        self, i: int, grad: np.ndarray, xi: np.ndarray, t: np.ndarray
+    ) -> float:
+        """V_i(x, t) from grad = grad_i f(x) and the block xi = x^(i)."""
         li = self.metric.lipschitz[i]
         quad = 0.5 * li * float(t @ self.metric.apply(i, t))
-        xi = block_view(state.x, i, self.partition)
-        return float(g @ t) + quad + self.reg.block_value(i, xi + t)
+        return float(grad @ t) + quad + self.reg.block_value(i, xi + t)
 
     def eval_H(self, state: "ResidualState", T: np.ndarray) -> float:
         """f(x) + sum_i V_i(x, T^(i)); equals the full-dimensional surrogate

@@ -1,12 +1,16 @@
 """Outer loop: sampling, budgets, per-block updates, and full runs."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from icdkit.block_angular import GeneratorSpec, generate
 from icdkit.blocks import BlockPartition
 from icdkit.core import (
     InexactnessPolicy,
+    RunWorkspace,
     SamplingLaw,
     SolverConfig,
     compute_update,
@@ -150,6 +154,38 @@ def test_update_l1_path_uses_duality_gap():
     assert stats.mode.value == "duality_gap"
 
 
+def test_update_rigorous_cg_reports_scaled_residual_mode():
+    rng = np.random.default_rng(12)
+    obj = _consistent_objective(rng, 12, (4, 4))
+    state = obj.start(rng.standard_normal(8))
+    lam_min = [float(np.linalg.eigvalsh(B).min()) for B in obj.metric.operators]
+    rigorous = SolverConfig(method="cg", rigorous=True, lambda_min_estimates=lam_min)
+    _, stats, _ = compute_update(obj, state, 0, 1e-3, rigorous)
+    assert stats.iterations > 0
+    assert stats.mode.value == "residual_squared_scaled"
+    assert stats.certificate <= 1e-3 * lam_min[0]
+    _, stats, _ = compute_update(obj, state, 0, 1e-3, SolverConfig(method="cg"))
+    assert stats.mode.value == "residual_squared"
+
+
+def test_update_warm_start_uses_only_the_given_workspace():
+    rng = np.random.default_rng(13)
+    obj = _consistent_objective(rng, 12, (4, 4))
+    state = obj.start(rng.standard_normal(8))
+    solver = SolverConfig(method="cg", warm_start=True)
+    ws = RunWorkspace()
+    t, _, _ = compute_update(obj, state, 0, 1e-6, solver, ws)
+    assert np.array_equal(ws.warm[0], t)
+    # a call without a workspace neither reads nor fills this one
+    compute_update(obj, state, 1, 1e-6, solver)
+    assert list(ws.warm) == [0]
+
+
+def test_solver_config_is_frozen():
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        SolverConfig().precond_factors = []
+
+
 def test_update_l1_requires_positive_delta():
     rng = np.random.default_rng(3)
     obj = _consistent_objective(rng, 8, (2, 2), SeparableRegularizer.l1(0.05))
@@ -218,6 +254,25 @@ def test_run_determinism():
     assert [a.block for a in r1.records] == [a.block for a in r2.records]
     assert [a.F for a in r1.records] == [a.F for a in r2.records]
     assert [a.inner_iterations for a in r1.records] == [a.inner_iterations for a in r2.records]
+
+
+def test_run_repetitions_sharing_a_warm_started_solver_are_identical():
+    mat, x_star, b = generate(GeneratorSpec(n=3, M_i=60, N_i=20, ell=1, seed=3))
+    smooth = QuadraticSmooth(mat.assemble(), b, mat.partition)
+    obj = CompositeObjective(
+        smooth, SeparableRegularizer.zero(), quadratic_metric(smooth), F_star=0.0
+    )
+    solver = SolverConfig(method="cg", warm_start=True)
+    law = SamplingLaw.uniform(3, seed=0)
+
+    def go():
+        return icd_run(obj, np.zeros(mat.N), InexactnessPolicy.uniform(1e-2), law, solver,
+                       eps=1e-6, max_block_updates=2000)
+
+    r1, r2 = go(), go()
+    assert np.array_equal(r1.x, r2.x)
+    strip = [dataclasses.replace(r, wall_time_s=0.0) for r in r1.records]
+    assert strip == [dataclasses.replace(r, wall_time_s=0.0) for r in r2.records]
 
 
 def test_run_budget_exhaustion_flagged():

@@ -16,6 +16,7 @@ from icdkit.inner import (
     soft_threshold,
     solve_cg,
     solve_exact_cholesky,
+    solve_group_subproblem,
     solve_l1_subproblem,
     solve_pcg,
 )
@@ -164,6 +165,18 @@ def test_pcg_matches_cg_solution():
     assert np.linalg.norm(t_pcg - exact) <= 1e-8 * np.linalg.norm(exact)
 
 
+def test_pcg_identity_preconditioner_is_cg():
+    rng = np.random.default_rng(9)
+    n = 20
+    prob = LinearSubproblem(_random_spd(rng, n), rng.standard_normal(n))
+    stop = StopRule(beta=1e-20)
+    t_cg, s_cg = solve_cg(prob, stop)
+    t_pcg, s_pcg = solve_pcg(prob, sp.eye(n, format="csc"), stop)
+    assert s_cg.iterations == s_pcg.iterations > 1
+    assert np.allclose(t_pcg, t_cg, rtol=1e-12, atol=1e-14)
+    assert s_cg.certificate == pytest.approx(s_pcg.certificate, rel=1e-10, abs=1e-30)
+
+
 def test_pcg_singular_preconditioner_rejected():
     L = sp.csc_matrix(np.diag([1.0, 0.0]))
     with pytest.raises(ValueError, match="singular"):
@@ -283,6 +296,31 @@ def test_l1_iteration_cap_flags_not_converged():
         Ai, rng.standard_normal(20), np.zeros(10), lam=0.01, beta=1e-16, max_iters=2
     )
     assert not stats.converged
+
+
+# ------------------------------------------------ group subproblem
+
+
+@pytest.mark.parametrize("tau", [0.3, 50.0])
+def test_group_identity_operator_is_group_soft_threshold(tau):
+    # with A_i = I: min_y 1/2||y - c||^2 + tau||y||_2 with c = x_i - r
+    rng = np.random.default_rng(13)
+    r = rng.standard_normal(6)
+    x_i = rng.standard_normal(6)
+    beta = 1e-12
+    t, stats = solve_group_subproblem(np.eye(6), r, x_i, tau, beta, lipschitz=1.0)
+    expected = group_soft_threshold(x_i - r, tau)
+    assert np.allclose(x_i + t, expected, rtol=0.0, atol=1e-10)
+    assert stats.converged
+    assert stats.certificate <= beta
+    assert stats.mode is StopMode.DUALITY_GAP
+
+
+def test_group_validates_tau_and_beta():
+    with pytest.raises(ValueError, match="tau must be positive"):
+        solve_group_subproblem(np.eye(2), np.ones(2), np.zeros(2), 0.0, 1e-6)
+    with pytest.raises(ValueError, match="beta must be positive"):
+        solve_group_subproblem(np.eye(2), np.ones(2), np.zeros(2), 0.1, 0.0)
 
 
 def test_stop_rule_rigorous_requires_estimate():
