@@ -20,6 +20,7 @@ from icdkit.inner import (
     SolveStats,
     StopMode,
     StopRule,
+    _TriangularPreconditioner,
     estimate_operator_norm_sq,
     solve_cg,
     solve_exact_cholesky,
@@ -150,7 +151,8 @@ class SolverConfig:
 
     method: "exact" (Cholesky), "cg", "pcg" or "prox" (l1 / group lasso).
     pcg requires per-block preconditioner factors (incomplete Cholesky of
-    C_i^T C_i or its shifted variant).
+    C_i^T C_i or its shifted variant); each run wraps a block's factor
+    into its preconditioner once, on the block's first pcg update.
     """
 
     method: str = "exact"
@@ -163,16 +165,23 @@ class SolverConfig:
 
 @dataclass
 class RunWorkspace:
-    """Per-run caches, keyed by block: warm-start iterates and prox step
-    constants. Each icd_run owns one, so repeated runs stay independent."""
+    """Per-run caches, keyed by block: warm-start iterates, prox step
+    constants and PCG preconditioners. Each icd_run owns one, so repeated
+    runs stay independent."""
 
     warm: dict = field(default_factory=dict)
     lipschitz: dict = field(default_factory=dict)
+    preconditioners: dict = field(default_factory=dict)
 
     def block_lipschitz(self, objective: CompositeObjective, i: int) -> float:
         if i not in self.lipschitz:
             self.lipschitz[i] = estimate_operator_norm_sq(objective.smooth.blocks[i])
         return self.lipschitz[i]
+
+    def block_preconditioner(self, factors, i: int) -> _TriangularPreconditioner:
+        if i not in self.preconditioners:
+            self.preconditioners[i] = _TriangularPreconditioner(factors[i])
+        return self.preconditioners[i]
 
 
 def compute_update(
@@ -225,7 +234,8 @@ def compute_update(
             elif method == "pcg":
                 if solver.precond_factors is None:
                     raise ValueError("pcg requires preconditioner factors")
-                t, stats = solve_pcg(prob, solver.precond_factors[i], stop, t0)
+                pre = ws.block_preconditioner(solver.precond_factors, i)
+                t, stats = solve_pcg(prob, pre, stop, t0)
             else:
                 raise ValueError(f"unknown smooth-path method {method!r}")
         if solver.warm_start:
@@ -279,6 +289,7 @@ class IterationRecord:
     cum_inner_iterations: int
     wall_time_s: float
     vacuous_fallback: bool = False
+    inner_converged: bool = True
 
 
 @dataclass
@@ -358,6 +369,7 @@ def icd_run(
                 cum_inner_iterations=cum_inner,
                 wall_time_s=time.perf_counter() - start,
                 vacuous_fallback=fallback,
+                inner_converged=stats.converged,
             )
         )
         if F - F_new < 1e-12 * (1.0 + abs(F)):

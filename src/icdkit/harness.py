@@ -50,6 +50,10 @@ RECORD_COLUMNS = [
     "F_minus_Fstar",
     "cum_inner_iters",
     "wall_time_s",
+    "certificate",
+    "certificate_mode",
+    "vacuous_fallback",
+    "inner_converged",
 ]
 
 
@@ -313,7 +317,9 @@ def _write_records_csv(path, cfg, records):
                     fh.write(
                         f"{method},{rep},{rec.k},{rec.block},{rec.delta!r},"
                         f"{rec.inner_iterations},{rec.F!r},{fstar},"
-                        f"{rec.cum_inner_iterations},{rec.wall_time_s:.6f}\n"
+                        f"{rec.cum_inner_iterations},{rec.wall_time_s:.6f},"
+                        f"{rec.certificate!r},{rec.certificate_mode},"
+                        f"{int(rec.vacuous_fallback)},{int(rec.inner_converged)}\n"
                     )
 
 

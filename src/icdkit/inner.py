@@ -21,13 +21,13 @@ beta * lambda_min(B_i).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import cho_factor, cho_solve
 
 __all__ = [
     "LinearSubproblem",
@@ -223,31 +223,24 @@ def _ichol_attempt(P: sp.csc_matrix, n: int, drop_tol: float, shift: float):
     return sp.csc_matrix((data, indices, indptr), shape=(n, n))
 
 
-@dataclass
 class _TriangularPreconditioner:
-    """Apply (L L^T)^{-1} via two triangular solves."""
+    """Apply (L L^T)^{-1} through one SuperLU object of the lower factor L.
 
-    L: object
-    _lower_csr: sp.csr_matrix | None = field(default=None, repr=False)
-    _upper_csr: sp.csr_matrix | None = field(default=None, repr=False)
+    Natural order without pivoting gives no fill (SuperLU's U is diag(L)).
+    Build one per block and reuse it: the checks run here, not per apply.
+    """
 
-    def __post_init__(self):
-        if sp.issparse(self.L):
-            self._lower_csr = sp.csr_matrix(self.L)
-            self._upper_csr = sp.csr_matrix(self.L.T)
-            if np.any(self._lower_csr.diagonal() == 0):
-                raise ValueError("preconditioner factor is singular")
-        else:
-            self.L = np.asarray(self.L, dtype=float)
-            if np.any(np.diag(self.L) == 0):
-                raise ValueError("preconditioner factor is singular")
+    def __init__(self, L):
+        L = sp.csc_matrix(L, dtype=float)
+        if L.shape[0] != L.shape[1] or sp.triu(L, k=1).count_nonzero():
+            raise ValueError("preconditioner factor must be square and lower triangular")
+        if np.any(L.diagonal() == 0):
+            raise ValueError("preconditioner factor is singular")
+        opts = dict(SymmetricMode=True)
+        self._lu = spla.splu(L, permc_spec="NATURAL", diag_pivot_thresh=0.0, options=opts)
 
     def apply(self, r: np.ndarray) -> np.ndarray:
-        if self._lower_csr is not None:
-            y = spla.spsolve_triangular(self._lower_csr, r, lower=True)
-            return spla.spsolve_triangular(self._upper_csr, y, lower=False)
-        y = solve_triangular(self.L, r, lower=True)
-        return solve_triangular(self.L.T, y, lower=False)
+        return self._lu.solve(self._lu.solve(r), trans="T")
 
 
 def solve_pcg(
@@ -256,8 +249,13 @@ def solve_pcg(
     stop: StopRule,
     t0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, SolveStats]:
-    """Preconditioned CG with M = L L^T; same stopping test as solve_cg."""
-    return _krylov(prob, _TriangularPreconditioner(precond_factor).apply, stop, t0)
+    """Preconditioned CG with M = L L^T; same stopping test as solve_cg.
+
+    precond_factor is L itself or a _TriangularPreconditioner built from it.
+    """
+    if not isinstance(precond_factor, _TriangularPreconditioner):
+        precond_factor = _TriangularPreconditioner(precond_factor)
+    return _krylov(prob, precond_factor.apply, stop, t0)
 
 
 def solve_exact_cholesky(B, g: np.ndarray) -> tuple[np.ndarray, SolveStats]:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from icdkit.block_angular import GeneratorSpec, generate
+from icdkit import inner
+from icdkit.block_angular import GeneratorSpec, build_preconditioner, generate
 from icdkit.blocks import BlockPartition
 from icdkit.core import (
     InexactnessPolicy,
@@ -273,6 +274,59 @@ def test_run_repetitions_sharing_a_warm_started_solver_are_identical():
     assert np.array_equal(r1.x, r2.x)
     strip = [dataclasses.replace(r, wall_time_s=0.0) for r in r1.records]
     assert strip == [dataclasses.replace(r, wall_time_s=0.0) for r in r2.records]
+
+
+def _pcg_problem():
+    mat, x_star, b = generate(GeneratorSpec(n=3, M_i=60, N_i=20, ell=1, seed=3))
+    smooth = QuadraticSmooth(mat.assemble(), b, mat.partition)
+    obj = CompositeObjective(
+        smooth, SeparableRegularizer.zero(), quadratic_metric(smooth), F_star=0.0
+    )
+    factors = [inner.incomplete_cholesky(build_preconditioner(mat, i), 0.1) for i in range(3)]
+    return obj, np.zeros(mat.N), factors
+
+
+def test_run_pcg_builds_one_preconditioner_per_block(monkeypatch):
+    obj, x0, factors = _pcg_problem()
+    built = []
+    init = inner._TriangularPreconditioner.__init__
+
+    def counting_init(self, L):
+        built.append(L)
+        init(self, L)
+
+    monkeypatch.setattr(inner._TriangularPreconditioner, "__init__", counting_init)
+    res = icd_run(obj, x0, InexactnessPolicy.uniform(1e-6), SamplingLaw.uniform(3, seed=0),
+                  SolverConfig(method="pcg", precond_factors=factors), max_block_updates=30)
+    blocks = [r.block for r in res.records]
+    assert all(blocks.count(i) >= 2 for i in range(3))
+    assert len(built) <= 3
+
+
+def test_run_repetitions_sharing_a_pcg_solver_are_identical():
+    obj, x0, factors = _pcg_problem()
+    solver = SolverConfig(method="pcg", precond_factors=factors, warm_start=True)
+    law = SamplingLaw.uniform(3, seed=0)
+
+    def go():
+        return icd_run(obj, x0, InexactnessPolicy.uniform(1e-2), law, solver,
+                       eps=1e-6, max_block_updates=2000)
+
+    r1, r2 = go(), go()
+    assert np.array_equal(r1.x, r2.x)
+    strip = [dataclasses.replace(r, wall_time_s=0.0) for r in r1.records]
+    assert strip == [dataclasses.replace(r, wall_time_s=0.0) for r in r2.records]
+
+
+def test_records_carry_inner_convergence():
+    obj, x0, _ = _pcg_problem()
+    law = SamplingLaw.uniform(3, seed=0)
+    capped = icd_run(obj, x0, InexactnessPolicy.uniform(1e-12), law,
+                     SolverConfig(method="cg", max_inner_iters=2), max_block_updates=6)
+    assert not any(r.inner_converged for r in capped.records)
+    full = icd_run(obj, x0, InexactnessPolicy.uniform(1e-12), law,
+                   SolverConfig(method="cg"), max_block_updates=6)
+    assert all(r.inner_converged for r in full.records)
 
 
 def test_run_budget_exhaustion_flagged():

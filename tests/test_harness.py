@@ -1,5 +1,6 @@
 """Matrix Market I/O, config parsing, experiment runner, and the CLI."""
 
+import csv
 import json
 import os
 import subprocess
@@ -156,6 +157,20 @@ def test_output_files_echo_config(tmp_path, monkeypatch):
     assert harness.parse_config("\n".join(header)).raw == cfg.raw
     cols = next(l for l in text.splitlines() if not l.startswith("#"))
     assert cols == "solver," + ",".join(harness.RECORD_COLUMNS)
+
+
+def test_records_csv_carries_certificate_and_flags(tmp_path, monkeypatch):
+    monkeypatch.setenv(harness.OUTPUT_DIR_ENV, str(tmp_path))
+    _, records = harness.run_experiment(harness.parse_config(SMALL_CONFIG))
+    text = (tmp_path / "experiment_records.csv").read_text()
+    rows = list(csv.DictReader(l for l in text.splitlines() if not l.startswith("#")))
+    recs = [r for runs in records.values() for _, res in runs for r in res.records]
+    assert len(rows) == len(recs) > 0
+    for row, rec in zip(rows, recs):
+        assert float(row["certificate"]) == rec.certificate
+        assert row["certificate_mode"] == rec.certificate_mode
+        assert bool(int(row["vacuous_fallback"])) == rec.vacuous_fallback
+        assert bool(int(row["inner_converged"])) == rec.inner_converged
 
 
 def test_run_experiment_deterministic_replay(tmp_path):

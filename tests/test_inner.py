@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import solve_triangular
 
 from icdkit.inner import (
     LinearSubproblem,
@@ -10,6 +11,7 @@ from icdkit.inner import (
     StopMode,
     StopRule,
     _l1_dual_gap,
+    _TriangularPreconditioner,
     estimate_operator_norm_sq,
     group_soft_threshold,
     incomplete_cholesky,
@@ -181,6 +183,30 @@ def test_pcg_singular_preconditioner_rejected():
     L = sp.csc_matrix(np.diag([1.0, 0.0]))
     with pytest.raises(ValueError, match="singular"):
         solve_pcg(LinearSubproblem(np.eye(2), np.ones(2)), L, StopRule(beta=1e-10))
+
+
+def test_pcg_upper_triangular_factor_rejected():
+    rng = np.random.default_rng(10)
+    U = sp.csc_matrix(np.linalg.cholesky(_random_spd(rng, 6)).T)
+    with pytest.raises(ValueError, match="lower triangular"):
+        solve_pcg(LinearSubproblem(np.eye(6), np.ones(6)), U, StopRule(beta=1e-10))
+
+
+def test_preconditioner_rejects_non_square_factor():
+    with pytest.raises(ValueError, match="square"):
+        _TriangularPreconditioner(sp.csc_matrix(np.ones((3, 2))))
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_preconditioner_apply_matches_triangular_solves(dense):
+    rng = np.random.default_rng(11)
+    strict = sp.tril(sp.random(30, 30, density=0.2, random_state=rng), k=-1)
+    L = sp.csc_matrix(strict + sp.diags(1.0 + rng.random(30)))
+    r = rng.standard_normal(30)
+    Ld = L.toarray()
+    ref = solve_triangular(Ld.T, solve_triangular(Ld, r, lower=True), lower=False)
+    out = _TriangularPreconditioner(Ld if dense else L).apply(r)
+    assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 # ------------------------------------------------------- exact solves
