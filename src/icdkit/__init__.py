@@ -10,8 +10,8 @@ The library is organised around a handful of small modules:
     gradients, the per-block model and incremental residual updates.
 ``inner``
     Inner solvers for the block subproblem: CG, preconditioned CG,
-    incomplete/exact Cholesky, and a proximal-gradient l1 solver that
-    terminates on the duality gap.
+    incomplete/exact Cholesky, and one proximal-gradient loop for the l1
+    and group-lasso blocks that terminates on the duality gap.
 ``core``
     The randomized outer loop: block sampling, inexactness budgets and
     the driver producing per-iteration records.
@@ -20,9 +20,11 @@ The library is organised around a handful of small modules:
 ``block_angular``
     Block-angular matrix generation, the C^T C preconditioners and the
     spectrum verification reports.
+``mmio``
+    Matrix Market reading and writing of matrices and vectors.
 ``harness``
-    Configuration-driven experiment runner plus Matrix Market I/O,
-    exposed through the ``icdkit`` command line tool.
+    Configuration-driven experiment runner, exposed through the
+    ``icdkit`` command line tool (``cli``).
 """
 
 from icdkit.blocks import BlockMetric, BlockPartition, WeightVector

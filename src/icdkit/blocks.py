@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import cho_factor, cho_solve
+
+from icdkit.inner import solve_exact_cholesky
 
 __all__ = [
     "BlockPartition",
@@ -24,10 +24,6 @@ __all__ = [
     "conjugate_block_norm",
     "weighted_norm",
 ]
-
-# Blocks at or below this size use a direct factorization for B^{-1} g;
-# larger blocks fall back to CG on the SPD system.
-_DIRECT_SOLVE_CAP = 600
 
 
 @dataclass(frozen=True)
@@ -76,8 +72,8 @@ def scatter(blocks: list[np.ndarray], partition: BlockPartition) -> np.ndarray:
 class BlockMetric:
     """Per-block SPD operators B_i and Lipschitz constants l_i.
 
-    Each B_i may be a dense array, a sparse matrix or a LinearOperator.
-    Symmetry is verified at construction for explicitly stored matrices.
+    Each B_i is a dense array or a sparse matrix; its symmetry is verified
+    at construction without densifying it.
     """
 
     def __init__(self, operators, lipschitz):
@@ -88,12 +84,11 @@ class BlockMetric:
         if np.any(self.lipschitz <= 0):
             raise ValueError("Lipschitz constants must be positive")
         for i, B in enumerate(self.operators):
-            if isinstance(B, np.ndarray) or sp.issparse(B):
-                dense = B.toarray() if sp.issparse(B) else B
-                scale = max(np.abs(dense).max(), 1.0)
-                if np.abs(dense - dense.T).max() > 1e-12 * scale:
-                    raise ValueError(f"B_{i} is not symmetric")
-        self._factors = [None] * len(self.operators)
+            if not (isinstance(B, np.ndarray) or sp.issparse(B)):
+                raise ValueError(f"B_{i} must be a dense array or a sparse matrix")
+            scale = max(abs(B).max(), 1.0)
+            if abs(B - B.T).max() > 1e-12 * scale:
+                raise ValueError(f"B_{i} is not symmetric")
 
     @classmethod
     def identity(cls, partition: BlockPartition, lipschitz=None):
@@ -109,26 +104,6 @@ class BlockMetric:
     def apply(self, i: int, t: np.ndarray) -> np.ndarray:
         B = self.operators[i]
         return B @ t
-
-    def solve(self, i: int, g: np.ndarray) -> np.ndarray:
-        """Solve B_i y = g; direct factorization for small explicit blocks,
-        CG to tight residual otherwise (B_i^{-1} is never formed)."""
-        B = self.operators[i]
-        dim = g.shape[0]
-        explicit = isinstance(B, np.ndarray) or sp.issparse(B)
-        if explicit and dim <= _DIRECT_SOLVE_CAP:
-            if self._factors[i] is None:
-                dense = B.toarray() if sp.issparse(B) else np.asarray(B)
-                try:
-                    self._factors[i] = cho_factor(dense)
-                except np.linalg.LinAlgError as e:
-                    raise ValueError(f"B_{i} is not positive definite") from e
-            return cho_solve(self._factors[i], g)
-        op = spla.aslinearoperator(B)
-        y, info = spla.cg(op, g, rtol=1e-12, atol=0.0, maxiter=20 * dim)
-        if info != 0:
-            raise ValueError(f"CG on B_{i} did not converge (info={info})")
-        return y
 
 
 @dataclass(frozen=True)
@@ -152,15 +127,10 @@ def block_norm(t: np.ndarray, B) -> float:
     return np.sqrt(q)
 
 
-def conjugate_block_norm(g: np.ndarray, B, metric: BlockMetric | None = None, i: int = 0) -> float:
-    """sqrt(<B^{-1} g, g>), computed through a linear solve against B."""
-    if metric is not None:
-        y = metric.solve(i, g)
-    else:
-        m = BlockMetric([B], [1.0])
-        y = m.solve(0, g)
-    q = float(y @ g)
-    return np.sqrt(max(q, 0.0))
+def conjugate_block_norm(g: np.ndarray, B) -> float:
+    """sqrt(<B^{-1} g, g>), computed through an exact Cholesky solve against B."""
+    y, _ = solve_exact_cholesky(B, g)
+    return np.sqrt(max(float(y @ g), 0.0))
 
 
 def weighted_norm(

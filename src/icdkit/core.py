@@ -149,7 +149,8 @@ def delta_budget(
 class SolverConfig:
     """Inner-solver selection for compute_update.
 
-    method: "exact" (Cholesky), "cg", "pcg" or "prox" (l1 / group lasso).
+    method: "exact" (Cholesky), "cg" or "pcg" for a zero regularizer;
+    "prox", the only method for l1 and group lasso.
     pcg requires per-block preconditioner factors (incomplete Cholesky of
     C_i^T C_i or its shifted variant); each run wraps a block's factor
     into its preconditioner once, on the block's first pcg update.
@@ -240,27 +241,18 @@ def compute_update(
                 raise ValueError(f"unknown smooth-path method {method!r}")
         if solver.warm_start:
             ws.warm[i] = t.copy()
-    elif kind is RegularizerKind.L1:
-        if delta <= 0:
-            raise ValueError("the l1 path needs delta > 0 (duality-gap stop)")
-        t, stats = solve_l1_subproblem(
-            objective.smooth.blocks[i],
-            state.r,
-            block_view(state.x, i, objective.partition),
-            objective.reg.lam,
-            beta=delta,
-            max_iters=solver.max_inner_iters,
-            lipschitz=ws.block_lipschitz(objective, i),
-        )
     else:
-        if delta <= 0:
-            raise ValueError("the group-lasso path needs delta > 0")
-        tau = objective.reg.lam * np.sqrt(objective.reg.group_weights[i])
-        t, stats = solve_group_subproblem(
+        if solver.method != "prox":
+            raise ValueError(
+                f"the {kind.value} path needs method 'prox', not {solver.method!r}"
+            )
+        # looked up at call time, so a wrapper installed on this module sees it
+        solve = solve_l1_subproblem if kind is RegularizerKind.L1 else solve_group_subproblem
+        t, stats = solve(
             objective.smooth.blocks[i],
             state.r,
             block_view(state.x, i, objective.partition),
-            tau,
+            objective.reg.block_weight(i),
             beta=delta,
             max_iters=solver.max_inner_iters,
             lipschitz=ws.block_lipschitz(objective, i),

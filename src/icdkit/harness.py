@@ -265,7 +265,8 @@ def run_experiment(cfg: ExperimentConfig, write_files: bool = True):
     """
     objective, mat = build_problem(cfg)
     policy = _build_policy(cfg)
-    methods = [m.strip() for m in cfg.get("inner.solver", "cg").split(",")]
+    default_solver = "cg" if objective.reg.kind.value == "zero" else "prox"
+    methods = [m.strip() for m in cfg.get("inner.solver", default_solver).split(",")]
     reps = cfg.get_int("run.repetitions", 1)
     eps = cfg.get_float("stop.eps")
     max_updates = cfg.get_int("stop.max_block_updates", 100_000)

@@ -157,21 +157,20 @@ def incomplete_cholesky(P, drop_tol: float) -> sp.csc_matrix:
     Entries of the working column smaller in magnitude than
     drop_tol * ||P[:, j]||_2 are dropped (the diagonal is always kept).
     A zero or negative pivot restarts the factorization on P + shift*I
-    with shift = 1e-4 * trace(P)/dim, escalating by 10x, at most 3 times.
+    with shift = 1e-4 * trace(P)/dim, escalating by 10x up to trace(P)/dim,
+    at most 5 times.
     """
     P = sp.csc_matrix(P)
     n = P.shape[0]
     if P.shape[0] != P.shape[1]:
         raise ValueError("P must be square")
     base_shift = 1e-4 * P.diagonal().sum() / n
-    shift = 0.0
-    for attempt in range(4):
+    for shift in [0.0] + [base_shift * (10.0**e) for e in range(5)]:
         L = _ichol_attempt(P, n, drop_tol, shift)
         if L is not None:
             return L
-        shift = base_shift * (10.0**attempt)
     raise ValueError(
-        "incomplete Cholesky broke down after 3 pivot shifts; "
+        "incomplete Cholesky broke down after 5 pivot shifts; "
         "use the perturbed preconditioner P + rho*I instead"
     )
 
@@ -290,15 +289,17 @@ def group_soft_threshold(v: np.ndarray, tau: float) -> np.ndarray:
     return (1.0 - tau / nrm) * v
 
 
-def _dual_gap(Ai, c: np.ndarray, y: np.ndarray, weight: float, order, dual_order) -> float:
-    """Duality gap for min_y 1/2||A y - c||^2 + weight ||y||_order at the point y.
+def _dual_gap(
+    res: np.ndarray, grad: np.ndarray, c: np.ndarray, y: np.ndarray, weight: float, order, dual_order
+) -> float:
+    """Duality gap for min_y 1/2||A y - c||^2 + weight ||y||_order at the point y,
+    given its residual res = A y - c and grad = A^T res.
 
     The dual point is the residual scaled into the dual_order-norm ball of
     radius weight.
     """
-    res = Ai @ y - c
     primal = _half_sq(res) + weight * float(np.linalg.norm(y, order))
-    grad_dual = float(np.linalg.norm(Ai.T @ res, dual_order))
+    grad_dual = float(np.linalg.norm(grad, dual_order))
     s = 1.0 if grad_dual <= weight else weight / grad_dual
     nu = s * res
     dual = -_half_sq(nu) - float(nu @ c)
@@ -307,7 +308,8 @@ def _dual_gap(Ai, c: np.ndarray, y: np.ndarray, weight: float, order, dual_order
 
 def _l1_dual_gap(Ai, c: np.ndarray, y: np.ndarray, lam: float) -> float:
     """Duality gap for min_y 1/2||A y - c||^2 + lam ||y||_1 at the point y."""
-    return _dual_gap(Ai, c, y, lam, 1, np.inf)
+    res = Ai @ y - c
+    return _dual_gap(res, Ai.T @ res, c, y, lam, 1, np.inf)
 
 
 def estimate_operator_norm_sq(Ai, iters: int = 30, seed: int = 0) -> float:
@@ -334,7 +336,8 @@ def _prox_gradient(
     Works in y = x_i + t, so the problem reads
     min_y 1/2||A_i y - c||^2 + weight ||y||_order with c = A_i x_i - r, and
     terminates when the duality gap at y falls below beta. prox(v, s) is
-    the proximal map of s ||.||_order.
+    the proximal map of s ||.||_order. Each iterate's residual A_i y - c
+    and gradient A_i^T (A_i y - c) serve both its gap and the next step.
     """
     if beta <= 0:
         raise ValueError("beta must be positive for the duality-gap test")
@@ -342,14 +345,15 @@ def _prox_gradient(
     L = lipschitz if lipschitz is not None else estimate_operator_norm_sq(Ai)
     step = 1.0 / L
     y = np.array(x_i, dtype=float, copy=True)
-    gap = _dual_gap(Ai, c, y, weight, order, dual_order)
     k = 0
-    while gap > beta and k < max_iters:
-        grad = Ai.T @ (Ai @ y - c)
+    while True:
+        res = Ai @ y - c
+        grad = Ai.T @ res
+        gap = _dual_gap(res, grad, c, y, weight, order, dual_order)
+        if not gap > beta or k >= max_iters:
+            return y - x_i, SolveStats(k, gap, StopMode.DUALITY_GAP, gap <= beta)
         y = prox(y - step * grad, weight * step)
         k += 1
-        gap = _dual_gap(Ai, c, y, weight, order, dual_order)
-    return y - x_i, SolveStats(k, gap, StopMode.DUALITY_GAP, gap <= beta)
 
 
 def solve_l1_subproblem(

@@ -82,17 +82,28 @@ class SeparableRegularizer:
     def group_lasso(cls, lam: float, d):
         return cls(RegularizerKind.GROUP_LASSO, lam, tuple(float(v) for v in d))
 
+    def block_weight(self, i: int) -> float:
+        """The weight of block i's penalty norm: lam, or lam*sqrt(d_i) for groups."""
+        if self.kind is RegularizerKind.GROUP_LASSO:
+            return self.lam * np.sqrt(self.group_weights[i])
+        return self.lam
+
     def block_value(self, i: int, v: np.ndarray) -> float:
         if self.kind is RegularizerKind.ZERO:
             return 0.0
         if self.kind is RegularizerKind.L1:
-            return self.lam * float(np.abs(v).sum())
-        return self.lam * np.sqrt(self.group_weights[i]) * float(np.linalg.norm(v))
+            return self.block_weight(i) * float(np.abs(v).sum())
+        return self.block_weight(i) * float(np.linalg.norm(v))
 
     def value(self, x: np.ndarray, partition: BlockPartition) -> float:
         return sum(
             self.block_value(i, block_view(x, i, partition)) for i in range(partition.n)
         )
+
+
+# A sparse block's B_i is stored dense up to this many columns and as CSR
+# above it; only blocks up to this size get the Cholesky rank check.
+_DENSE_METRIC_CAP = 600
 
 
 def quadratic_metric(smooth: QuadraticSmooth) -> BlockMetric:
@@ -105,17 +116,17 @@ def quadratic_metric(smooth: QuadraticSmooth) -> BlockMetric:
     ops = []
     for i, Ai in enumerate(smooth.blocks):
         Ni = Ai.shape[1]
+        small = Ni <= _DENSE_METRIC_CAP
         if sp.issparse(Ai):
-            B = (Ai.T @ Ai).toarray() if Ni <= 600 else sp.csr_matrix(Ai.T @ Ai)
+            B = (Ai.T @ Ai).toarray() if small else sp.csr_matrix(Ai.T @ Ai)
             fro2 = float(Ai.multiply(Ai).sum())
         else:
             B = Ai.T @ Ai
             fro2 = float((Ai * Ai).sum())
         deficient = Ai.shape[0] < Ni
-        if not deficient and Ni <= 600:
-            dense = B.toarray() if sp.issparse(B) else B
+        if not deficient and small:
             try:
-                np.linalg.cholesky(dense + 0.0)
+                np.linalg.cholesky(B)
             except np.linalg.LinAlgError:
                 deficient = True
         if deficient:

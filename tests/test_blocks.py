@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from icdkit.blocks import (
     BlockMetric,
@@ -78,9 +80,16 @@ def test_conjugate_norm_diagonal():
     assert conjugate_block_norm(np.array([2.0, 1.0]), B) == pytest.approx(np.sqrt(2.0))
 
 
-def test_metric_requires_symmetry():
-    with pytest.raises(ValueError):
-        BlockMetric([np.array([[1.0, 0.5], [0.0, 1.0]])], [1.0])
+@pytest.mark.parametrize("fmt", ["dense", "sparse"])
+def test_metric_requires_symmetry(fmt):
+    B = np.array([[1.0, 0.5], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="not symmetric"):
+        BlockMetric([B if fmt == "dense" else sp.csr_matrix(B)], [1.0])
+
+
+def test_metric_rejects_linear_operator():
+    with pytest.raises(ValueError, match="dense array or a sparse matrix"):
+        BlockMetric([spla.aslinearoperator(np.eye(2))], [1.0])
 
 
 def test_metric_requires_positive_lipschitz():
@@ -88,13 +97,15 @@ def test_metric_requires_positive_lipschitz():
         BlockMetric([np.eye(2)], [0.0])
 
 
-def test_metric_solve_matches_dense():
+@pytest.mark.parametrize("fmt", ["dense", "sparse"])
+def test_conjugate_norm_matches_dense_solve(fmt):
     rng = np.random.default_rng(1)
     M = rng.standard_normal((8, 5))
     B = M.T @ M + 0.5 * np.eye(5)
-    metric = BlockMetric([B], [1.0])
     g = rng.standard_normal(5)
-    assert np.allclose(metric.solve(0, g), np.linalg.solve(B, g), rtol=1e-10, atol=1e-12)
+    expected = np.sqrt(g @ np.linalg.solve(B, g))
+    got = conjugate_block_norm(g, B if fmt == "dense" else sp.csr_matrix(B))
+    assert got == pytest.approx(expected, rel=1e-10)
 
 
 def test_weighted_norm_identity_metric():

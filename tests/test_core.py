@@ -195,6 +195,17 @@ def test_update_l1_requires_positive_delta():
         compute_update(obj, state, 0, 0.0, SolverConfig(method="prox"))
 
 
+@pytest.mark.parametrize(
+    "reg", [SeparableRegularizer.l1(0.05), SeparableRegularizer.group_lasso(0.05, (2, 2))]
+)
+def test_update_nonsmooth_rejects_non_prox_method(reg):
+    rng = np.random.default_rng(3)
+    obj = _consistent_objective(rng, 8, (2, 2), reg)
+    state = obj.start(rng.standard_normal(4))
+    with pytest.raises(ValueError, match="'prox'"):
+        compute_update(obj, state, 0, 1e-6, SolverConfig())
+
+
 # -------------------------------------------------------------- icd_run
 
 

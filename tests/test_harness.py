@@ -212,6 +212,27 @@ stop.max_block_updates = 4000
     assert not summaries["cg"].failures
 
 
+def test_run_experiment_defaults_to_prox_for_l1():
+    cfg = harness.parse_config(
+        """
+problem.source = generate
+generate.n = 3
+generate.M_i = 40
+generate.N_i = 12
+generate.ell = 1
+generate.seed = 5
+reg.kind = l1
+reg.lam = 0.1
+policy.beta = 1e-6
+stop.max_block_updates = 30
+"""
+    )
+    summaries, _ = harness.run_experiment(cfg, write_files=False)
+    assert list(summaries) == ["prox"]
+    assert not summaries["prox"].failures
+    assert summaries["prox"].block_updates == [30]
+
+
 def test_bounds_report_rows():
     row = harness.bounds_report(
         "composite_convex_i", eps=1.0, rho=float(np.exp(-1)), xi0=3.0, n=10, R2=4.0

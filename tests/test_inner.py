@@ -133,6 +133,20 @@ def test_ichol_rejects_hopeless_matrix():
         incomplete_cholesky(P, drop_tol=0.0)
 
 
+def test_ichol_shifts_up_to_the_mean_diagonal():
+    # well conditioned (condition number 414), yet at drop_tol 0.1 every
+    # shift below the mean diagonal leaves a nonpositive pivot
+    rng = np.random.default_rng(11)
+    M = rng.standard_normal((33, 30))
+    P = M.T @ M + 0.1 * np.eye(30)
+    L = incomplete_cholesky(sp.csc_matrix(P), drop_tol=0.1)
+    assert np.all(L.diagonal() > 0)
+    g = rng.standard_normal(30)
+    t, stats = solve_pcg(LinearSubproblem(P, g), L, StopRule(beta=1e-20))
+    assert stats.converged
+    assert np.allclose(t, np.linalg.solve(P, g), rtol=1e-8)
+
+
 # ---------------------------------------------------------------- PCG
 
 
@@ -322,6 +336,38 @@ def test_l1_iteration_cap_flags_not_converged():
         Ai, rng.standard_normal(20), np.zeros(10), lam=0.01, beta=1e-16, max_iters=2
     )
     assert not stats.converged
+
+
+class _CountingOperator:
+    """A dense matrix that counts its products with A and with A^T."""
+
+    def __init__(self, A, counts=None, transposed=False):
+        self.A, self.transposed = A, transposed
+        self.counts = counts if counts is not None else {"A": 0, "A^T": 0}
+
+    @property
+    def T(self):
+        return _CountingOperator(self.A.T, self.counts, not self.transposed)
+
+    def __matmul__(self, v):
+        self.counts["A^T" if self.transposed else "A"] += 1
+        return self.A @ v
+
+
+@pytest.mark.parametrize("solve", [solve_l1_subproblem, solve_group_subproblem])
+def test_prox_makes_one_product_pair_per_iterate(solve):
+    # c = A x_i - r takes one product; each of the k + 1 iterates takes one
+    # with A (its residual) and one with A^T (its gap and the next step)
+    rng = np.random.default_rng(13)
+    A = rng.standard_normal((20, 8))
+    r, x_i = rng.standard_normal(20), rng.standard_normal(8)
+    L = np.linalg.norm(A, 2) ** 2
+    op = _CountingOperator(A)
+    t, stats = solve(op, r, x_i, 0.1, beta=1e-10, lipschitz=L)
+    k = stats.iterations
+    assert k > 1
+    assert op.counts == {"A": k + 2, "A^T": k + 1}
+    assert np.array_equal(t, solve(A, r, x_i, 0.1, beta=1e-10, lipschitz=L)[0])
 
 
 # ------------------------------------------------ group subproblem

@@ -122,8 +122,8 @@ def test_smooth_exact_minimizer_value():
     for i in range(2):
         g = obj.block_gradient(state, i)
         li = obj.metric.lipschitz[i]
-        t_star = -obj.metric.solve(i, g) / li
-        conj_sq = float(g @ obj.metric.solve(i, g))
+        t_star = -np.linalg.solve(obj.metric.operators[i], g) / li
+        conj_sq = float(g @ np.linalg.solve(obj.metric.operators[i], g))
         assert obj.model_value(state, i, t_star) == pytest.approx(
             -conj_sq / (2 * li), rel=1e-10, abs=1e-12
         )
@@ -164,7 +164,7 @@ def test_eval_H_exact_update_sandwich():
     for i in range(3):
         g = obj.block_gradient(state, i)
         li = obj.metric.lipschitz[i]
-        t_star = -obj.metric.solve(i, g) / li
+        t_star = -np.linalg.solve(obj.metric.operators[i], g) / li
         sl = obj.partition.range(i)
         T0[sl] = t_star
         # a perturbed update whose model value stays within delta_i of the minimum
