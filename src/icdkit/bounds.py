@@ -196,6 +196,25 @@ def constants_smooth_strongly_convex(mu_f: float) -> float:
     return 1.0 / mu_f
 
 
+# bound shape -> (exact-method closed form, inexact iteration bound)
+CASES = {"i": (exact_case_i, iterations_case_i), "ii": (exact_case_ii, iterations_case_ii)}
+
+# theorem -> (bound shape, inputs its constant needs, the constant as
+# (c, alpha_max) from keyword inputs); alpha_max is inf where the theorem
+# puts no upper bound on alpha
+THEOREMS = {
+    "composite_convex_i": ("i", ("n", "R2"), lambda n, R2, xi0, eps, **_: (
+        constants_composite_convex(n, R2, xi0, eps)[0], math.inf)),
+    "composite_convex_ii": ("ii", ("n", "R2"), lambda n, R2, xi0, eps, **_: (
+        constants_composite_convex(n, R2, xi0, eps)[1], math.inf)),
+    "strongly_convex": ("ii", ("n", "mu_f"), lambda n, mu_f, mu_psi, **_: (
+        constants_strongly_convex(n, mu_f, mu_psi)[1:])),
+    "smooth_convex": ("i", ("R2",), lambda R2, **_: (constants_smooth_convex(R2), math.inf)),
+    "smooth_strongly_convex": ("ii", ("mu_f",), lambda mu_f, **_: (
+        constants_smooth_strongly_convex(mu_f), math.inf)),
+}
+
+
 def mu_quadratic(objective: CompositeObjective, weights: WeightVector) -> float:
     """Strong convexity parameter of the quadratic smooth part relative to
     the weighted block norm: the smallest generalized eigenvalue of

@@ -9,7 +9,7 @@ import sys
 
 import numpy as np
 
-from icdkit import block_angular, harness, mmio
+from icdkit import block_angular, bounds, harness, mmio
 
 
 def _add_generate(sub):
@@ -34,17 +34,7 @@ def _add_run(sub):
 
 def _add_bounds(sub):
     p = sub.add_parser("bounds", help="evaluate iteration-complexity bounds")
-    p.add_argument(
-        "--theorem",
-        required=True,
-        choices=[
-            "composite_convex_i",
-            "composite_convex_ii",
-            "strongly_convex",
-            "smooth_convex",
-            "smooth_strongly_convex",
-        ],
-    )
+    p.add_argument("--theorem", required=True, choices=list(bounds.THEOREMS))
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--alpha", type=float, default=0.0)
@@ -113,10 +103,13 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "bounds":
-        row = harness.bounds_report(
-            args.theorem, args.eps, args.rho, args.alpha, args.beta,
-            args.xi0, n=args.n, R2=args.R2, mu_f=args.mu_f, mu_psi=args.mu_psi,
-        )
+        try:
+            row = harness.bounds_report(
+                args.theorem, args.eps, args.rho, args.alpha, args.beta,
+                args.xi0, n=args.n, R2=args.R2, mu_f=args.mu_f, mu_psi=args.mu_psi,
+            )
+        except ValueError as e:
+            parser.error(str(e))
         print(json.dumps(row, default=_json_default, indent=2))
         return 0
 

@@ -93,6 +93,9 @@ class SamplingLaw:
             raise ValueError("probabilities must be positive")
         if abs(sum(p) - 1.0) > 1e-12:
             raise ValueError("probabilities must sum to 1")
+        bad = [i for i in self.fixed_order or () if not 0 <= i < len(p)]
+        if bad:
+            raise ValueError(f"fixed block order: index {bad[0]} outside [0, {len(p)})")
         object.__setattr__(self, "p", p)
 
     @classmethod
@@ -161,16 +164,14 @@ class SolverConfig:
     precond_factors: list | None = None
     rigorous: bool = False
     lambda_min_estimates: list | None = None
-    warm_start: bool = False
 
 
 @dataclass
 class RunWorkspace:
-    """Per-run caches, keyed by block: warm-start iterates, prox step
-    constants and PCG preconditioners. Each icd_run owns one, so repeated
-    runs stay independent."""
+    """Per-run caches, keyed by block: prox step constants and PCG
+    preconditioners. Each icd_run owns one, so repeated runs stay
+    independent."""
 
-    warm: dict = field(default_factory=dict)
     lipschitz: dict = field(default_factory=dict)
     preconditioners: dict = field(default_factory=dict)
 
@@ -218,7 +219,6 @@ def compute_update(
             t, stats = solve_exact_cholesky(B, g)
         else:
             stop = StopRule(
-                StopMode.RESIDUAL_SQUARED,
                 beta=delta,
                 max_inner_iters=solver.max_inner_iters,
                 rigorous=solver.rigorous,
@@ -229,18 +229,15 @@ def compute_update(
                 ),
             )
             prob = LinearSubproblem(B, g)
-            t0 = ws.warm.get(i) if solver.warm_start else None
             if method == "cg":
-                t, stats = solve_cg(prob, stop, t0)
+                t, stats = solve_cg(prob, stop)
             elif method == "pcg":
                 if solver.precond_factors is None:
                     raise ValueError("pcg requires preconditioner factors")
                 pre = ws.block_preconditioner(solver.precond_factors, i)
-                t, stats = solve_pcg(prob, pre, stop, t0)
+                t, stats = solve_pcg(prob, pre, stop)
             else:
                 raise ValueError(f"unknown smooth-path method {method!r}")
-        if solver.warm_start:
-            ws.warm[i] = t.copy()
     else:
         if solver.method != "prox":
             raise ValueError(
@@ -324,6 +321,10 @@ def icd_run(
     workspace = RunWorkspace()
     if eps is not None and objective.F_star is None:
         raise ValueError("eps-based stopping requires a known F*")
+    if law.n != objective.partition.n:
+        raise ValueError(
+            f"sampling law has {law.n} blocks but the partition has {objective.partition.n}"
+        )
     rng = np.random.default_rng(law.seed)
     state = objective.start(x0)
     records: list[IterationRecord] = []

@@ -217,7 +217,6 @@ def _build_solver(cfg: ExperimentConfig, method: str, mat) -> SolverConfig:
         method=method,
         max_inner_iters=cfg.get_int("inner.max_iters", 10_000),
         precond_factors=factors,
-        warm_start=cfg.get_bool("inner.warm_start"),
     )
 
 
@@ -285,8 +284,8 @@ def run_experiment(cfg: ExperimentConfig, write_files: bool = True):
             summaries[method] = summary
             continue
         for rep in range(reps):
-            law = _build_law(cfg, objective.partition.n, base_seed + rep)
             try:
+                law = _build_law(cfg, objective.partition.n, base_seed + rep)
                 result = icd_run(
                     objective, x0, policy, law, solver,
                     eps=eps, max_block_updates=max_updates,
@@ -349,41 +348,28 @@ def bounds_report(
     mu_f: float | None = None,
     mu_psi: float = 0.0,
 ) -> dict:
-    """Side-by-side exact/inexact iteration counts for one theorem row."""
-    if theorem == "composite_convex_i":
-        c1, _ = bounds.constants_composite_convex(n, R2, xi0, eps)
-        exact = bounds.exact_case_i(c1, eps, rho, xi0)
-        res = bounds.iterations_case_i(bounds.BoundInputs(c1, alpha, beta, eps, rho, xi0))
-        constant = c1
-    elif theorem == "composite_convex_ii":
-        _, c2 = bounds.constants_composite_convex(n, R2, xi0, eps)
-        exact = bounds.exact_case_ii(c2, eps, rho, xi0)
-        res = bounds.iterations_case_ii(bounds.BoundInputs(c2, alpha, beta, eps, rho, xi0))
-        constant = c2
-    elif theorem == "strongly_convex":
-        mu, c2, alpha_max = bounds.constants_strongly_convex(n, mu_f, mu_psi)
-        if alpha >= alpha_max:
-            return {
-                "theorem": theorem,
-                "feasible": False,
-                "violated": [f"0 <= alpha < mu/n = {alpha_max!r}"],
-                "constant": c2,
-            }
-        exact = bounds.exact_case_ii(c2, eps, rho, xi0)
-        res = bounds.iterations_case_ii(bounds.BoundInputs(c2, alpha, beta, eps, rho, xi0))
-        constant = c2
-    elif theorem == "smooth_convex":
-        c1 = bounds.constants_smooth_convex(R2)
-        exact = bounds.exact_case_i(c1, eps, rho, xi0)
-        res = bounds.iterations_case_i(bounds.BoundInputs(c1, alpha, beta, eps, rho, xi0))
-        constant = c1
-    elif theorem == "smooth_strongly_convex":
-        c2 = bounds.constants_smooth_strongly_convex(mu_f)
-        exact = bounds.exact_case_ii(c2, eps, rho, xi0)
-        res = bounds.iterations_case_ii(bounds.BoundInputs(c2, alpha, beta, eps, rho, xi0))
-        constant = c2
-    else:
+    """Side-by-side exact/inexact iteration counts for one theorem row.
+
+    Raises ValueError for an unknown theorem or one whose inputs are missing.
+    """
+    if theorem not in bounds.THEOREMS:
         raise ValueError(f"unknown theorem selector {theorem!r}")
+    case, needs, constant_of = bounds.THEOREMS[theorem]
+    inputs = dict(n=n, R2=R2, mu_f=mu_f, mu_psi=mu_psi, xi0=xi0, eps=eps)
+    missing = [key for key in needs if inputs[key] is None]
+    if missing:
+        raise ValueError(f"theorem {theorem} needs {', '.join(missing)}")
+    constant, alpha_max = constant_of(**inputs)
+    if alpha >= alpha_max:
+        return {
+            "theorem": theorem,
+            "feasible": False,
+            "violated": [f"0 <= alpha < mu/n = {alpha_max!r}"],
+            "constant": constant,
+        }
+    exact_of, iterations_of = bounds.CASES[case]
+    exact = exact_of(constant, eps, rho, xi0)
+    res = iterations_of(bounds.BoundInputs(constant, alpha, beta, eps, rho, xi0))
     return {
         "theorem": theorem,
         "constant": constant,

@@ -9,11 +9,12 @@ its dual norm differ (soft threshold, l1, l-inf; group soft threshold,
 l2, l2).
 
 The linear-path certificate is the squared normal-equation residual
-1/2 ||B_i t - g||^2 <= beta. For consistent systems this certifies the
-model-gap condition directly (the model minimum is zero there); the
-optional rigorous mode scales the tolerance by an estimate of
-lambda_min(B_i) so that the model gap
-1/2 ||B_i t - g||^2_{B_i^{-1}} <= beta is certified unconditionally.
+1/2 ||B_i t - g||^2 <= beta. The model gap it must control is
+1/2 r^T B_i^{-1} r <= 1/2 ||r||^2 / lambda_min(B_i) for r = B_i t - g,
+so the plain test certifies the gap only when lambda_min(B_i) >= 1. The
+rigorous mode exists for the other case: it scales the tolerance by an
+estimate of lambda_min(B_i), which certifies the model gap
+1/2 ||B_i t - g||^2_{B_i^{-1}} <= beta unconditionally.
 A rigorous solve reports StopMode.RESIDUAL_SQUARED_SCALED: its
 certificate is still 1/2 ||B_i t - g||^2, read against
 beta * lambda_min(B_i).
@@ -69,7 +70,6 @@ class StopMode(Enum):
 
 @dataclass(frozen=True)
 class StopRule:
-    mode: StopMode = StopMode.RESIDUAL_SQUARED
     beta: float = 0.0
     max_inner_iters: int = 10_000
     # scale the residual tolerance by a lambda_min(B) estimate to certify
@@ -101,18 +101,17 @@ def _krylov(
     prob: LinearSubproblem,
     precond,
     stop: StopRule,
-    t0: np.ndarray | None,
 ) -> tuple[np.ndarray, SolveStats]:
-    """The (P)CG loop on B t = g, stopping at 1/2||B t - g||^2 <= tol.
+    """The (P)CG loop on B t = g from t = 0, stopping at 1/2||B t - g||^2 <= tol.
 
     precond applies M^{-1}; with precond=None the search direction comes
     from r itself (M = I), which is plain CG. A capped solve returns the
     iterate with the smallest residual seen.
     """
     tol = stop.residual_threshold()
-    mode = StopMode.RESIDUAL_SQUARED_SCALED if stop.rigorous else stop.mode
-    t = np.zeros(prob.dim) if t0 is None else np.array(t0, dtype=float)
-    r = prob.g - (prob.apply(t) if t.any() else np.zeros(prob.dim))
+    mode = StopMode.RESIDUAL_SQUARED_SCALED if stop.rigorous else StopMode.RESIDUAL_SQUARED
+    t = np.zeros(prob.dim)
+    r = prob.g
     best_t, best_res = t.copy(), _half_sq(r)
     if best_res <= tol:
         return best_t, SolveStats(0, best_res, mode)
@@ -145,10 +144,9 @@ def _krylov(
 def solve_cg(
     prob: LinearSubproblem,
     stop: StopRule,
-    t0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, SolveStats]:
     """Conjugate gradients on B t = g, stopping at 1/2||B t - g||^2 <= tol."""
-    return _krylov(prob, None, stop, t0)
+    return _krylov(prob, None, stop)
 
 
 def incomplete_cholesky(P, drop_tol: float) -> sp.csc_matrix:
@@ -246,7 +244,6 @@ def solve_pcg(
     prob: LinearSubproblem,
     precond_factor,
     stop: StopRule,
-    t0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, SolveStats]:
     """Preconditioned CG with M = L L^T; same stopping test as solve_cg.
 
@@ -254,7 +251,7 @@ def solve_pcg(
     """
     if not isinstance(precond_factor, _TriangularPreconditioner):
         precond_factor = _TriangularPreconditioner(precond_factor)
-    return _krylov(prob, precond_factor.apply, stop, t0)
+    return _krylov(prob, precond_factor.apply, stop)
 
 
 def solve_exact_cholesky(B, g: np.ndarray) -> tuple[np.ndarray, SolveStats]:
@@ -304,12 +301,6 @@ def _dual_gap(
     nu = s * res
     dual = -_half_sq(nu) - float(nu @ c)
     return primal - dual
-
-
-def _l1_dual_gap(Ai, c: np.ndarray, y: np.ndarray, lam: float) -> float:
-    """Duality gap for min_y 1/2||A y - c||^2 + lam ||y||_1 at the point y."""
-    res = Ai @ y - c
-    return _dual_gap(res, Ai.T @ res, c, y, lam, 1, np.inf)
 
 
 def estimate_operator_norm_sq(Ai, iters: int = 30, seed: int = 0) -> float:

@@ -11,7 +11,6 @@ from icdkit.block_angular import GeneratorSpec, build_preconditioner, generate
 from icdkit.blocks import BlockPartition
 from icdkit.core import (
     InexactnessPolicy,
-    RunWorkspace,
     SamplingLaw,
     SolverConfig,
     compute_update,
@@ -25,6 +24,7 @@ from icdkit.objective import (
     SeparableRegularizer,
     quadratic_metric,
 )
+from icdkit.synthetic import lasso_instance
 
 
 def _consistent_objective(rng, M, sizes, reg=None, F_star=0.0):
@@ -67,6 +67,19 @@ def test_sampling_law_validates_probabilities():
         SamplingLaw(p=(0.5, 0.6), seed=0)
     with pytest.raises(ValueError):
         SamplingLaw(p=(1.0, 0.0), seed=0)
+
+
+@pytest.mark.parametrize("order, bad", [((0, 1, 3, 0), 3), ((0, 1, 2, -1, 0), -1)])
+def test_sampling_law_rejects_fixed_order_outside_the_blocks(order, bad):
+    with pytest.raises(ValueError, match=rf"index {bad} outside \[0, 3\)"):
+        SamplingLaw.uniform(3, fixed_order=order)
+
+
+def test_run_rejects_law_with_another_block_count():
+    obj = lasso_instance(60, 30, (10, 10, 10), 0.05, seed=0)
+    with pytest.raises(ValueError, match="2 blocks but the partition has 3"):
+        icd_run(obj, np.zeros(30), InexactnessPolicy.uniform(1e-6),
+                SamplingLaw((0.5, 0.5)), SolverConfig(method="prox"))
 
 
 # ------------------------------------------------------------- budgets
@@ -169,19 +182,6 @@ def test_update_rigorous_cg_reports_scaled_residual_mode():
     assert stats.mode.value == "residual_squared"
 
 
-def test_update_warm_start_uses_only_the_given_workspace():
-    rng = np.random.default_rng(13)
-    obj = _consistent_objective(rng, 12, (4, 4))
-    state = obj.start(rng.standard_normal(8))
-    solver = SolverConfig(method="cg", warm_start=True)
-    ws = RunWorkspace()
-    t, _, _ = compute_update(obj, state, 0, 1e-6, solver, ws)
-    assert np.array_equal(ws.warm[0], t)
-    # a call without a workspace neither reads nor fills this one
-    compute_update(obj, state, 1, 1e-6, solver)
-    assert list(ws.warm) == [0]
-
-
 def test_solver_config_is_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
         SolverConfig().precond_factors = []
@@ -268,25 +268,6 @@ def test_run_determinism():
     assert [a.inner_iterations for a in r1.records] == [a.inner_iterations for a in r2.records]
 
 
-def test_run_repetitions_sharing_a_warm_started_solver_are_identical():
-    mat, x_star, b = generate(GeneratorSpec(n=3, M_i=60, N_i=20, ell=1, seed=3))
-    smooth = QuadraticSmooth(mat.assemble(), b, mat.partition)
-    obj = CompositeObjective(
-        smooth, SeparableRegularizer.zero(), quadratic_metric(smooth), F_star=0.0
-    )
-    solver = SolverConfig(method="cg", warm_start=True)
-    law = SamplingLaw.uniform(3, seed=0)
-
-    def go():
-        return icd_run(obj, np.zeros(mat.N), InexactnessPolicy.uniform(1e-2), law, solver,
-                       eps=1e-6, max_block_updates=2000)
-
-    r1, r2 = go(), go()
-    assert np.array_equal(r1.x, r2.x)
-    strip = [dataclasses.replace(r, wall_time_s=0.0) for r in r1.records]
-    assert strip == [dataclasses.replace(r, wall_time_s=0.0) for r in r2.records]
-
-
 def _pcg_problem():
     mat, x_star, b = generate(GeneratorSpec(n=3, M_i=60, N_i=20, ell=1, seed=3))
     smooth = QuadraticSmooth(mat.assemble(), b, mat.partition)
@@ -316,7 +297,7 @@ def test_run_pcg_builds_one_preconditioner_per_block(monkeypatch):
 
 def test_run_repetitions_sharing_a_pcg_solver_are_identical():
     obj, x0, factors = _pcg_problem()
-    solver = SolverConfig(method="pcg", precond_factors=factors, warm_start=True)
+    solver = SolverConfig(method="pcg", precond_factors=factors)
     law = SamplingLaw.uniform(3, seed=0)
 
     def go():

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from icdkit import harness, mmio
+from icdkit import bounds, cli, harness, mmio
 
 
 # ------------------------------------------------------- Matrix Market
@@ -129,6 +130,20 @@ sampling.seed = 3
 """
 
 
+L1_CONFIG = """
+problem.source = generate
+generate.n = 3
+generate.M_i = 40
+generate.N_i = 12
+generate.ell = 1
+generate.seed = 5
+reg.kind = l1
+reg.lam = 0.1
+policy.beta = 1e-6
+stop.max_block_updates = 30
+"""
+
+
 def test_run_experiment_all_solvers(tmp_path, monkeypatch):
     monkeypatch.setenv(harness.OUTPUT_DIR_ENV, str(tmp_path))
     cfg = harness.parse_config(SMALL_CONFIG)
@@ -190,43 +205,54 @@ def test_run_experiment_deterministic_replay(tmp_path):
     assert rec1 == rec2
 
 
-def test_run_experiment_records_failures_not_fatal():
-    # a wide block makes the plain preconditioner ill-posed; the pcg run
-    # must record a failure while other solvers still complete
+def test_run_experiment_records_failures_not_fatal(tmp_path):
+    # setup failure: pcg needs block-angular structure, which a Matrix
+    # Market source lacks; cg on the same problem must still complete
+    A = sp.csc_matrix(np.random.default_rng(0).standard_normal((20, 6)))
+    mmio.write_matrix_market(str(tmp_path / "A.mtx"), A)
     cfg = harness.parse_config(
-        """
-problem.source = generate
-generate.n = 2
-generate.M_i = 8
-generate.N_i = 20
-generate.shape = wide
-generate.ell = 1
-generate.seed = 2
-policy.beta = 0.1
-inner.solver = cg
-stop.eps = 0.1
-stop.max_block_updates = 4000
+        f"""
+problem.source = matrix_market
+problem.path = {tmp_path / "A.mtx"}
+problem.block_sizes = 3,3
+policy.beta = 1e-8
+inner.solver = pcg,cg
+stop.eps = 1e-6
 """
     )
-    summaries, _ = harness.run_experiment(cfg, write_files=False)
-    assert not summaries["cg"].failures
+    summaries, records = harness.run_experiment(cfg, write_files=False)
+    assert len(summaries["pcg"].failures) == 1
+    assert summaries["pcg"].failures[0].startswith("setup: ")
+    assert not summaries["cg"].failures and len(records["cg"]) == 1
+
+    # run failure: the l1 path takes only prox, so exact fails in its run
+    # while prox completes
+    cfg = harness.parse_config(
+        L1_CONFIG.replace("reg.lam = 0.1", "reg.lam = 0.1\ninner.solver = exact,prox")
+    )
+    summaries, records = harness.run_experiment(cfg, write_files=False)
+    assert len(summaries["exact"].failures) == 1
+    assert summaries["exact"].failures[0].startswith("run 0: ")
+    assert not summaries["prox"].failures and summaries["prox"].block_updates == [30]
+
+
+@pytest.mark.parametrize("order, bad", [("0 1 3 0", 3), ("0 1 2 -1 0", -1)])
+def test_run_experiment_records_a_fixed_order_outside_the_blocks(tmp_path, order, bad):
+    (tmp_path / "order.txt").write_text(order)
+    cfg = harness.parse_config(
+        SMALL_CONFIG + f"sampling.fixed_order_path = {tmp_path / 'order.txt'}\n"
+        "inner.solver = exact,cg\nrun.repetitions = 1\n"
+    )
+    summaries, records = harness.run_experiment(cfg, write_files=False)
+    for method in ("exact", "cg"):
+        assert records[method] == []
+        assert summaries[method].failures == [
+            f"run 0: fixed block order: index {bad} outside [0, 3)"
+        ]
 
 
 def test_run_experiment_defaults_to_prox_for_l1():
-    cfg = harness.parse_config(
-        """
-problem.source = generate
-generate.n = 3
-generate.M_i = 40
-generate.N_i = 12
-generate.ell = 1
-generate.seed = 5
-reg.kind = l1
-reg.lam = 0.1
-policy.beta = 1e-6
-stop.max_block_updates = 30
-"""
-    )
+    cfg = harness.parse_config(L1_CONFIG)
     summaries, _ = harness.run_experiment(cfg, write_files=False)
     assert list(summaries) == ["prox"]
     assert not summaries["prox"].failures
@@ -309,6 +335,15 @@ def test_cli_bounds():
     assert payload["K_inexact"] == 92
 
 
+@pytest.mark.parametrize("theorem", sorted(bounds.THEOREMS))
+def test_cli_bounds_names_missing_inputs(theorem, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["bounds", "--theorem", theorem, "--eps", "0.5", "--rho", "0.5"])
+    assert exit_info.value.code == 2
+    _, needs, _ = bounds.THEOREMS[theorem]
+    assert f"theorem {theorem} needs {', '.join(needs)}" in capsys.readouterr().err
+
+
 def test_cli_spectrum():
     r = _cli(
         "spectrum", "--which", "PB", "--n", "2", "--rows-per-block", "20",
@@ -317,3 +352,18 @@ def test_cli_spectrum():
     assert r.returncode == 0, r.stderr
     payload = json.loads(r.stdout)
     assert payload["counts"]["equal_one"] + payload["counts"]["greater_one"] == 8
+
+
+# ------------------------------------------------------------ README
+
+
+def test_readme_config_table_lists_the_keys_harness_reads():
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    with open(os.path.join(root, "src", "icdkit", "harness.py")) as fh:
+        read = set(re.findall(r'cfg\.get\w*\(\s*"([^"]+)"', fh.read()))
+    with open(os.path.join(root, "README.md")) as fh:
+        readme = fh.read()
+    table = readme.split("### Config keys for `icdkit run`", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1] for line in table.splitlines() if line.startswith("| `")]
+    listed = {key for cell in rows for key in re.findall(r"`([^`]+)`", cell)}
+    assert listed == read

@@ -10,7 +10,7 @@ from icdkit.inner import (
     SolveStats,
     StopMode,
     StopRule,
-    _l1_dual_gap,
+    _dual_gap,
     _TriangularPreconditioner,
     estimate_operator_norm_sq,
     group_soft_threshold,
@@ -290,7 +290,9 @@ def test_l1_scalar_case():
 def test_l1_gap_zero_at_optimum():
     # place y exactly at the known scalar optimum and check the gap
     Ai = np.array([[1.0]])
-    gap = _l1_dual_gap(Ai, c=np.array([-1.0]), y=np.array([-0.5]), lam=0.5)
+    c, y = np.array([-1.0]), np.array([-0.5])
+    res = Ai @ y - c
+    gap = _dual_gap(res, Ai.T @ res, c, y, 0.5, 1, np.inf)
     assert 0.0 <= gap <= 1e-12
 
 
@@ -324,7 +326,8 @@ def test_l1_gap_nonnegative_along_iterates():
     L = np.linalg.norm(Ai, 2) ** 2
     y = np.zeros(6)
     for _ in range(200):
-        gap = _l1_dual_gap(Ai, c, y, lam)
+        res = Ai @ y - c
+        gap = _dual_gap(res, Ai.T @ res, c, y, lam, 1, np.inf)
         assert gap >= -1e-12
         y = soft_threshold(y - (Ai.T @ (Ai @ y - c)) / L, lam / L)
 
