@@ -212,6 +212,8 @@ def spectrum_report(
     generalized symmetric-definite form, which is similar to the
     nonsymmetric preconditioned operator.
     """
+    if not 0 <= i < mat.n:
+        raise ValueError(f"block {i} outside [0, {mat.n})")
     C = mat.C_blocks[i].toarray()
     D = mat.D_blocks[i].toarray()
     Ni = C.shape[1]

@@ -12,16 +12,21 @@ import numpy as np
 from icdkit import block_angular, bounds, harness, mmio
 
 
-def _add_generate(sub):
-    p = sub.add_parser("generate", help="generate a block-angular instance and write it out")
+def _add_instance_options(p):
+    """The block-angular instance options shared by generate and spectrum."""
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--rows-per-block", type=int, default=60, dest="M_i")
     p.add_argument("--cols-per-block", type=int, default=20, dest="N_i")
     p.add_argument("--linking-rows", type=int, default=2, dest="ell")
-    p.add_argument("--nnz-per-col", type=int, default=20)
-    p.add_argument("--d-fill", type=float, default=0.1)
     p.add_argument("--shape", choices=["tall", "wide"], default="tall")
     p.add_argument("--seed", type=int, default=0)
+
+
+def _add_generate(sub):
+    p = sub.add_parser("generate", help="generate a block-angular instance and write it out")
+    _add_instance_options(p)
+    p.add_argument("--nnz-per-col", type=int, default=20)
+    p.add_argument("--d-fill", type=float, default=0.1)
     p.add_argument("--out-dir", default=".")
     p.add_argument("--prefix", default="instance")
 
@@ -48,15 +53,10 @@ def _add_bounds(sub):
 
 def _add_spectrum(sub):
     p = sub.add_parser("spectrum", help="spectrum report for a preconditioned block")
+    _add_instance_options(p)
     p.add_argument("--which", choices=["PB", "PhatB", "PhatP"], default="PB")
     p.add_argument("--block", type=int, default=0)
     p.add_argument("--rho-shift", type=float, default=0.5)
-    p.add_argument("--n", type=int, default=4)
-    p.add_argument("--rows-per-block", type=int, default=60, dest="M_i")
-    p.add_argument("--cols-per-block", type=int, default=20, dest="N_i")
-    p.add_argument("--linking-rows", type=int, default=2, dest="ell")
-    p.add_argument("--shape", choices=["tall", "wide"], default="tall")
-    p.add_argument("--seed", type=int, default=0)
 
 
 def main(argv=None) -> int:
@@ -70,7 +70,14 @@ def main(argv=None) -> int:
     _add_bounds(sub)
     _add_spectrum(sub)
     args = parser.parse_args(argv)
+    try:
+        _dispatch(args)
+    except (ValueError, OSError) as e:
+        parser.error(str(e))
+    return 0
 
+
+def _dispatch(args):
     if args.command == "generate":
         spec = block_angular.GeneratorSpec(
             n=args.n, M_i=args.M_i, N_i=args.N_i, ell=args.ell,
@@ -78,17 +85,16 @@ def main(argv=None) -> int:
             shape=args.shape, seed=args.seed,
         )
         mat, x_star, b = block_angular.generate(spec)
-        out = os.environ.get(harness.OUTPUT_DIR_ENV) or args.out_dir
-        os.makedirs(out, exist_ok=True)
+        out = harness.output_dir(args.out_dir)
         note = f"seed={args.seed} shape={args.shape}"
         mmio.write_matrix_market(os.path.join(out, f"{args.prefix}_A.mtx"), mat.assemble(), note)
         mmio.write_vector_market(os.path.join(out, f"{args.prefix}_b.mtx"), b, note)
         mmio.write_vector_market(os.path.join(out, f"{args.prefix}_xstar.mtx"), x_star, note)
         print(f"wrote {args.prefix}_A.mtx ({mat.M}x{mat.N}), b and x* to {out}")
-        return 0
 
-    if args.command == "run":
-        cfg = harness.parse_config(args.config)
+    elif args.command == "run":
+        with open(args.config) as fh:
+            cfg = harness.parse_config(fh.read())
         summaries, _ = harness.run_experiment(cfg, write_files=not args.no_files)
         for method, s in summaries.items():
             print(
@@ -100,20 +106,15 @@ def main(argv=None) -> int:
             )
             for fail in s.failures:
                 print(f"  failure: {fail}")
-        return 0
 
-    if args.command == "bounds":
-        try:
-            row = harness.bounds_report(
-                args.theorem, args.eps, args.rho, args.alpha, args.beta,
-                args.xi0, n=args.n, R2=args.R2, mu_f=args.mu_f, mu_psi=args.mu_psi,
-            )
-        except ValueError as e:
-            parser.error(str(e))
+    elif args.command == "bounds":
+        row = harness.bounds_report(
+            args.theorem, args.eps, args.rho, args.alpha, args.beta,
+            args.xi0, n=args.n, R2=args.R2, mu_f=args.mu_f, mu_psi=args.mu_psi,
+        )
         print(json.dumps(row, default=_json_default, indent=2))
-        return 0
 
-    if args.command == "spectrum":
+    else:  # spectrum
         spec = block_angular.GeneratorSpec(
             n=args.n, M_i=args.M_i, N_i=args.N_i, ell=args.ell,
             shape=args.shape, seed=args.seed,
@@ -133,9 +134,6 @@ def main(argv=None) -> int:
             "eigenvalues": rep.eigenvalues.tolist(),
         }
         print(json.dumps(payload, default=_json_default, indent=2))
-        return 0
-
-    return 1
 
 
 def _json_default(obj):

@@ -69,6 +69,8 @@ class InexactnessPolicy:
             raise ValueError("alpha and beta must be nonnegative")
         if self.rule is DeltaRule.PER_BLOCK_LIST and self.per_block is None:
             raise ValueError("per-block rule requires explicit deltas")
+        if self.per_block is not None and any(d < 0 for d in self.per_block):
+            raise ValueError(f"per-block budgets must be nonnegative, got {self.per_block}")
 
     @classmethod
     def exact(cls):

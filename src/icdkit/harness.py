@@ -1,8 +1,11 @@
 """Configuration-driven experiment runner.
 
-Configs are flat ``section.key = value`` text files (diff-friendly, no
-schema dependency). Every output file starts with the echoed config so a
-run can be reproduced from its own artifacts.
+Configs are flat ``section.key = value`` text (diff-friendly, no schema
+dependency) that ``parse_config`` parses; the caller reads the file.
+Every output file starts with the echoed config so a run can be
+reproduced from its own artifacts. A bad problem, regularizer or policy
+key raises ValueError; a solver's setup or run error is recorded as its
+failure.
 """
 
 from __future__ import annotations
@@ -90,13 +93,8 @@ class ExperimentConfig:
         return [f"{k} = {self.raw[k]}" for k in sorted(self.raw)]
 
 
-def parse_config(source) -> ExperimentConfig:
+def parse_config(text: str) -> ExperimentConfig:
     """Parse ``key = value`` lines; '#' starts a comment."""
-    if isinstance(source, str) and "\n" not in source and os.path.exists(source):
-        with open(source) as fh:
-            text = fh.read()
-    else:
-        text = source
     raw = {}
     for line_no, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
@@ -113,6 +111,7 @@ def build_problem(cfg: ExperimentConfig):
     """Materialize the objective (and block-angular data when generated)."""
     source = cfg.get("problem.source", "generate")
     reg = _build_regularizer(cfg)
+    mat = None
     if source == "generate":
         spec = block_angular.GeneratorSpec(
             n=cfg.get_int("generate.n", 4),
@@ -125,12 +124,8 @@ def build_problem(cfg: ExperimentConfig):
             seed=cfg.get_int("generate.seed", 0),
         )
         mat, x_star, b = block_angular.generate(spec)
-        smooth = QuadraticSmooth(mat.assemble(), b, mat.partition)
-        F_star = 0.0 if reg.kind.value == "zero" else None
-        x_opt = x_star if reg.kind.value == "zero" else None
-        obj = CompositeObjective(smooth, reg, F_star=F_star, x_star=x_opt)
-        return obj, mat
-    if source == "matrix_market":
+        A, partition = mat.assemble(), mat.partition
+    elif source == "matrix_market":
         path = cfg.get("problem.path")
         if path is None:
             raise ValueError("problem.path is required for matrix_market source")
@@ -141,21 +136,22 @@ def build_problem(cfg: ExperimentConfig):
         partition = BlockPartition(tuple(sizes))
         b_path = cfg.get("problem.b_path")
         if b_path is not None:
-            b = mmio.read_vector_market(b_path)
-            obj = CompositeObjective(QuadraticSmooth(A, b, partition), reg)
-            return obj, None
-        rng = np.random.default_rng(cfg.get_int("problem.xstar_seed", 0))
-        x_star = rng.standard_normal(partition.N)
-        b = A @ x_star
-        F_star = 0.0 if reg.kind.value == "zero" else None
-        obj = CompositeObjective(
-            QuadraticSmooth(A, b, partition),
-            reg,
-            F_star=F_star,
-            x_star=x_star if F_star is not None else None,
-        )
-        return obj, None
-    raise ValueError(f"unknown problem.source {source!r}")
+            b, x_star = mmio.read_vector_market(b_path), None
+        else:
+            rng = np.random.default_rng(cfg.get_int("problem.xstar_seed", 0))
+            x_star = rng.standard_normal(partition.N)
+            b = A @ x_star
+    else:
+        raise ValueError(f"unknown problem.source {source!r}")
+    # b = A x* makes F* = 0 and x* the optimum only without a regularizer
+    planted = x_star is not None and reg.kind.value == "zero"
+    obj = CompositeObjective(
+        QuadraticSmooth(A, b, partition),
+        reg,
+        F_star=0.0 if planted else None,
+        x_star=x_star if planted else None,
+    )
+    return obj, mat
 
 
 def _build_regularizer(cfg: ExperimentConfig) -> SeparableRegularizer:
@@ -186,13 +182,16 @@ def _build_policy(cfg: ExperimentConfig) -> InexactnessPolicy:
     )
 
 
-def _build_law(cfg: ExperimentConfig, n: int, seed: int) -> SamplingLaw:
-    p = cfg.get_list("sampling.p")
+def _read_fixed_order(cfg: ExperimentConfig) -> tuple[int, ...] | None:
     order_path = cfg.get("sampling.fixed_order_path")
-    fixed = None
-    if order_path:
-        with open(order_path) as fh:
-            fixed = tuple(int(tok) for tok in fh.read().split())
+    if not order_path:
+        return None
+    with open(order_path) as fh:
+        return tuple(int(tok) for tok in fh.read().split())
+
+
+def _build_law(cfg: ExperimentConfig, n: int, seed: int, fixed) -> SamplingLaw:
+    p = cfg.get_list("sampling.p")
     if p is None:
         return SamplingLaw.uniform(n, seed, fixed)
     return SamplingLaw(tuple(p), seed, fixed)
@@ -250,8 +249,9 @@ class RunSummary:
         return float(np.mean(self.wall_times)) if self.wall_times else float("nan")
 
 
-def _output_dir(cfg: ExperimentConfig) -> str:
-    out = os.environ.get(OUTPUT_DIR_ENV) or cfg.get("output.dir", ".")
+def output_dir(default: str) -> str:
+    """$ICDKIT_OUTPUT_DIR if set, else default; created if missing."""
+    out = os.environ.get(OUTPUT_DIR_ENV) or default
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -271,21 +271,27 @@ def run_experiment(cfg: ExperimentConfig, write_files: bool = True):
     max_updates = cfg.get_int("stop.max_block_updates", 100_000)
     base_seed = cfg.get_int("sampling.seed", 0)
     x0 = np.zeros(objective.partition.N)
+    try:
+        fixed, order_error = _read_fixed_order(cfg), None
+    except (ValueError, OSError) as e:
+        fixed, order_error = None, e
 
     summaries: dict[str, RunSummary] = {}
     records: dict[str, list[tuple[int, RunResult]]] = {}
     for method in methods:
         summary = RunSummary(solver=method)
+        summaries[method] = summary
         records[method] = []
         try:
+            if order_error is not None:
+                raise order_error
             solver = _build_solver(cfg, method, mat)
-        except (ValueError, RuntimeError) as e:
+        except (ValueError, OSError, RuntimeError) as e:
             summary.failures.append(f"setup: {e}")
-            summaries[method] = summary
             continue
         for rep in range(reps):
             try:
-                law = _build_law(cfg, objective.partition.n, base_seed + rep)
+                law = _build_law(cfg, objective.partition.n, base_seed + rep, fixed)
                 result = icd_run(
                     objective, x0, policy, law, solver,
                     eps=eps, max_block_updates=max_updates,
@@ -295,10 +301,9 @@ def run_experiment(cfg: ExperimentConfig, write_files: bool = True):
                 continue
             summary.add(result)
             records[method].append((rep, result))
-        summaries[method] = summary
 
     if write_files:
-        out = _output_dir(cfg)
+        out = output_dir(cfg.get("output.dir", "."))
         prefix = cfg.get("output.prefix", "experiment")
         _write_records_csv(os.path.join(out, f"{prefix}_records.csv"), cfg, records)
         _write_summary_csv(os.path.join(out, f"{prefix}_summary.csv"), cfg, summaries)
@@ -379,13 +384,3 @@ def bounds_report(
         "violated": res.violated,
         "derived": res.derived,
     }
-
-
-def emit_objective_trace(path, cfg: ExperimentConfig, result: RunResult):
-    """Data-only plot emission: (k, F) and (cum_wall_time, F) CSV pairs."""
-    with open(path, "w") as fh:
-        for line in cfg.echo_lines():
-            fh.write(f"# {line}\n")
-        fh.write("k,F,cum_wall_time_s\n")
-        for rec in result.records:
-            fh.write(f"{rec.k},{rec.F!r},{rec.wall_time_s:.6f}\n")

@@ -8,6 +8,7 @@ duplicate entries, expands symmetric storage, and can transpose on read
 from __future__ import annotations
 
 import numpy as np
+import scipy.io
 import scipy.sparse as sp
 
 __all__ = ["read_matrix_market", "write_matrix_market"]
@@ -83,17 +84,12 @@ def read_matrix_market(path, transpose: bool = False) -> sp.csc_matrix:
 
 
 def write_matrix_market(path, mat, comment: str | None = None):
-    """Write in coordinate real general format with 1-based indices."""
-    coo = sp.coo_matrix(mat)
+    """Write in coordinate real general format, duplicates summed first."""
+    coo = sp.coo_matrix(mat, dtype=float)
     coo.sum_duplicates()
-    with open(path, "w") as fh:
-        fh.write("%%MatrixMarket matrix coordinate real general\n")
-        if comment:
-            for line in comment.splitlines():
-                fh.write(f"% {line}\n")
-        fh.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{i + 1} {j + 1} {float(v)!r}\n")
+    # an open binary file, since scipy appends ".mtx" to a path without it
+    with open(path, "wb") as fh:
+        scipy.io.mmwrite(fh, coo, comment=comment, field="real", symmetry="general")
 
 
 def write_vector_market(path, v, comment: str | None = None):

@@ -153,6 +153,9 @@ class CompositeObjective:
         self.smooth = smooth
         self.partition = smooth.partition
         self.reg = reg if reg is not None else SeparableRegularizer.zero()
+        weights = self.reg.group_weights
+        if weights is not None and len(weights) != self.partition.n:
+            raise ValueError(f"group lasso has {len(weights)} weights for {self.partition.n} blocks")
         self.metric = metric if metric is not None else quadratic_metric(smooth)
         self.F_star = F_star
         self.x_star = None if x_star is None else np.asarray(x_star, dtype=float)

@@ -250,3 +250,10 @@ def test_spectrum_rejects_oversized_block():
     mat = BlockAngularMatrix([C], [D])
     with pytest.raises(ValueError, match="sampling"):
         spectrum_report(mat, 0, "PB")
+
+
+@pytest.mark.parametrize("i", [1, -1])
+def test_spectrum_rejects_block_outside_the_instance(i):
+    # the toy instance has one block; -1 must not wrap round to it
+    with pytest.raises(ValueError, match=rf"block {i} outside \[0, 1\)"):
+        spectrum_report(_toy_tall(), i, "PB")

@@ -10,6 +10,7 @@ from icdkit import inner
 from icdkit.block_angular import GeneratorSpec, build_preconditioner, generate
 from icdkit.blocks import BlockPartition
 from icdkit.core import (
+    DeltaRule,
     InexactnessPolicy,
     SamplingLaw,
     SolverConfig,
@@ -19,6 +20,7 @@ from icdkit.core import (
     sample_block,
 )
 from icdkit.objective import (
+    _DENSE_METRIC_CAP,
     CompositeObjective,
     QuadraticSmooth,
     SeparableRegularizer,
@@ -118,6 +120,8 @@ def test_policy_rejects_negative_parameters():
         InexactnessPolicy(alpha=-0.1, beta=0.0)
     with pytest.raises(ValueError):
         InexactnessPolicy(alpha=0.0, beta=-1.0)
+    with pytest.raises(ValueError, match="per-block budgets must be nonnegative"):
+        InexactnessPolicy(0.0, 0.0, DeltaRule.PER_BLOCK_LIST, (1e-6, -1.0, 1e-6))
 
 
 # ------------------------------------------------------ compute_update
@@ -157,6 +161,23 @@ def test_update_certificate_within_budget():
     assert fallback or stats.certificate <= delta
     # the B-residual certificate implies the model is no worse than vacuous
     assert obj.model_value(state, 0, t) <= obj.model_value(state, 0, np.zeros(4)) + 1e-12
+
+
+def test_update_on_a_csr_metric_block_exact_and_tight_cg_agree():
+    # a sparse block wider than the dense cap keeps B_i as CSR; the exact
+    # path densifies it per update, CG applies it as it is
+    rng = np.random.default_rng(11)
+    N = _DENSE_METRIC_CAP + 100
+    R = sp.random(N, N, density=0.01, random_state=rng)
+    A = sp.vstack([sp.eye(N), R], format="csc")  # full column rank
+    smooth = QuadraticSmooth(A, rng.standard_normal(2 * N), BlockPartition((N,)))
+    obj = CompositeObjective(smooth)
+    assert sp.issparse(obj.metric.operators[0])
+    state = obj.start(np.zeros(N))
+    t_exact, _, _ = compute_update(obj, state, 0, 0.0, SolverConfig(method="exact"))
+    t_cg, stats, fallback = compute_update(obj, state, 0, 1e-16, SolverConfig(method="cg"))
+    assert stats.converged and not fallback
+    assert np.allclose(t_cg, t_exact, rtol=0.0, atol=1e-7)
 
 
 def test_update_l1_path_uses_duality_gap():

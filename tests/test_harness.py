@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from icdkit import bounds, cli, harness, mmio
+from icdkit import block_angular, bounds, cli, harness, mmio
 
 
 # ------------------------------------------------------- Matrix Market
@@ -251,6 +251,45 @@ def test_run_experiment_records_a_fixed_order_outside_the_blocks(tmp_path, order
         ]
 
 
+@pytest.mark.parametrize(
+    "content, named", [(None, "no_order.txt"), ("0 1 x 2", "'x'")], ids=["missing", "not-int"]
+)
+def test_run_experiment_records_an_unreadable_order_file_as_setup_failure(
+    tmp_path, content, named
+):
+    order_path = tmp_path / "no_order.txt"
+    if content is not None:
+        order_path.write_text(content)
+    cfg = harness.parse_config(
+        SMALL_CONFIG + f"sampling.fixed_order_path = {order_path}\ninner.solver = exact,cg\n"
+    )
+    summaries, records = harness.run_experiment(cfg, write_files=False)
+    for method in ("exact", "cg"):
+        assert records[method] == []
+        [failure] = summaries[method].failures
+        assert failure.startswith("setup: ") and named in failure
+
+
+def test_run_experiment_reads_the_order_file_once(tmp_path, monkeypatch):
+    order_path = tmp_path / "order.txt"
+    order_path.write_text(" ".join(str(k % 3) for k in range(4000)))
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "open", counting_open, raising=False)
+    cfg = harness.parse_config(
+        SMALL_CONFIG + f"sampling.fixed_order_path = {order_path}\n"
+        "inner.solver = exact,cg\nrun.repetitions = 3\n"
+    )
+    summaries, records = harness.run_experiment(cfg, write_files=False)
+    assert opened == [str(order_path)]
+    for method in ("exact", "cg"):
+        assert not summaries[method].failures and len(records[method]) == 3
+
+
 def test_run_experiment_defaults_to_prox_for_l1():
     cfg = harness.parse_config(L1_CONFIG)
     summaries, _ = harness.run_experiment(cfg, write_files=False)
@@ -277,17 +316,6 @@ def test_bounds_report_rows():
     assert row["feasible"] is False  # alpha = mu/n boundary is excluded
 
 
-def test_emit_objective_trace(tmp_path):
-    cfg = harness.parse_config(SMALL_CONFIG + "inner.solver = cg\nrun.repetitions = 1\n")
-    _, records = harness.run_experiment(cfg, write_files=False)
-    _, result = records["cg"][0]
-    path = tmp_path / "trace.csv"
-    harness.emit_objective_trace(str(path), cfg, result)
-    lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
-    assert lines[0] == "k,F,cum_wall_time_s"
-    assert len(lines) - 1 == len(result.records)
-
-
 # ------------------------------------------------------------------ CLI
 
 
@@ -311,8 +339,12 @@ def test_cli_generate_and_read_back(tmp_path):
     A = mmio.read_matrix_market(str(tmp_path / "toy_A.mtx"))
     b = mmio.read_vector_market(str(tmp_path / "toy_b.mtx"))
     x = mmio.read_vector_market(str(tmp_path / "toy_xstar.mtx"))
+    mat, x_star, b_gen = block_angular.generate(
+        block_angular.GeneratorSpec(n=2, M_i=20, N_i=6, ell=1, seed=4)
+    )
     assert A.shape == (41, 12)
-    assert np.allclose(A @ x, b)
+    assert (A != mat.assemble()).nnz == 0  # values round-trip bit-exactly
+    assert np.array_equal(b, b_gen) and np.array_equal(x, x_star)
 
 
 def test_cli_run(tmp_path):
@@ -342,6 +374,48 @@ def test_cli_bounds_names_missing_inputs(theorem, capsys):
     assert exit_info.value.code == 2
     _, needs, _ = bounds.THEOREMS[theorem]
     assert f"theorem {theorem} needs {', '.join(needs)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, config, named",
+    [
+        (["run", "CFG"], None, "exp.cfg"),
+        (["run", "CFG"], "reg.kind = foo\n", "reg.kind 'foo'"),
+        (["run", "CFG"], "reg.kind = group_lasso\nreg.d = 1,1\n", "2 weights for 3 blocks"),
+        (
+            ["run", "CFG"],
+            "policy.rule = per_block_list\npolicy.per_block = 1e-6,-1,1e-6\n",
+            "per-block budgets must be nonnegative",
+        ),
+        (["generate", "--rows-per-block", "10", "--cols-per-block", "20"], None, "M_i >= N_i"),
+        (["spectrum", "--block", "9"], None, "block 9 outside [0, 4)"),
+        (["spectrum", "--block", "-1"], None, "block -1 outside [0, 4)"),
+        (
+            ["spectrum", "--which", "PB", "--shape", "wide",
+             "--rows-per-block", "10", "--cols-per-block", "20"],
+            None,
+            "requires a tall block",
+        ),
+    ],
+    ids=[
+        "missing-config", "unknown-reg", "group-weights", "negative-budget",
+        "generate-shape", "block-9", "block-minus-1", "PB-on-wide",
+    ],
+)
+def test_cli_input_error_is_one_usage_error_line(
+    tmp_path, monkeypatch, capsys, argv, config, named
+):
+    # "CFG" stands for a config file, which exists only when config is given
+    monkeypatch.setenv(harness.OUTPUT_DIR_ENV, str(tmp_path))
+    cfg = tmp_path / "exp.cfg"
+    if config is not None:
+        cfg.write_text(SMALL_CONFIG + config)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([str(cfg) if a == "CFG" else a for a in argv])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    [line] = [l for l in err.splitlines() if l.startswith("icdkit: error:")]
+    assert named in line and "Traceback" not in err
 
 
 def test_cli_spectrum():

@@ -185,6 +185,12 @@ def test_regularizer_values():
     assert gl.block_value(0, np.array([3.0, 4.0])) == pytest.approx(10.0)
 
 
+def test_objective_rejects_group_weights_for_another_block_count():
+    smooth = QuadraticSmooth(sp.eye(3, format="csc"), np.zeros(3), BlockPartition((1, 1, 1)))
+    with pytest.raises(ValueError, match="2 weights for 3 blocks"):
+        CompositeObjective(smooth, SeparableRegularizer.group_lasso(0.05, (10.0, 10.0)))
+
+
 def test_regularizer_rejects_negative_lambda():
     with pytest.raises(ValueError):
         SeparableRegularizer.l1(-1.0)
