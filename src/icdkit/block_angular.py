@@ -144,7 +144,10 @@ def generate(spec: GeneratorSpec) -> tuple[BlockAngularMatrix, np.ndarray, np.nd
             if not desk_scale or _full_rank(C, spec.shape):
                 break
         else:
-            raise RuntimeError("could not generate a full-rank diagonal block")
+            raise ValueError(
+                f"could not generate a full-rank diagonal block in 5 draws; "
+                f"raise nnz_per_col (now {spec.nnz_per_col})"
+            )
         C_blocks.append(C)
     D_blocks = [
         spec.d_scale * _random_linking(rng, spec.ell, spec.N_i, spec.d_fill)

@@ -70,19 +70,15 @@ def scatter(blocks: list[np.ndarray], partition: BlockPartition) -> np.ndarray:
 
 
 class BlockMetric:
-    """Per-block SPD operators B_i and Lipschitz constants l_i.
+    """Per-block SPD operators B_i of the block models (L_i B_i in the
+    paper; only the product enters the model, and it is stored here).
 
     Each B_i is a dense array or a sparse matrix; its symmetry is verified
     at construction without densifying it.
     """
 
-    def __init__(self, operators, lipschitz):
+    def __init__(self, operators):
         self.operators = list(operators)
-        self.lipschitz = np.asarray(lipschitz, dtype=float)
-        if len(self.operators) != self.lipschitz.shape[0]:
-            raise ValueError("one Lipschitz constant per block required")
-        if np.any(self.lipschitz <= 0):
-            raise ValueError("Lipschitz constants must be positive")
         for i, B in enumerate(self.operators):
             if not (isinstance(B, np.ndarray) or sp.issparse(B)):
                 raise ValueError(f"B_{i} must be a dense array or a sparse matrix")
@@ -91,11 +87,8 @@ class BlockMetric:
                 raise ValueError(f"B_{i} is not symmetric")
 
     @classmethod
-    def identity(cls, partition: BlockPartition, lipschitz=None):
-        ops = [np.eye(s) for s in partition.sizes]
-        if lipschitz is None:
-            lipschitz = np.ones(partition.n)
-        return cls(ops, lipschitz)
+    def identity(cls, partition: BlockPartition):
+        return cls([np.eye(s) for s in partition.sizes])
 
     @property
     def n(self) -> int:

@@ -21,7 +21,6 @@ from icdkit.inner import (
     StopMode,
     StopRule,
     _TriangularPreconditioner,
-    estimate_operator_norm_sq,
     solve_cg,
     solve_exact_cholesky,
     solve_group_subproblem,
@@ -35,7 +34,6 @@ __all__ = [
     "InexactnessPolicy",
     "SamplingLaw",
     "SolverConfig",
-    "RunWorkspace",
     "IterationRecord",
     "RunResult",
     "sample_block",
@@ -71,6 +69,10 @@ class InexactnessPolicy:
             raise ValueError("per-block rule requires explicit deltas")
         if self.per_block is not None and any(d < 0 for d in self.per_block):
             raise ValueError(f"per-block budgets must be nonnegative, got {self.per_block}")
+        if self.rule is DeltaRule.UNIFORM_BETA and self.alpha > 0:
+            raise ValueError(
+                f"uniform-beta rule carries no multiplicative term, got alpha = {self.alpha}"
+            )
 
     @classmethod
     def exact(cls):
@@ -131,8 +133,6 @@ def delta_budget(
     p = np.asarray(p, dtype=float)
     n = p.shape[0]
     if policy.rule is DeltaRule.UNIFORM_BETA:
-        if policy.alpha > 0:
-            raise ValueError("uniform-beta rule carries no multiplicative term")
         deltas = np.full(n, policy.beta)
     elif policy.rule is DeltaRule.MULTIPLICATIVE_PLUS_ADDITIVE:
         if F_star is None:
@@ -152,13 +152,15 @@ def delta_budget(
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Inner-solver selection for compute_update.
+    """Inner-solver selection for compute_update, checked once when built.
 
     method: "exact" (Cholesky), "cg" or "pcg" for a zero regularizer;
-    "prox", the only method for l1 and group lasso.
-    pcg requires per-block preconditioner factors (incomplete Cholesky of
-    C_i^T C_i or its shifted variant); each run wraps a block's factor
-    into its preconditioner once, on the block's first pcg update.
+    "prox", the only method for l1 and group lasso. A zero budget routes
+    the smooth path to the exact solve whatever the method.
+    pcg takes one lower-triangular factor per block (incomplete Cholesky
+    of C_i^T C_i or its shifted variant); each is wrapped into its
+    preconditioner here, once, and every run with this config shares it.
+    Rigorous cg and pcg take one lambda_min(B_i) estimate per block.
     """
 
     method: str = "exact"
@@ -166,26 +168,18 @@ class SolverConfig:
     precond_factors: list | None = None
     rigorous: bool = False
     lambda_min_estimates: list | None = None
+    preconditioners: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
-
-@dataclass
-class RunWorkspace:
-    """Per-run caches, keyed by block: prox step constants and PCG
-    preconditioners. Each icd_run owns one, so repeated runs stay
-    independent."""
-
-    lipschitz: dict = field(default_factory=dict)
-    preconditioners: dict = field(default_factory=dict)
-
-    def block_lipschitz(self, objective: CompositeObjective, i: int) -> float:
-        if i not in self.lipschitz:
-            self.lipschitz[i] = estimate_operator_norm_sq(objective.smooth.blocks[i])
-        return self.lipschitz[i]
-
-    def block_preconditioner(self, factors, i: int) -> _TriangularPreconditioner:
-        if i not in self.preconditioners:
-            self.preconditioners[i] = _TriangularPreconditioner(factors[i])
-        return self.preconditioners[i]
+    def __post_init__(self):
+        if self.method not in ("exact", "cg", "pcg", "prox"):
+            raise ValueError(f"unknown inner solver {self.method!r}")
+        if self.method == "pcg":
+            if self.precond_factors is None:
+                raise ValueError("pcg requires preconditioner factors")
+            pre = tuple(_TriangularPreconditioner(L) for L in self.precond_factors)
+            object.__setattr__(self, "preconditioners", pre)
+        if self.rigorous and self.method in ("cg", "pcg") and self.lambda_min_estimates is None:
+            raise ValueError(f"rigorous {self.method} requires lambda_min estimates")
 
 
 def compute_update(
@@ -194,27 +188,28 @@ def compute_update(
     i: int,
     delta: float,
     solver: SolverConfig,
-    workspace: RunWorkspace | None = None,
 ) -> tuple[np.ndarray, SolveStats, bool]:
     """Inexact update for block i with budget delta.
 
     Returns (t, stats, vacuous_fallback). delta = 0 routes the smooth
-    path to the exact Cholesky solve. Without a workspace the update
-    gets a fresh one, so it neither reads nor leaves cached state.
+    path to the exact Cholesky solve.
     """
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-    ws = workspace if workspace is not None else RunWorkspace()
-    grad = objective.block_gradient(state, i)
     kind = objective.reg.kind
+    if (kind is RegularizerKind.ZERO) == (solver.method == "prox"):
+        raise ValueError(
+            f"method {solver.method!r} does not fit the {kind.value} regularizer: "
+            "l1 and group lasso take 'prox', zero takes exact, cg or pcg"
+        )
+    grad = objective.block_gradient(state, i)
     Ni = objective.partition.sizes[i]
 
     if kind is RegularizerKind.ZERO and not np.any(grad):
         return np.zeros(Ni), SolveStats(0, 0.0, StopMode.RESIDUAL_SQUARED, True), False
 
     if kind is RegularizerKind.ZERO:
-        li = objective.metric.lipschitz[i]
-        g = -grad / li
+        g = -grad
         B = objective.metric.operators[i]
         method = solver.method if delta > 0 else "exact"
         if method == "exact":
@@ -224,27 +219,14 @@ def compute_update(
                 beta=delta,
                 max_inner_iters=solver.max_inner_iters,
                 rigorous=solver.rigorous,
-                lambda_min_estimate=(
-                    solver.lambda_min_estimates[i]
-                    if solver.rigorous and solver.lambda_min_estimates
-                    else None
-                ),
+                lambda_min_estimate=solver.lambda_min_estimates[i] if solver.rigorous else None,
             )
             prob = LinearSubproblem(B, g)
             if method == "cg":
                 t, stats = solve_cg(prob, stop)
-            elif method == "pcg":
-                if solver.precond_factors is None:
-                    raise ValueError("pcg requires preconditioner factors")
-                pre = ws.block_preconditioner(solver.precond_factors, i)
-                t, stats = solve_pcg(prob, pre, stop)
             else:
-                raise ValueError(f"unknown smooth-path method {method!r}")
+                t, stats = solve_pcg(prob, solver.preconditioners[i], stop)
     else:
-        if solver.method != "prox":
-            raise ValueError(
-                f"the {kind.value} path needs method 'prox', not {solver.method!r}"
-            )
         # looked up at call time, so a wrapper installed on this module sees it
         solve = solve_l1_subproblem if kind is RegularizerKind.L1 else solve_group_subproblem
         t, stats = solve(
@@ -254,7 +236,7 @@ def compute_update(
             objective.reg.block_weight(i),
             beta=delta,
             max_iters=solver.max_inner_iters,
-            lipschitz=ws.block_lipschitz(objective, i),
+            lipschitz=objective.smooth.block_norm_sq(i),
         )
 
     # vacuous guard: never accept an update worse than t = 0. V_i(x, 0) is
@@ -320,19 +302,20 @@ def icd_run(
     10*n consecutive updates when no eps target is available).
     """
     solver = solver if solver is not None else SolverConfig()
-    workspace = RunWorkspace()
+    n = objective.partition.n
     if eps is not None and objective.F_star is None:
         raise ValueError("eps-based stopping requires a known F*")
-    if law.n != objective.partition.n:
-        raise ValueError(
-            f"sampling law has {law.n} blocks but the partition has {objective.partition.n}"
-        )
+    if law.n != n:
+        raise ValueError(f"sampling law has {law.n} blocks but the partition has {n}")
+    for name in ("preconditioners", "lambda_min_estimates"):
+        per_block = getattr(solver, name)
+        if per_block is not None and len(per_block) != n:
+            raise ValueError(f"solver has {len(per_block)} {name} but the partition has {n} blocks")
     rng = np.random.default_rng(law.seed)
     state = objective.start(x0)
     records: list[IterationRecord] = []
     F = state.F_value()
     F_star = objective.F_star
-    n = objective.partition.n
     window = stagnation_window if stagnation_window is not None else 10 * n
     start = time.perf_counter()
     cum_inner = 0
@@ -345,9 +328,7 @@ def icd_run(
             i = sample_block(law, rng, k)
         except IndexError:
             break
-        t, stats, fallback = compute_update(
-            objective, state, i, float(deltas[i]), solver, workspace
-        )
+        t, stats, fallback = compute_update(objective, state, i, float(deltas[i]), solver)
         state.apply_update(i, t)
         F_new = state.F_value()
         cum_inner += stats.iterations

@@ -4,7 +4,8 @@ Configs are flat ``section.key = value`` text (diff-friendly, no schema
 dependency) that ``parse_config`` parses; the caller reads the file.
 Every output file starts with the echoed config so a run can be
 reproduced from its own artifacts. A bad problem, regularizer or policy
-key raises ValueError; a solver's setup or run error is recorded as its
+key, a sampling.p of the wrong length, or a value that does not parse
+raises ValueError; a solver's setup or run error is recorded as its
 failure.
 """
 
@@ -60,6 +61,13 @@ RECORD_COLUMNS = [
 ]
 
 
+def _cast(key, text, cast):
+    try:
+        return cast(text)
+    except ValueError:
+        raise ValueError(f"{key}: expected {cast.__name__}, got {text!r}") from None
+
+
 @dataclass
 class ExperimentConfig:
     """Flat experiment description; raw holds the original key-value pairs."""
@@ -71,11 +79,11 @@ class ExperimentConfig:
 
     def get_float(self, key, default=None):
         v = self.raw.get(key)
-        return default if v is None else float(v)
+        return default if v is None else _cast(key, v, float)
 
     def get_int(self, key, default=None):
         v = self.raw.get(key)
-        return default if v is None else int(v)
+        return default if v is None else _cast(key, v, int)
 
     def get_bool(self, key, default=False):
         v = self.raw.get(key)
@@ -87,7 +95,7 @@ class ExperimentConfig:
         v = self.raw.get(key)
         if v is None:
             return None
-        return [cast(part) for part in str(v).split(",") if part.strip()]
+        return [_cast(key, part, cast) for part in str(v).split(",") if part.strip()]
 
     def echo_lines(self) -> list[str]:
         return [f"{k} = {self.raw[k]}" for k in sorted(self.raw)]
@@ -190,8 +198,7 @@ def _read_fixed_order(cfg: ExperimentConfig) -> tuple[int, ...] | None:
         return tuple(int(tok) for tok in fh.read().split())
 
 
-def _build_law(cfg: ExperimentConfig, n: int, seed: int, fixed) -> SamplingLaw:
-    p = cfg.get_list("sampling.p")
+def _build_law(p, n: int, seed: int, fixed) -> SamplingLaw:
     if p is None:
         return SamplingLaw.uniform(n, seed, fixed)
     return SamplingLaw(tuple(p), seed, fixed)
@@ -270,6 +277,10 @@ def run_experiment(cfg: ExperimentConfig, write_files: bool = True):
     eps = cfg.get_float("stop.eps")
     max_updates = cfg.get_int("stop.max_block_updates", 100_000)
     base_seed = cfg.get_int("sampling.seed", 0)
+    n = objective.partition.n
+    p = cfg.get_list("sampling.p")
+    if p is not None and len(p) != n:
+        raise ValueError(f"sampling.p has {len(p)} probabilities but the problem has {n} blocks")
     x0 = np.zeros(objective.partition.N)
     try:
         fixed, order_error = _read_fixed_order(cfg), None
@@ -291,7 +302,7 @@ def run_experiment(cfg: ExperimentConfig, write_files: bool = True):
             continue
         for rep in range(reps):
             try:
-                law = _build_law(cfg, objective.partition.n, base_seed + rep, fixed)
+                law = _build_law(p, n, base_seed + rep, fixed)
                 result = icd_run(
                     objective, x0, policy, law, solver,
                     eps=eps, max_block_updates=max_updates,

@@ -2,9 +2,9 @@
 
 f(x) = 1/2 ||A x - b||^2 with A sparse or dense, and Psi block separable
 (zero, l1 or group lasso). The natural metric for the quadratic is
-l_i = 1, B_i = A_i^T A_i, which makes the per-block model an exact upper
-bound. The residual r = A x - b is maintained incrementally so a block
-update costs O(nnz(A_i)).
+B_i = A_i^T A_i, which makes the per-block model an exact upper bound.
+The residual r = A x - b is maintained incrementally so a block update
+costs O(nnz(A_i)).
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from icdkit.blocks import BlockMetric, BlockPartition, block_view
+from icdkit.inner import estimate_operator_norm_sq
 
 __all__ = [
     "QuadraticSmooth",
@@ -41,6 +42,13 @@ class QuadraticSmooth:
         self.M = A.shape[0]
         # column slicing is cheap on CSC / contiguous on dense arrays
         self.blocks = [self.A[:, partition.range(i)] for i in range(partition.n)]
+        self._norm_sq = [None] * partition.n
+
+    def block_norm_sq(self, i: int) -> float:
+        """Estimate of ||A_i||^2, the prox step constant; computed on first use."""
+        if self._norm_sq[i] is None:
+            self._norm_sq[i] = estimate_operator_norm_sq(self.blocks[i])
+        return self._norm_sq[i]
 
     def residual(self, x: np.ndarray) -> np.ndarray:
         return self.A @ x - self.b
@@ -107,7 +115,7 @@ _DENSE_METRIC_CAP = 600
 
 
 def quadratic_metric(smooth: QuadraticSmooth) -> BlockMetric:
-    """Build the exact metric l_i=1, B_i = A_i^T A_i for a quadratic.
+    """Build the exact metric B_i = A_i^T A_i for a quadratic.
 
     A rank-deficient block gets B_i = A_i^T A_i + eps*I with
     eps = 1e-8 * ||A_i||_F^2 / N_i, which keeps B_i SPD at the cost of a
@@ -136,7 +144,7 @@ def quadratic_metric(smooth: QuadraticSmooth) -> BlockMetric:
             else:
                 B = B + eps * np.eye(Ni)
         ops.append(B)
-    return BlockMetric(ops, np.ones(len(ops)))
+    return BlockMetric(ops)
 
 
 class CompositeObjective:
@@ -168,7 +176,7 @@ class CompositeObjective:
         return self.smooth.blocks[i].T @ state.r
 
     def model_value(self, state: "ResidualState", i: int, t: np.ndarray) -> float:
-        """V_i(x, t) = <grad_i f, t> + (l_i/2) <B_i t, t> + Psi_i(x^(i) + t)."""
+        """V_i(x, t) = <grad_i f, t> + 1/2 <B_i t, t> + Psi_i(x^(i) + t)."""
         xi = block_view(state.x, i, self.partition)
         return self.model_from_gradient(i, self.block_gradient(state, i), xi, t)
 
@@ -176,8 +184,7 @@ class CompositeObjective:
         self, i: int, grad: np.ndarray, xi: np.ndarray, t: np.ndarray
     ) -> float:
         """V_i(x, t) from grad = grad_i f(x) and the block xi = x^(i)."""
-        li = self.metric.lipschitz[i]
-        quad = 0.5 * li * float(t @ self.metric.apply(i, t))
+        quad = 0.5 * float(t @ self.metric.apply(i, t))
         return float(grad @ t) + quad + self.reg.block_value(i, xi + t)
 
     def eval_H(self, state: "ResidualState", T: np.ndarray) -> float:

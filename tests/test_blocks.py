@@ -84,17 +84,12 @@ def test_conjugate_norm_diagonal():
 def test_metric_requires_symmetry(fmt):
     B = np.array([[1.0, 0.5], [0.0, 1.0]])
     with pytest.raises(ValueError, match="not symmetric"):
-        BlockMetric([B if fmt == "dense" else sp.csr_matrix(B)], [1.0])
+        BlockMetric([B if fmt == "dense" else sp.csr_matrix(B)])
 
 
 def test_metric_rejects_linear_operator():
     with pytest.raises(ValueError, match="dense array or a sparse matrix"):
-        BlockMetric([spla.aslinearoperator(np.eye(2))], [1.0])
-
-
-def test_metric_requires_positive_lipschitz():
-    with pytest.raises(ValueError):
-        BlockMetric([np.eye(2)], [0.0])
+        BlockMetric([spla.aslinearoperator(np.eye(2))])
 
 
 @pytest.mark.parametrize("fmt", ["dense", "sparse"])
@@ -151,7 +146,7 @@ def test_norm_axioms_sampled():
 def test_weighted_norm_homogeneity():
     rng = np.random.default_rng(4)
     p = BlockPartition((3, 2))
-    metric = BlockMetric([_random_spd(rng, 3), _random_spd(rng, 2)], [1.0, 1.0])
+    metric = BlockMetric([_random_spd(rng, 3), _random_spd(rng, 2)])
     w = WeightVector((0.7, 2.5))
     x = rng.standard_normal(5)
     c = -2.3

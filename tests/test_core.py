@@ -124,6 +124,11 @@ def test_policy_rejects_negative_parameters():
         InexactnessPolicy(0.0, 0.0, DeltaRule.PER_BLOCK_LIST, (1e-6, -1.0, 1e-6))
 
 
+def test_uniform_beta_policy_rejects_a_multiplicative_term():
+    with pytest.raises(ValueError, match="uniform-beta rule carries no multiplicative term"):
+        InexactnessPolicy(alpha=0.1, beta=1e-6)
+
+
 # ------------------------------------------------------ compute_update
 
 
@@ -227,6 +232,17 @@ def test_update_nonsmooth_rejects_non_prox_method(reg):
         compute_update(obj, state, 0, 1e-6, SolverConfig())
 
 
+@pytest.mark.parametrize("delta", [0.0, 1e-6])
+def test_update_zero_regularizer_rejects_prox(delta):
+    # a zero budget routes the smooth path to the exact solve; it must not
+    # run exact under the name 'prox'
+    rng = np.random.default_rng(3)
+    obj = _consistent_objective(rng, 8, (2, 2))
+    state = obj.start(rng.standard_normal(4))
+    with pytest.raises(ValueError, match="method 'prox' does not fit the zero regularizer"):
+        compute_update(obj, state, 0, delta, SolverConfig(method="prox"))
+
+
 # -------------------------------------------------------------- icd_run
 
 
@@ -300,6 +316,7 @@ def _pcg_problem():
 
 
 def test_run_pcg_builds_one_preconditioner_per_block(monkeypatch):
+    # the config builds them once; runs only read them
     obj, x0, factors = _pcg_problem()
     built = []
     init = inner._TriangularPreconditioner.__init__
@@ -309,16 +326,30 @@ def test_run_pcg_builds_one_preconditioner_per_block(monkeypatch):
         init(self, L)
 
     monkeypatch.setattr(inner._TriangularPreconditioner, "__init__", counting_init)
-    res = icd_run(obj, x0, InexactnessPolicy.uniform(1e-6), SamplingLaw.uniform(3, seed=0),
-                  SolverConfig(method="pcg", precond_factors=factors), max_block_updates=30)
-    blocks = [r.block for r in res.records]
-    assert all(blocks.count(i) >= 2 for i in range(3))
-    assert len(built) <= 3
-
-
-def test_run_repetitions_sharing_a_pcg_solver_are_identical():
-    obj, x0, factors = _pcg_problem()
     solver = SolverConfig(method="pcg", precond_factors=factors)
+    assert len(built) == 3
+    for _ in range(2):
+        res = icd_run(obj, x0, InexactnessPolicy.uniform(1e-6), SamplingLaw.uniform(3, seed=0),
+                      solver, max_block_updates=30)
+        blocks = [r.block for r in res.records]
+        assert all(blocks.count(i) >= 2 for i in range(3))
+    assert len(built) == 3
+
+
+def _prox_problem():
+    obj = lasso_instance(60, 30, (10, 10, 10), 0.05, seed=0)
+    return obj, np.zeros(30), SolverConfig(method="prox")
+
+
+def _pcg_solver_problem():
+    obj, x0, factors = _pcg_problem()
+    return obj, x0, SolverConfig(method="pcg", precond_factors=factors)
+
+
+@pytest.mark.parametrize("problem", [_pcg_solver_problem, _prox_problem], ids=["pcg", "prox"])
+def test_run_repetitions_sharing_a_solver_are_identical(problem):
+    # pcg shares the config's preconditioners, prox the data's step constants
+    obj, x0, solver = problem()
     law = SamplingLaw.uniform(3, seed=0)
 
     def go():
@@ -329,6 +360,29 @@ def test_run_repetitions_sharing_a_pcg_solver_are_identical():
     assert np.array_equal(r1.x, r2.x)
     strip = [dataclasses.replace(r, wall_time_s=0.0) for r in r1.records]
     assert strip == [dataclasses.replace(r, wall_time_s=0.0) for r in r2.records]
+
+
+def test_solver_config_checks_its_choices_when_built():
+    _, _, factors = _pcg_problem()
+    with pytest.raises(ValueError, match="unknown inner solver 'foo'"):
+        SolverConfig(method="foo")
+    with pytest.raises(ValueError, match="pcg requires preconditioner factors"):
+        SolverConfig(method="pcg")
+    with pytest.raises(ValueError, match="lower triangular"):
+        SolverConfig(method="pcg", precond_factors=[factors[0], factors[1].T, factors[2]])
+    with pytest.raises(ValueError, match="rigorous cg requires lambda_min estimates"):
+        SolverConfig(method="cg", rigorous=True)
+
+
+def test_run_rejects_per_block_solver_lists_of_another_length():
+    obj, x0, factors = _pcg_problem()
+    law = SamplingLaw.uniform(3)
+    short = SolverConfig(method="pcg", precond_factors=factors[:2])
+    with pytest.raises(ValueError, match="solver has 2 preconditioners but the partition has 3"):
+        icd_run(obj, x0, InexactnessPolicy.uniform(1e-6), law, short)
+    long = SolverConfig(method="cg", rigorous=True, lambda_min_estimates=[1.0] * 4)
+    with pytest.raises(ValueError, match="solver has 4 lambda_min_estimates but the partition"):
+        icd_run(obj, x0, InexactnessPolicy.uniform(1e-6), law, long)
 
 
 def test_records_carry_inner_convergence():

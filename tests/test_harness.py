@@ -290,6 +290,19 @@ def test_run_experiment_reads_the_order_file_once(tmp_path, monkeypatch):
         assert not summaries[method].failures and len(records[method]) == 3
 
 
+def test_run_experiment_records_an_unknown_solver_as_setup_failure():
+    # the default beta = 0 routes every update to the exact solve, so the
+    # solver name is checked when its config is built, not per update
+    cfg = harness.parse_config(
+        SMALL_CONFIG.replace("policy.beta = 0.1\n", "")
+        + "inner.solver = cg,foo\nrun.repetitions = 1\n"
+    )
+    summaries, records = harness.run_experiment(cfg, write_files=False)
+    assert summaries["foo"].failures == ["setup: unknown inner solver 'foo'"]
+    assert records["foo"] == []
+    assert not summaries["cg"].failures and len(records["cg"]) == 1
+
+
 def test_run_experiment_defaults_to_prox_for_l1():
     cfg = harness.parse_config(L1_CONFIG)
     summaries, _ = harness.run_experiment(cfg, write_files=False)
@@ -387,7 +400,15 @@ def test_cli_bounds_names_missing_inputs(theorem, capsys):
             "policy.rule = per_block_list\npolicy.per_block = 1e-6,-1,1e-6\n",
             "per-block budgets must be nonnegative",
         ),
+        (["run", "CFG"], "run.repetitions = two\n", "run.repetitions: expected int, got 'two'"),
+        (["run", "CFG"], "sampling.p = 0.5,0.5\n", "sampling.p has 2 probabilities"),
+        (["run", "CFG"], "policy.alpha = 0.1\n", "uniform-beta rule carries no multiplicative"),
         (["generate", "--rows-per-block", "10", "--cols-per-block", "20"], None, "M_i >= N_i"),
+        (
+            ["generate", "--rows-per-block", "20", "--cols-per-block", "20", "--nnz-per-col", "1"],
+            None,
+            "nnz_per_col",
+        ),
         (["spectrum", "--block", "9"], None, "block 9 outside [0, 4)"),
         (["spectrum", "--block", "-1"], None, "block -1 outside [0, 4)"),
         (
@@ -399,7 +420,8 @@ def test_cli_bounds_names_missing_inputs(theorem, capsys):
     ],
     ids=[
         "missing-config", "unknown-reg", "group-weights", "negative-budget",
-        "generate-shape", "block-9", "block-minus-1", "PB-on-wide",
+        "repetitions-not-int", "probability-count", "uniform-beta-alpha",
+        "generate-shape", "generate-rank", "block-9", "block-minus-1", "PB-on-wide",
     ],
 )
 def test_cli_input_error_is_one_usage_error_line(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from icdkit import objective
 from icdkit.blocks import BlockPartition, block_view
 from icdkit.objective import (
     CompositeObjective,
@@ -115,18 +116,33 @@ def test_model_value_quadratic_shift_identity():
 
 
 def test_smooth_exact_minimizer_value():
-    # at t* = -B^{-1} g / l, the model value is -(1/(2l)) |g|_*^2
+    # at t* = -B^{-1} g, the model value is -1/2 |g|_*^2
     rng = np.random.default_rng(4)
     obj = _random_objective(rng, 10, (4, 3))
     state = obj.start(rng.standard_normal(7))
     for i in range(2):
         g = obj.block_gradient(state, i)
-        li = obj.metric.lipschitz[i]
-        t_star = -np.linalg.solve(obj.metric.operators[i], g) / li
+        t_star = -np.linalg.solve(obj.metric.operators[i], g)
         conj_sq = float(g @ np.linalg.solve(obj.metric.operators[i], g))
         assert obj.model_value(state, i, t_star) == pytest.approx(
-            -conj_sq / (2 * li), rel=1e-10, abs=1e-12
+            -conj_sq / 2, rel=1e-10, abs=1e-12
         )
+
+
+def test_block_norm_sq_is_estimated_once_per_block(monkeypatch):
+    rng = np.random.default_rng(7)
+    obj = _random_objective(rng, 9, (2, 3))
+    calls = []
+    estimate = objective.estimate_operator_norm_sq
+
+    def counting(Ai):
+        calls.append(Ai.shape)
+        return estimate(Ai)
+
+    monkeypatch.setattr(objective, "estimate_operator_norm_sq", counting)
+    values = [obj.smooth.block_norm_sq(i) for i in (1, 0, 1, 0)]
+    assert calls == [(9, 3), (9, 2)]
+    assert values == [estimate(obj.smooth.blocks[i]) for i in (1, 0, 1, 0)]
 
 
 def test_eval_H_at_zero_is_F():
@@ -147,8 +163,7 @@ def test_eval_H_two_formula_cross_check():
     for i in range(3):
         Ti = block_view(T, i, obj.partition)
         g = obj.block_gradient(state, i)
-        li = obj.metric.lipschitz[i]
-        direct += float(g @ Ti) + 0.5 * li * float(Ti @ obj.metric.apply(i, Ti))
+        direct += float(g @ Ti) + 0.5 * float(Ti @ obj.metric.apply(i, Ti))
         direct += reg.block_value(i, block_view(x, i, obj.partition) + Ti)
     assert obj.eval_H(state, T) == pytest.approx(direct, rel=1e-10, abs=1e-12)
 
@@ -163,13 +178,12 @@ def test_eval_H_exact_update_sandwich():
     deltas = [0.05, 0.1, 0.02]
     for i in range(3):
         g = obj.block_gradient(state, i)
-        li = obj.metric.lipschitz[i]
-        t_star = -np.linalg.solve(obj.metric.operators[i], g) / li
+        t_star = -np.linalg.solve(obj.metric.operators[i], g)
         sl = obj.partition.range(i)
         T0[sl] = t_star
         # a perturbed update whose model value stays within delta_i of the minimum
         d = rng.standard_normal(t_star.size)
-        d *= np.sqrt(deltas[i] / (li * float(d @ obj.metric.apply(i, d))))
+        d *= np.sqrt(deltas[i] / float(d @ obj.metric.apply(i, d)))
         Td[sl] = t_star + d
     h0, hd = obj.eval_H(state, T0), obj.eval_H(state, Td)
     assert h0 <= hd + 1e-12
