@@ -120,16 +120,6 @@ def _random_linking(rng, ell, N, fill) -> sp.csc_matrix:
     return sp.csc_matrix(vals)
 
 
-def _full_rank(C: sp.csc_matrix, mode: str) -> bool:
-    dense = C.toarray()
-    s = np.linalg.svd(dense, compute_uv=False)
-    want = min(C.shape)
-    rank = int((s > 1e-10 * s[0]).sum()) if s.size else 0
-    return rank == want and (
-        (mode == "tall" and want == C.shape[1]) or (mode == "wide" and want == C.shape[0])
-    )
-
-
 def generate(spec: GeneratorSpec) -> tuple[BlockAngularMatrix, np.ndarray, np.ndarray]:
     """Random block-angular instance with b = A x* so F* = 0."""
     rng = np.random.default_rng(spec.seed)
@@ -141,7 +131,8 @@ def generate(spec: GeneratorSpec) -> tuple[BlockAngularMatrix, np.ndarray, np.nd
             if spec.shape == "wide":
                 # identity multiple on the leading columns forces full row rank
                 C = (C + sp.eye(spec.M_i, spec.N_i, format="csc")).tocsc()
-            if not desk_scale or _full_rank(C, spec.shape):
+            # full column rank when tall, full row rank when wide
+            if not desk_scale or _rank(C.toarray()) == min(C.shape):
                 break
         else:
             raise ValueError(

@@ -85,7 +85,8 @@ def _dispatch(args):
             shape=args.shape, seed=args.seed,
         )
         mat, x_star, b = block_angular.generate(spec)
-        out = harness.output_dir(args.out_dir)
+        out = args.out_dir
+        os.makedirs(out, exist_ok=True)
         note = f"seed={args.seed} shape={args.shape}"
         mmio.write_matrix_market(os.path.join(out, f"{args.prefix}_A.mtx"), mat.assemble(), note)
         mmio.write_vector_market(os.path.join(out, f"{args.prefix}_b.mtx"), b, note)

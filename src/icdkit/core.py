@@ -19,7 +19,6 @@ from icdkit.inner import (
     LinearSubproblem,
     SolveStats,
     StopMode,
-    StopRule,
     _TriangularPreconditioner,
     solve_cg,
     solve_exact_cholesky,
@@ -160,7 +159,8 @@ class SolverConfig:
     pcg takes one lower-triangular factor per block (incomplete Cholesky
     of C_i^T C_i or its shifted variant); each is wrapped into its
     preconditioner here, once, and every run with this config shares it.
-    Rigorous cg and pcg take one lambda_min(B_i) estimate per block.
+    Rigorous cg and pcg take one positive lambda_min(B_i) estimate per
+    block; compute_update scales each block's tolerance by it.
     """
 
     method: str = "exact"
@@ -178,8 +178,12 @@ class SolverConfig:
                 raise ValueError("pcg requires preconditioner factors")
             pre = tuple(_TriangularPreconditioner(L) for L in self.precond_factors)
             object.__setattr__(self, "preconditioners", pre)
-        if self.rigorous and self.method in ("cg", "pcg") and self.lambda_min_estimates is None:
-            raise ValueError(f"rigorous {self.method} requires lambda_min estimates")
+        if self.rigorous and self.method in ("cg", "pcg"):
+            est = self.lambda_min_estimates
+            if est is None or not all(v > 0 for v in est):
+                raise ValueError(
+                    f"rigorous {self.method} requires lambda_min estimates, all positive; got {est}"
+                )
 
 
 def compute_update(
@@ -215,17 +219,14 @@ def compute_update(
         if method == "exact":
             t, stats = solve_exact_cholesky(B, g)
         else:
-            stop = StopRule(
-                beta=delta,
-                max_inner_iters=solver.max_inner_iters,
-                rigorous=solver.rigorous,
-                lambda_min_estimate=solver.lambda_min_estimates[i] if solver.rigorous else None,
-            )
+            tol = delta * solver.lambda_min_estimates[i] if solver.rigorous else delta
             prob = LinearSubproblem(B, g)
             if method == "cg":
-                t, stats = solve_cg(prob, stop)
+                t, stats = solve_cg(prob, tol, solver.max_inner_iters)
             else:
-                t, stats = solve_pcg(prob, solver.preconditioners[i], stop)
+                t, stats = solve_pcg(prob, solver.preconditioners[i], tol, solver.max_inner_iters)
+            if solver.rigorous:
+                stats.mode = StopMode.RESIDUAL_SQUARED_SCALED
     else:
         # looked up at call time, so a wrapper installed on this module sees it
         solve = solve_l1_subproblem if kind is RegularizerKind.L1 else solve_group_subproblem
@@ -241,9 +242,8 @@ def compute_update(
 
     # vacuous guard: never accept an update worse than t = 0. V_i(x, 0) is
     # Psi_i(x^(i)), and V_i(x, t) reuses the gradient computed above.
-    xi = block_view(state.x, i, objective.partition)
-    v_t = objective.model_from_gradient(i, grad, xi, t)
-    v_0 = objective.reg.block_value(i, xi)
+    v_t = objective.model_value(state, i, t, grad)
+    v_0 = objective.reg.block_value(i, block_view(state.x, i, objective.partition))
     if v_t > v_0 + 1e-12 * (1.0 + abs(v_0)):
         return np.zeros(Ni), stats, True
     return t, stats, False

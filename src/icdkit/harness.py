@@ -4,9 +4,8 @@ Configs are flat ``section.key = value`` text (diff-friendly, no schema
 dependency) that ``parse_config`` parses; the caller reads the file.
 Every output file starts with the echoed config so a run can be
 reproduced from its own artifacts. A bad problem, regularizer or policy
-key, a sampling.p of the wrong length, or a value that does not parse
-raises ValueError; a solver's setup or run error is recorded as its
-failure.
+key, a bad sampling.p, or a value that does not parse raises
+ValueError; a solver's setup or run error is recorded as its failure.
 """
 
 from __future__ import annotations
@@ -41,8 +40,6 @@ __all__ = [
     "run_experiment",
     "bounds_report",
 ]
-
-OUTPUT_DIR_ENV = "ICDKIT_OUTPUT_DIR"
 
 RECORD_COLUMNS = [
     "run_id",
@@ -256,13 +253,6 @@ class RunSummary:
         return float(np.mean(self.wall_times)) if self.wall_times else float("nan")
 
 
-def output_dir(default: str) -> str:
-    """$ICDKIT_OUTPUT_DIR if set, else default; created if missing."""
-    out = os.environ.get(OUTPUT_DIR_ENV) or default
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
 def run_experiment(cfg: ExperimentConfig, write_files: bool = True):
     """Run all configured solvers for the configured repetitions.
 
@@ -279,8 +269,15 @@ def run_experiment(cfg: ExperimentConfig, write_files: bool = True):
     base_seed = cfg.get_int("sampling.seed", 0)
     n = objective.partition.n
     p = cfg.get_list("sampling.p")
-    if p is not None and len(p) != n:
-        raise ValueError(f"sampling.p has {len(p)} probabilities but the problem has {n} blocks")
+    if p is not None:
+        if len(p) != n:
+            raise ValueError(
+                f"sampling.p has {len(p)} probabilities but the problem has {n} blocks"
+            )
+        try:
+            SamplingLaw(tuple(p))
+        except ValueError as e:
+            raise ValueError(f"sampling.p: {e}") from None
     x0 = np.zeros(objective.partition.N)
     try:
         fixed, order_error = _read_fixed_order(cfg), None
@@ -314,7 +311,8 @@ def run_experiment(cfg: ExperimentConfig, write_files: bool = True):
             records[method].append((rep, result))
 
     if write_files:
-        out = output_dir(cfg.get("output.dir", "."))
+        out = cfg.get("output.dir", ".")
+        os.makedirs(out, exist_ok=True)
         prefix = cfg.get("output.prefix", "experiment")
         _write_records_csv(os.path.join(out, f"{prefix}_records.csv"), cfg, records)
         _write_summary_csv(os.path.join(out, f"{prefix}_summary.csv"), cfg, summaries)

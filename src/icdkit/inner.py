@@ -12,12 +12,11 @@ The linear-path certificate is the squared normal-equation residual
 1/2 ||B_i t - g||^2 <= beta. The model gap it must control is
 1/2 r^T B_i^{-1} r <= 1/2 ||r||^2 / lambda_min(B_i) for r = B_i t - g,
 so the plain test certifies the gap only when lambda_min(B_i) >= 1. The
-rigorous mode exists for the other case: it scales the tolerance by an
-estimate of lambda_min(B_i), which certifies the model gap
-1/2 ||B_i t - g||^2_{B_i^{-1}} <= beta unconditionally.
-A rigorous solve reports StopMode.RESIDUAL_SQUARED_SCALED: its
-certificate is still 1/2 ||B_i t - g||^2, read against
-beta * lambda_min(B_i).
+rigorous mode exists for the other case: the caller passes the tolerance
+beta * lambda_min(B_i), which certifies the model gap
+1/2 ||B_i t - g||^2_{B_i^{-1}} <= beta unconditionally, and labels the
+result StopMode.RESIDUAL_SQUARED_SCALED. The Krylov loop itself only
+compares 1/2 ||B_i t - g||^2 with the tolerance it is given.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from scipy.linalg import cho_factor, cho_solve
 __all__ = [
     "LinearSubproblem",
     "StopMode",
-    "StopRule",
     "SolveStats",
     "solve_cg",
     "incomplete_cholesky",
@@ -47,18 +45,15 @@ __all__ = [
 
 
 class LinearSubproblem:
-    """SPD system B t = g with an apply-only operator."""
+    """SPD system B t = g, with B a dense array or a sparse matrix."""
 
-    def __init__(self, operator, g: np.ndarray):
+    def __init__(self, B, g: np.ndarray):
+        self.B = B
         self.g = np.asarray(g, dtype=float)
         self.dim = self.g.shape[0]
-        if callable(operator) and not (sp.issparse(operator) or isinstance(operator, np.ndarray)):
-            self._apply = operator
-        else:
-            self._apply = lambda t, B=operator: B @ t
 
     def apply(self, t: np.ndarray) -> np.ndarray:
-        return self._apply(t)
+        return self.B @ t
 
 
 class StopMode(Enum):
@@ -66,23 +61,6 @@ class StopMode(Enum):
     # rigorous solves: 1/2||B t - g||^2 compared with beta * lambda_min(B)
     RESIDUAL_SQUARED_SCALED = "residual_squared_scaled"
     DUALITY_GAP = "duality_gap"
-
-
-@dataclass(frozen=True)
-class StopRule:
-    beta: float = 0.0
-    max_inner_iters: int = 10_000
-    # scale the residual tolerance by a lambda_min(B) estimate to certify
-    # the model gap for inconsistent systems
-    rigorous: bool = False
-    lambda_min_estimate: float | None = None
-
-    def residual_threshold(self) -> float:
-        if self.rigorous:
-            if self.lambda_min_estimate is None or self.lambda_min_estimate <= 0:
-                raise ValueError("rigorous mode needs a positive lambda_min estimate")
-            return self.beta * self.lambda_min_estimate
-        return self.beta
 
 
 @dataclass
@@ -100,7 +78,8 @@ def _half_sq(v: np.ndarray) -> float:
 def _krylov(
     prob: LinearSubproblem,
     precond,
-    stop: StopRule,
+    tol: float,
+    max_iters: int,
 ) -> tuple[np.ndarray, SolveStats]:
     """The (P)CG loop on B t = g from t = 0, stopping at 1/2||B t - g||^2 <= tol.
 
@@ -108,19 +87,17 @@ def _krylov(
     from r itself (M = I), which is plain CG. A capped solve returns the
     iterate with the smallest residual seen.
     """
-    tol = stop.residual_threshold()
-    mode = StopMode.RESIDUAL_SQUARED_SCALED if stop.rigorous else StopMode.RESIDUAL_SQUARED
     t = np.zeros(prob.dim)
     r = prob.g
     best_t, best_res = t.copy(), _half_sq(r)
     if best_res <= tol:
-        return best_t, SolveStats(0, best_res, mode)
+        return best_t, SolveStats(0, best_res, StopMode.RESIDUAL_SQUARED)
     z = r if precond is None else precond(r)
     p = z.copy()
     rz = float(r @ z)
     k = 0
-    maxiter = min(stop.max_inner_iters, 10 * prob.dim + 10)
-    while k < maxiter:
+    max_iters = min(max_iters, 10 * prob.dim + 10)
+    while k < max_iters:
         Bp = prob.apply(p)
         curv = float(p @ Bp)
         if curv <= 0:
@@ -133,20 +110,21 @@ def _krylov(
         if res < best_res:
             best_t, best_res = t.copy(), res
         if res <= tol:
-            return t, SolveStats(k, res, mode)
+            return t, SolveStats(k, res, StopMode.RESIDUAL_SQUARED)
         z = r if precond is None else precond(r)
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
-    return best_t, SolveStats(k, best_res, mode, False)
+    return best_t, SolveStats(k, best_res, StopMode.RESIDUAL_SQUARED, False)
 
 
 def solve_cg(
     prob: LinearSubproblem,
-    stop: StopRule,
+    tol: float,
+    max_iters: int,
 ) -> tuple[np.ndarray, SolveStats]:
     """Conjugate gradients on B t = g, stopping at 1/2||B t - g||^2 <= tol."""
-    return _krylov(prob, None, stop)
+    return _krylov(prob, None, tol, max_iters)
 
 
 def incomplete_cholesky(P, drop_tol: float) -> sp.csc_matrix:
@@ -242,16 +220,12 @@ class _TriangularPreconditioner:
 
 def solve_pcg(
     prob: LinearSubproblem,
-    precond_factor,
-    stop: StopRule,
+    precond: _TriangularPreconditioner,
+    tol: float,
+    max_iters: int,
 ) -> tuple[np.ndarray, SolveStats]:
-    """Preconditioned CG with M = L L^T; same stopping test as solve_cg.
-
-    precond_factor is L itself or a _TriangularPreconditioner built from it.
-    """
-    if not isinstance(precond_factor, _TriangularPreconditioner):
-        precond_factor = _TriangularPreconditioner(precond_factor)
-    return _krylov(prob, precond_factor.apply, stop)
+    """Preconditioned CG with M = L L^T; same stopping test as solve_cg."""
+    return _krylov(prob, precond.apply, tol, max_iters)
 
 
 def solve_exact_cholesky(B, g: np.ndarray) -> tuple[np.ndarray, SolveStats]:
@@ -327,14 +301,14 @@ def _prox_gradient(
     Works in y = x_i + t, so the problem reads
     min_y 1/2||A_i y - c||^2 + weight ||y||_order with c = A_i x_i - r, and
     terminates when the duality gap at y falls below beta. prox(v, s) is
-    the proximal map of s ||.||_order. Each iterate's residual A_i y - c
+    the proximal map of s ||.||_order; the step is 1/lipschitz, with
+    lipschitz >= ||A_i||^2. Each iterate's residual A_i y - c
     and gradient A_i^T (A_i y - c) serve both its gap and the next step.
     """
     if beta <= 0:
         raise ValueError("beta must be positive for the duality-gap test")
     c = Ai @ x_i - r
-    L = lipschitz if lipschitz is not None else estimate_operator_norm_sq(Ai)
-    step = 1.0 / L
+    step = 1.0 / lipschitz
     y = np.array(x_i, dtype=float, copy=True)
     k = 0
     while True:
@@ -353,8 +327,8 @@ def solve_l1_subproblem(
     x_i: np.ndarray,
     lam: float,
     beta: float,
-    max_iters: int = 50_000,
-    lipschitz: float | None = None,
+    max_iters: int,
+    lipschitz: float,
 ) -> tuple[np.ndarray, SolveStats]:
     """Proximal gradient on V_i(t) = 1/2||A_i t + r||^2 + lam||x_i + t||_1,
     stopped when the duality gap falls below beta."""
@@ -371,8 +345,8 @@ def solve_group_subproblem(
     x_i: np.ndarray,
     tau: float,
     beta: float,
-    max_iters: int = 50_000,
-    lipschitz: float | None = None,
+    max_iters: int,
+    lipschitz: float,
 ) -> tuple[np.ndarray, SolveStats]:
     """Proximal gradient on 1/2||A_i t + r||^2 + tau||x_i + t||_2.
 

@@ -372,6 +372,8 @@ def test_solver_config_checks_its_choices_when_built():
         SolverConfig(method="pcg", precond_factors=[factors[0], factors[1].T, factors[2]])
     with pytest.raises(ValueError, match="rigorous cg requires lambda_min estimates"):
         SolverConfig(method="cg", rigorous=True)
+    with pytest.raises(ValueError, match=r"all positive; got \[1.0, 0.0\]"):
+        SolverConfig(method="cg", rigorous=True, lambda_min_estimates=[1.0, 0.0])
 
 
 def test_run_rejects_per_block_solver_lists_of_another_length():
@@ -383,6 +385,29 @@ def test_run_rejects_per_block_solver_lists_of_another_length():
     long = SolverConfig(method="cg", rigorous=True, lambda_min_estimates=[1.0] * 4)
     with pytest.raises(ValueError, match="solver has 4 lambda_min_estimates but the partition"):
         icd_run(obj, x0, InexactnessPolicy.uniform(1e-6), law, long)
+
+
+def test_run_evaluates_one_gradient_and_one_model_value_per_update(monkeypatch):
+    # the vacuous guard goes through model_value with the update's gradient
+    obj, x0, _ = _pcg_problem()
+    calls = {"grad": 0, "model": 0}
+    block_gradient, model_value = CompositeObjective.block_gradient, CompositeObjective.model_value
+
+    def counting_gradient(self, state, i):
+        calls["grad"] += 1
+        return block_gradient(self, state, i)
+
+    def counting_model(self, state, i, t, grad=None):
+        assert grad is not None
+        calls["model"] += 1
+        return model_value(self, state, i, t, grad)
+
+    monkeypatch.setattr(CompositeObjective, "block_gradient", counting_gradient)
+    monkeypatch.setattr(CompositeObjective, "model_value", counting_model)
+    res = icd_run(obj, x0, InexactnessPolicy.uniform(1e-6), SamplingLaw.uniform(3, seed=0),
+                  SolverConfig(method="cg"), max_block_updates=30)
+    assert res.block_updates == 30
+    assert calls == {"grad": 30, "model": 30}
 
 
 def test_records_carry_inner_convergence():
