@@ -3,8 +3,8 @@
 The library is organised around a handful of small modules:
 
 ``blocks``
-    Block decomposition of R^N, per-block quadratic norms and weighted
-    global norms.
+    Block decomposition of R^N, the per-block model operators B_i and the
+    per-block weights.
 ``objective``
     Composite objective F = f + Psi for a sparse quadratic f, with block
     gradients, the per-block model and incremental residual updates.

@@ -47,9 +47,7 @@ class BlockAngularMatrix:
             if C.shape[1] != D.shape[1]:
                 raise ValueError("C_i and D_i must have matching column counts")
         self.n = len(self.C_blocks)
-        self.block_rows = [C.shape[0] for C in self.C_blocks]
-        self.m = sum(self.block_rows)
-        self.M = self.m + self.ell
+        self.M = sum(C.shape[0] for C in self.C_blocks) + self.ell
         self.partition = BlockPartition(tuple(C.shape[1] for C in self.C_blocks))
         self.N = self.partition.N
 
@@ -57,15 +55,6 @@ class BlockAngularMatrix:
         C = sp.block_diag(self.C_blocks, format="csc")
         D = sp.hstack(self.D_blocks, format="csc")
         return sp.vstack([C, D], format="csc")
-
-    def column_block(self, i: int) -> sp.csc_matrix:
-        """A_i = [C_i; D_i] (the zero rows of other diagonal blocks dropped)."""
-        return sp.vstack([self.C_blocks[i], self.D_blocks[i]], format="csc")
-
-    def gram_block(self, i: int):
-        """B_i = C_i^T C_i + D_i^T D_i."""
-        Ai = self.column_block(i)
-        return Ai.T @ Ai
 
 
 @dataclass(frozen=True)
@@ -172,17 +161,16 @@ def build_perturbed(mat: BlockAngularMatrix, i: int, rho_shift: float = 0.5) -> 
 
 @dataclass
 class SpectrumReport:
+    """Fields in the order ``icdkit spectrum`` prints them."""
+
     which: str
-    eigenvalues: np.ndarray
     rank_D: int
     rank_A: int
     counts: dict = field(default_factory=dict)
     trace_lhs: float | None = None
     trace_rhs: float | None = None
     trace_bound: float | None = None
-    expected_eigenvalues: np.ndarray | None = None
-    unit_tol: float = 1e-8
-    extras: dict = field(default_factory=dict)
+    eigenvalues: np.ndarray | None = None
 
 
 def _rank(dense: np.ndarray) -> int:
@@ -221,7 +209,7 @@ def spectrum_report(
     A_dense = np.vstack([C, D])
     r = _rank(D)
     s = _rank(A_dense)
-    rep = SpectrumReport(which=which, eigenvalues=np.array([]), rank_D=r, rank_A=s, unit_tol=unit_tol)
+    rep = SpectrumReport(which=which, rank_D=r, rank_A=s)
 
     if which == "PB":
         if C.shape[0] < Ni:
@@ -244,19 +232,12 @@ def spectrum_report(
         rep.trace_lhs = float(np.trace(D @ np.linalg.solve(P, D.T)))
         rep.trace_rhs = float(np.sum((Z @ Y) ** 2))
         rep.trace_bound = float(np.sum(Z**2))
-        rep.extras["eigen_sum"] = float(vals.sum())
-        rep.extras["eigen_sum_expected"] = Ni + rep.trace_lhs
         return rep
 
     Phat = P + rho_shift * np.eye(Ni)
     if which == "PhatP":
         vals = scipy.linalg.eigh(P, Phat, eigvals_only=True)
         rep.eigenvalues = vals
-        lam = np.linalg.eigvalsh(P)
-        Mi = _rank(C)
-        nonzero = lam[Ni - Mi :] if Mi > 0 else np.array([])
-        expected = np.concatenate([np.zeros(Ni - Mi), nonzero / (nonzero + rho_shift)])
-        rep.expected_eigenvalues = np.sort(expected)
         rep.counts = {
             "zero": int(np.sum(np.abs(vals) <= unit_tol)),
             "positive": int(np.sum(vals > unit_tol)),

@@ -1,4 +1,5 @@
-"""Block decomposition of R^N and the associated quadratic norms.
+"""Block decomposition of R^N, the per-block model operators B_i and the
+per-block weights.
 
 Blocks are contiguous index ranges; any permutation of coordinates is
 assumed to have been applied when the problem was assembled, so a block
@@ -12,17 +13,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from icdkit.inner import solve_exact_cholesky
-
 __all__ = [
     "BlockPartition",
     "BlockMetric",
     "WeightVector",
     "block_view",
-    "scatter",
-    "block_norm",
-    "conjugate_block_norm",
-    "weighted_norm",
 ]
 
 
@@ -62,13 +57,6 @@ def block_view(x: np.ndarray, i: int, partition: BlockPartition) -> np.ndarray:
     return x[partition.range(i)]
 
 
-def scatter(blocks: list[np.ndarray], partition: BlockPartition) -> np.ndarray:
-    """Reassemble a full vector from its per-block views."""
-    if len(blocks) != partition.n:
-        raise ValueError("wrong number of blocks")
-    return np.concatenate(blocks)
-
-
 class BlockMetric:
     """Per-block SPD operators B_i of the block models (L_i B_i in the
     paper; only the product enters the model, and it is stored here).
@@ -86,10 +74,6 @@ class BlockMetric:
             if abs(B - B.T).max() > 1e-12 * scale:
                 raise ValueError(f"B_{i} is not symmetric")
 
-    @classmethod
-    def identity(cls, partition: BlockPartition):
-        return cls([np.eye(s) for s in partition.sizes])
-
     @property
     def n(self) -> int:
         return len(self.operators)
@@ -101,7 +85,7 @@ class BlockMetric:
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Positive per-block weights w_i for the global weighted norm."""
+    """Positive per-block weights w_i of the norm sqrt(sum_i w_i <B_i x^(i), x^(i)>)."""
 
     w: tuple[float, ...]
 
@@ -111,32 +95,3 @@ class WeightVector:
             raise ValueError("weights must be positive")
         object.__setattr__(self, "w", w)
 
-
-def block_norm(t: np.ndarray, B) -> float:
-    """sqrt(<B t, t>), the norm induced by the SPD operator B."""
-    q = float(t @ (B @ t))
-    if q < 0:
-        raise ValueError("operator is not positive semidefinite on this vector")
-    return np.sqrt(q)
-
-
-def conjugate_block_norm(g: np.ndarray, B) -> float:
-    """sqrt(<B^{-1} g, g>), computed through an exact Cholesky solve against B."""
-    y, _ = solve_exact_cholesky(B, g)
-    return np.sqrt(max(float(y @ g), 0.0))
-
-
-def weighted_norm(
-    x: np.ndarray,
-    weights: WeightVector,
-    metric: BlockMetric,
-    partition: BlockPartition,
-) -> float:
-    """sqrt(sum_i w_i <B_i x^(i), x^(i)>)."""
-    if len(weights.w) != partition.n or metric.n != partition.n:
-        raise ValueError("weights/metric inconsistent with partition")
-    total = 0.0
-    for i in range(partition.n):
-        xi = block_view(x, i, partition)
-        total += weights.w[i] * float(xi @ metric.apply(i, xi))
-    return np.sqrt(total)

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from icdkit.blocks import WeightVector, weighted_norm
+from icdkit.blocks import WeightVector
 from icdkit.objective import CompositeObjective
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "constants_strongly_convex",
     "constants_smooth_convex",
     "constants_smooth_strongly_convex",
-    "level_set_radius_surrogate",
     "mu_quadratic",
 ]
 
@@ -74,7 +73,6 @@ class BoundResult:
     feasible: bool
     violated: list[str] = field(default_factory=list)
     derived: dict = field(default_factory=dict)
-    raw: float | None = None
 
 
 def sigma_u(c1: float, alpha: float, beta: float) -> tuple[float, float]:
@@ -120,8 +118,7 @@ def iterations_case_i(inputs: BoundInputs) -> BoundResult:
         derived["k1_first_branch"] = first
     derived["k1"] = k1
     derived["k2"] = k2
-    raw = k2 + k1 + 2.0
-    return BoundResult(max(0, math.ceil(raw)), True, [], derived, raw)
+    return BoundResult(max(0, math.ceil(k2 + k1 + 2.0)), True, [], derived)
 
 
 def iterations_case_ii(inputs: BoundInputs) -> BoundResult:
@@ -142,8 +139,8 @@ def iterations_case_ii(inputs: BoundInputs) -> BoundResult:
     derived = {"shift": shift, "rate": 1 - (1 - a * c2) / c2 if a * c2 < 1 else None}
     if violated:
         return BoundResult(None, False, violated, derived)
-    raw = c2 / (1 - a * c2) * math.log((xi0 - shift) / (eps * rho - shift))
-    return BoundResult(max(0, math.ceil(raw)), True, [], derived, raw)
+    K = c2 / (1 - a * c2) * math.log((xi0 - shift) / (eps * rho - shift))
+    return BoundResult(max(0, math.ceil(K)), True, [], derived)
 
 
 def exact_case_i(c1: float, eps: float, rho: float, xi0: float) -> float:
@@ -236,48 +233,3 @@ def mu_quadratic(objective: CompositeObjective, weights: WeightVector) -> float:
     vals = scipy.linalg.eigh(H, Bw, eigvals_only=True)
     return float(vals[0])
 
-
-def level_set_radius_surrogate(
-    objective: CompositeObjective,
-    x0: np.ndarray,
-    weights: WeightVector,
-    n_samples: int = 0,
-    seed: int = 0,
-) -> float:
-    """Computable lower surrogate for the level-set radius R_w(x0).
-
-    Returns ||x0 - x*||_w; with n_samples > 0 it additionally maximizes
-    ||y - x*||_w over random directions y with F(y) <= F(x0) (bisection
-    on the ray scale), which can only increase the estimate. The result
-    is a surrogate, not the exact radius, except for special geometries.
-    """
-    if objective.x_star is None:
-        raise ValueError("the surrogate requires a known x*")
-    p = objective.partition
-    metric = objective.metric
-    x_star = objective.x_star
-    base = weighted_norm(x0 - x_star, weights, metric, p)
-    if n_samples <= 0:
-        return base
-
-    def F(x):
-        r = objective.smooth.residual(x)
-        return objective.smooth.value_from_residual(r) + objective.reg.value(x, p)
-
-    F0 = F(x0)
-    rng = np.random.default_rng(seed)
-    best = base
-    for _ in range(n_samples):
-        d = rng.standard_normal(p.N)
-        d /= np.linalg.norm(d)
-        lo, hi = 0.0, 1.0
-        while F(x_star + hi * d) <= F0 and hi < 1e8:
-            lo, hi = hi, 2.0 * hi
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if F(x_star + mid * d) <= F0:
-                lo = mid
-            else:
-                hi = mid
-        best = max(best, weighted_norm(lo * d, weights, metric, p))
-    return best

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -124,17 +125,7 @@ def _dispatch(args):
         rep = block_angular.spectrum_report(
             mat, args.block, args.which, rho_shift=args.rho_shift
         )
-        payload = {
-            "which": rep.which,
-            "rank_D": rep.rank_D,
-            "rank_A": rep.rank_A,
-            "counts": rep.counts,
-            "trace_lhs": rep.trace_lhs,
-            "trace_rhs": rep.trace_rhs,
-            "trace_bound": rep.trace_bound,
-            "eigenvalues": rep.eigenvalues.tolist(),
-        }
-        print(json.dumps(payload, default=_json_default, indent=2))
+        print(json.dumps(dataclasses.asdict(rep), default=_json_default, indent=2))
 
 
 def _json_default(obj):

@@ -33,6 +33,7 @@ __all__ = [
     "InexactnessPolicy",
     "SamplingLaw",
     "SolverConfig",
+    "check_method_fits",
     "IterationRecord",
     "RunResult",
     "sample_block",
@@ -72,10 +73,6 @@ class InexactnessPolicy:
             raise ValueError(
                 f"uniform-beta rule carries no multiplicative term, got alpha = {self.alpha}"
             )
-
-    @classmethod
-    def exact(cls):
-        return cls(0.0, 0.0)
 
     @classmethod
     def uniform(cls, beta: float):
@@ -186,6 +183,15 @@ class SolverConfig:
                 )
 
 
+def check_method_fits(method: str, kind: RegularizerKind):
+    """Raise ValueError unless an inner method can solve blocks of this regularizer."""
+    if (kind is RegularizerKind.ZERO) == (method == "prox"):
+        raise ValueError(
+            f"method {method!r} does not fit the {kind.value} regularizer: "
+            "l1 and group lasso take 'prox', zero takes exact, cg or pcg"
+        )
+
+
 def compute_update(
     objective: CompositeObjective,
     state: ResidualState,
@@ -201,11 +207,7 @@ def compute_update(
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     kind = objective.reg.kind
-    if (kind is RegularizerKind.ZERO) == (solver.method == "prox"):
-        raise ValueError(
-            f"method {solver.method!r} does not fit the {kind.value} regularizer: "
-            "l1 and group lasso take 'prox', zero takes exact, cg or pcg"
-        )
+    check_method_fits(solver.method, kind)
     grad = objective.block_gradient(state, i)
     Ni = objective.partition.sizes[i]
 

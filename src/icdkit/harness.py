@@ -23,6 +23,7 @@ from icdkit.core import (
     RunResult,
     SamplingLaw,
     SolverConfig,
+    check_method_fits,
     icd_run,
 )
 from icdkit.inner import incomplete_cholesky
@@ -201,7 +202,8 @@ def _build_law(p, n: int, seed: int, fixed) -> SamplingLaw:
     return SamplingLaw(tuple(p), seed, fixed)
 
 
-def _build_solver(cfg: ExperimentConfig, method: str, mat) -> SolverConfig:
+def _build_solver(cfg: ExperimentConfig, method: str, objective, mat) -> SolverConfig:
+    check_method_fits(method, objective.reg.kind)
     factors = None
     if method == "pcg":
         if mat is None:
@@ -231,14 +233,12 @@ class RunSummary:
     block_updates: list[int] = field(default_factory=list)
     inner_iterations: list[int] = field(default_factory=list)
     wall_times: list[float] = field(default_factory=list)
-    final_F: list[float] = field(default_factory=list)
     failures: list[str] = field(default_factory=list)
 
     def add(self, result: RunResult):
         self.block_updates.append(result.block_updates)
         self.inner_iterations.append(result.inner_iterations)
         self.wall_times.append(result.wall_time_s)
-        self.final_F.append(result.F_final)
 
     @property
     def mean_block_updates(self) -> float:
@@ -293,7 +293,7 @@ def run_experiment(cfg: ExperimentConfig, write_files: bool = True):
         try:
             if order_error is not None:
                 raise order_error
-            solver = _build_solver(cfg, method, mat)
+            solver = _build_solver(cfg, method, objective, mat)
         except (ValueError, OSError, RuntimeError) as e:
             summary.failures.append(f"setup: {e}")
             continue

@@ -39,7 +39,6 @@ class QuadraticSmooth:
         self.A = sp.csc_matrix(A) if sp.issparse(A) else np.asarray(A, dtype=float)
         self.b = np.asarray(b, dtype=float)
         self.partition = partition
-        self.M = A.shape[0]
         # column slicing is cheap on CSC / contiguous on dense arrays
         self.blocks = [self.A[:, partition.range(i)] for i in range(partition.n)]
         self._norm_sq = [None] * partition.n
@@ -102,11 +101,6 @@ class SeparableRegularizer:
         if self.kind is RegularizerKind.L1:
             return self.block_weight(i) * float(np.abs(v).sum())
         return self.block_weight(i) * float(np.linalg.norm(v))
-
-    def value(self, x: np.ndarray, partition: BlockPartition) -> float:
-        return sum(
-            self.block_value(i, block_view(x, i, partition)) for i in range(partition.n)
-        )
 
 
 # A sparse block's B_i is stored dense up to this many columns and as CSR
@@ -187,16 +181,6 @@ class CompositeObjective:
         xi = block_view(state.x, i, self.partition)
         quad = 0.5 * float(t @ self.metric.apply(i, t))
         return float(grad @ t) + quad + self.reg.block_value(i, xi + t)
-
-    def eval_H(self, state: "ResidualState", T: np.ndarray) -> float:
-        """f(x) + sum_i V_i(x, T^(i)); equals the full-dimensional surrogate
-        f + <grad f, T> + 1/2 ||T||_L^2 + Psi(x + T)."""
-        if T.shape[0] != self.partition.N:
-            raise ValueError("T must be full-dimensional")
-        total = state.f_value()
-        for i in range(self.partition.n):
-            total += self.model_value(state, i, block_view(T, i, self.partition))
-        return total
 
 
 class ResidualState:

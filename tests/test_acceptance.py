@@ -83,7 +83,7 @@ def test_criterion_1_monotonicity():
         obj = _consistent_quadratic(rng, 24, (4, 4, 4))
         method = ("exact", "cg")[trial % 2]
         beta = (0.0, 1e-2, 1e-6)[trial % 3]
-        policy = InexactnessPolicy.uniform(beta) if beta else InexactnessPolicy.exact()
+        policy = InexactnessPolicy.uniform(beta) if beta else InexactnessPolicy()
         res = icd_run(
             obj, rng.standard_normal(12), policy, SamplingLaw.uniform(3, seed=trial),
             SolverConfig(method=method), eps=1e-8, max_block_updates=1500,
@@ -160,7 +160,7 @@ def test_criterion_2_exact_limit_equivalence():
         order = tuple(int(v) for v in rng.integers(0, n, size=150))
         law = SamplingLaw.uniform(n, seed=0, fixed_order=order)
         common = dict(eps=None, max_block_updates=150, stagnation_window=10**9)
-        exact = icd_run(obj, x0.copy(), InexactnessPolicy.exact(), law,
+        exact = icd_run(obj, x0.copy(), InexactnessPolicy(), law,
                         SolverConfig(method="exact"), **common)
         inexact = icd_run(obj, x0.copy(), InexactnessPolicy.uniform(1e-24), law,
                           SolverConfig(method="cg"), **common)

@@ -12,6 +12,7 @@ from icdkit.block_angular import (
     generate,
     spectrum_report,
 )
+from icdkit.objective import QuadraticSmooth, quadratic_metric
 
 
 def _toy_tall():
@@ -32,7 +33,6 @@ def _toy_wide():
 
 
 def test_assemble_structure():
-    rng = np.random.default_rng(0)
     mat, _, _ = generate(GeneratorSpec(n=3, M_i=8, N_i=4, ell=2, seed=1))
     A = mat.assemble().toarray()
     assert A.shape == (3 * 8 + 2, 12)
@@ -40,18 +40,24 @@ def test_assemble_structure():
     assert np.all(A[0:8, 4:12] == 0)
     assert np.all(A[8:16, 0:4] == 0)
     assert np.all(A[8:16, 8:12] == 0)
-    # column block stacks C_i over D_i
-    Ai = mat.column_block(1).toarray()
-    assert np.allclose(Ai[:8], mat.C_blocks[1].toarray())
-    assert np.allclose(Ai[8:], mat.D_blocks[1].toarray())
+    # block 1's columns hold C_1 in its own rows and D_1 in the linking rows
+    Ai = A[:, mat.partition.range(1)]
+    assert np.allclose(Ai[8:16], mat.C_blocks[1].toarray())
+    assert np.allclose(Ai[24:], mat.D_blocks[1].toarray())
+    assert np.all(Ai[0:8] == 0) and np.all(Ai[16:24] == 0)
 
 
 def test_gram_block_identity():
-    mat = _toy_tall()
-    B = mat.gram_block(0)
-    B = B.toarray() if sp.issparse(B) else B
+    # the metric the solver builds from the assembled matrix is C_i^T C_i + D_i^T D_i
+    def metric_of(mat):
+        return quadratic_metric(QuadraticSmooth(mat.assemble(), np.zeros(mat.M), mat.partition))
+
     # C^T C + D^T D = I + e1 e1^T
-    assert np.allclose(B, np.array([[2.0, 0.0], [0.0, 1.0]]))
+    assert np.allclose(metric_of(_toy_tall()).operators[0], [[2.0, 0.0], [0.0, 1.0]])
+    mat, _, _ = generate(GeneratorSpec(n=3, M_i=8, N_i=4, ell=2, seed=1))
+    for i, B in enumerate(metric_of(mat).operators):
+        C, D = mat.C_blocks[i], mat.D_blocks[i]
+        assert np.allclose(B, (C.T @ C + D.T @ D).toarray(), rtol=1e-12, atol=1e-12)
 
 
 # ----------------------------------------------------------- generator

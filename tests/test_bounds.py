@@ -17,7 +17,6 @@ from icdkit.bounds import (
     exact_case_ii,
     iterations_case_i,
     iterations_case_ii,
-    level_set_radius_surrogate,
     mu_quadratic,
     sigma_u,
 )
@@ -212,14 +211,14 @@ def test_constants_smooth():
         constants_smooth_strongly_convex(1.0)
 
 
-# ------------------------------------------------------ mu and radius
+# ------------------------------------------------------------------ mu
 
 
-def _quadratic_objective(A, b, sizes, x_star=None):
+def _quadratic_objective(A, b, sizes, dense=False):
     p = BlockPartition(sizes)
-    smooth = QuadraticSmooth(sp.csc_matrix(A), b, p)
+    smooth = QuadraticSmooth(A if dense else sp.csc_matrix(A), b, p)
     return CompositeObjective(
-        smooth, SeparableRegularizer.zero(), quadratic_metric(smooth), x_star=x_star
+        smooth, SeparableRegularizer.zero(), quadratic_metric(smooth)
     )
 
 
@@ -237,42 +236,9 @@ def test_mu_quadratic_two_blocks_in_unit_interval():
     obj = _quadratic_objective(A, np.zeros(12), (3, 3))
     mu = mu_quadratic(obj, WeightVector((1.0, 1.0)))
     assert 0.0 < mu <= 1.0 + 1e-10
-
-
-def test_radius_surrogate_isotropic():
-    A = np.eye(3)
-    x_star = np.array([1.0, -2.0, 0.5])
-    obj = _quadratic_objective(A, x_star, (3,), x_star=x_star)
-    x0 = x_star + np.array([3.0, 0.0, 4.0])
-    r = level_set_radius_surrogate(obj, x0, WeightVector((1.0,)))
-    assert r == pytest.approx(5.0)
-    # for the isotropic quadratic the true radius equals sqrt(2 F(x0))
-    F0 = 0.5 * np.sum((A @ x0 - x_star) ** 2)
-    assert r == pytest.approx(np.sqrt(2 * F0))
-
-
-def test_radius_surrogate_zero_at_optimum():
-    x_star = np.array([1.0, 2.0])
-    obj = _quadratic_objective(np.eye(2), x_star, (2,), x_star=x_star)
-    assert level_set_radius_surrogate(obj, x_star, WeightVector((1.0,))) == 0.0
-
-
-def test_radius_surrogate_sampling_dominates_point_estimate():
-    # anisotropic quadratic: the level set extends farther than x0 - x*
-    A = np.diag([2.0, 1.0])
-    x_star = np.zeros(2)
-    obj = _quadratic_objective(A, np.zeros(2), (2,), x_star=x_star)
-    x0 = np.array([1.0, 0.0])
-    w = WeightVector((1.0,))
-    base = level_set_radius_surrogate(obj, x0, w)
-    sampled = level_set_radius_surrogate(obj, x0, w, n_samples=50, seed=0)
-    assert sampled >= base - 1e-12
-
-
-def test_radius_surrogate_requires_x_star():
-    obj = _quadratic_objective(np.eye(2), np.zeros(2), (2,))
-    with pytest.raises(ValueError):
-        level_set_radius_surrogate(obj, np.ones(2), WeightVector((1.0,)))
+    # a dense A takes the dense Hessian branch and gives the same mu
+    dense = _quadratic_objective(A, np.zeros(12), (3, 3), dense=True)
+    assert mu_quadratic(dense, WeightVector((1.0, 1.0))) == pytest.approx(mu, rel=1e-10)
 
 
 def test_bound_inputs_validation():

@@ -95,7 +95,7 @@ def test_delta_budget_uniform_beta():
 
 
 def test_delta_budget_exact_case():
-    deltas, bar = delta_budget(InexactnessPolicy.exact(), 5.0, 0.0, (0.5, 0.5))
+    deltas, bar = delta_budget(InexactnessPolicy(), 5.0, 0.0, (0.5, 0.5))
     assert np.allclose(deltas, 0.0)
     assert bar == 0.0
 
@@ -250,7 +250,7 @@ def test_run_starts_at_optimum():
     rng = np.random.default_rng(4)
     obj = _consistent_objective(rng, 10, (3, 3))
     res = icd_run(
-        obj, obj.x_star, InexactnessPolicy.exact(), SamplingLaw.uniform(2, seed=0),
+        obj, obj.x_star, InexactnessPolicy(), SamplingLaw.uniform(2, seed=0),
         SolverConfig(method="exact"), eps=1e-8,
     )
     assert res.converged
@@ -264,7 +264,7 @@ def test_run_single_block_one_update():
         smooth, SeparableRegularizer.zero(), quadratic_metric(smooth), F_star=0.0
     )
     res = icd_run(
-        obj, np.array([1.0, 1.0]), InexactnessPolicy.exact(),
+        obj, np.array([1.0, 1.0]), InexactnessPolicy(),
         SamplingLaw.uniform(1, seed=0), SolverConfig(method="exact"), eps=1e-12,
     )
     assert res.converged
@@ -304,6 +304,34 @@ def test_run_determinism():
     assert [a.F for a in r1.records] == [a.F for a in r2.records]
     assert [a.inner_iterations for a in r1.records] == [a.inner_iterations for a in r2.records]
 
+
+@pytest.mark.parametrize("method", ["exact", "cg", "prox"])
+def test_run_dense_A_matches_its_csc_copy(method):
+    # a dense A stays dense, so the metric, the prox step constant and every
+    # product take their dense branches; the run must match the CSC one
+    rng = np.random.default_rng(12)
+    p = BlockPartition((3, 4, 3))
+    A = rng.standard_normal((16, 10))
+    b = rng.standard_normal(16)
+    reg = SeparableRegularizer.l1(0.1) if method == "prox" else SeparableRegularizer.zero()
+    runs = []
+    for data in (A, sp.csc_matrix(A)):
+        obj = CompositeObjective(QuadraticSmooth(data, b, p), reg)
+        assert sp.issparse(obj.smooth.A) == sp.issparse(data)
+        runs.append(icd_run(
+            obj, np.zeros(10), InexactnessPolicy.uniform(1e-6),
+            SamplingLaw.uniform(3, seed=2), SolverConfig(method=method),
+            max_block_updates=60,
+        ))
+    dense, csc = runs
+    assert len(dense.records) == 60
+    assert [r.block for r in dense.records] == [r.block for r in csc.records]
+    assert [r.inner_iterations for r in dense.records] == [
+        r.inner_iterations for r in csc.records
+    ]
+    np.testing.assert_allclose(
+        [r.F for r in dense.records], [r.F for r in csc.records], rtol=1e-10
+    )
 
 def _pcg_problem():
     mat, x_star, b = generate(GeneratorSpec(n=3, M_i=60, N_i=20, ell=1, seed=3))
@@ -425,7 +453,7 @@ def test_run_budget_exhaustion_flagged():
     rng = np.random.default_rng(7)
     obj = _consistent_objective(rng, 20, (5, 5))
     res = icd_run(
-        obj, rng.standard_normal(10), InexactnessPolicy.exact(),
+        obj, rng.standard_normal(10), InexactnessPolicy(),
         SamplingLaw.uniform(2, seed=1), SolverConfig(method="exact"), eps=1e-14,
         max_block_updates=2,
     )
@@ -440,14 +468,14 @@ def test_run_eps_requires_Fstar():
     smooth = QuadraticSmooth(sp.csc_matrix(A), rng.standard_normal(6), p)
     obj = CompositeObjective(smooth, SeparableRegularizer.zero(), quadratic_metric(smooth))
     with pytest.raises(ValueError):
-        icd_run(obj, np.zeros(4), InexactnessPolicy.exact(), SamplingLaw.uniform(2), eps=0.1)
+        icd_run(obj, np.zeros(4), InexactnessPolicy(), SamplingLaw.uniform(2), eps=0.1)
 
 
 def test_run_stagnation_stop_without_eps():
     rng = np.random.default_rng(9)
     obj = _consistent_objective(rng, 14, (3, 4))
     res = icd_run(
-        obj, rng.standard_normal(7), InexactnessPolicy.exact(),
+        obj, rng.standard_normal(7), InexactnessPolicy(),
         SamplingLaw.uniform(2, seed=2), SolverConfig(method="exact"),
         max_block_updates=5000,
     )
@@ -461,7 +489,7 @@ def test_exact_limit_cg_matches_cholesky():
     x0 = rng.standard_normal(8)
     order = tuple(int(v) for v in np.random.default_rng(0).integers(0, 2, size=60))
     law = SamplingLaw(p=(0.5, 0.5), seed=0, fixed_order=order)
-    exact = icd_run(obj, x0.copy(), InexactnessPolicy.exact(), law,
+    exact = icd_run(obj, x0.copy(), InexactnessPolicy(), law,
                     SolverConfig(method="exact"), eps=1e-10, max_block_updates=60)
     inexact = icd_run(obj, x0.copy(), InexactnessPolicy.uniform(1e-24), law,
                       SolverConfig(method="cg"), eps=1e-10, max_block_updates=60)

@@ -181,7 +181,7 @@ def test_run_experiment_all_solvers(tmp_path):
         s = summaries[method]
         assert not s.failures
         assert len(s.block_updates) == 2
-        assert all(F < 0.1 for F in s.final_F)
+        assert all(res.F_final < 0.1 for _, res in records[method])
     # summary aggregates equal recomputation from raw records
     for method, runs in records.items():
         totals = [len(res.records) for _, res in runs]
@@ -254,15 +254,18 @@ stop.eps = 1e-6
     assert summaries["pcg"].failures[0].startswith("setup: ")
     assert not summaries["cg"].failures and len(records["cg"]) == 1
 
-    # run failure: the l1 path takes only prox, so exact fails in its run
-    # while prox completes
+    # the l1 path takes only prox: exact fails once, at set-up, however
+    # many repetitions are asked for, while prox completes every run
     cfg = harness.parse_config(
         L1_CONFIG.replace("reg.lam = 0.1", "reg.lam = 0.1\ninner.solver = exact,prox")
+        + "run.repetitions = 2\n"
     )
     summaries, records = harness.run_experiment(cfg, write_files=False)
-    assert len(summaries["exact"].failures) == 1
-    assert summaries["exact"].failures[0].startswith("run 0: ")
-    assert not summaries["prox"].failures and summaries["prox"].block_updates == [30]
+    assert summaries["exact"].failures == [
+        "setup: method 'exact' does not fit the l1 regularizer: "
+        "l1 and group lasso take 'prox', zero takes exact, cg or pcg"
+    ]
+    assert not summaries["prox"].failures and summaries["prox"].block_updates == [30, 30]
 
 
 @pytest.mark.parametrize("order, bad", [("0 1 3 0", 3), ("0 1 2 -1 0", -1)])

@@ -145,29 +145,6 @@ def test_block_norm_sq_is_estimated_once_per_block(monkeypatch):
     assert values == [estimate(obj.smooth.blocks[i]) for i in (1, 0, 1, 0)]
 
 
-def test_eval_H_at_zero_is_F():
-    obj = _identity_objective(SeparableRegularizer.l1(0.5))
-    state = obj.start(np.array([2.0, -1.0]))
-    assert obj.eval_H(state, np.zeros(2)) == pytest.approx(state.F_value(), rel=1e-12)
-
-
-def test_eval_H_two_formula_cross_check():
-    # f + sum_i V_i(x, T_i) must equal f + <grad f, T> + 1/2 |T|_L^2 + Psi(x+T)
-    rng = np.random.default_rng(5)
-    reg = SeparableRegularizer.l1(0.3)
-    obj = _random_objective(rng, 9, (2, 3, 2), reg)
-    x = rng.standard_normal(7)
-    state = obj.start(x)
-    T = rng.standard_normal(7)
-    direct = state.f_value()
-    for i in range(3):
-        Ti = block_view(T, i, obj.partition)
-        g = obj.block_gradient(state, i)
-        direct += float(g @ Ti) + 0.5 * float(Ti @ obj.metric.apply(i, Ti))
-        direct += reg.block_value(i, block_view(x, i, obj.partition) + Ti)
-    assert obj.eval_H(state, T) == pytest.approx(direct, rel=1e-10, abs=1e-12)
-
-
 def test_eval_H_exact_update_sandwich():
     # H(x, T_0) <= H(x, T_delta) <= H(x, T_0) + sum_i delta_i
     rng = np.random.default_rng(6)
@@ -185,7 +162,13 @@ def test_eval_H_exact_update_sandwich():
         d = rng.standard_normal(t_star.size)
         d *= np.sqrt(deltas[i] / float(d @ obj.metric.apply(i, d)))
         Td[sl] = t_star + d
-    h0, hd = obj.eval_H(state, T0), obj.eval_H(state, Td)
+
+    def H(T):
+        # H(x, T) = f(x) + sum_i V_i(x, T^(i)), through the solver's model_value
+        parts = (obj.model_value(state, i, block_view(T, i, obj.partition)) for i in range(3))
+        return state.f_value() + sum(parts)
+
+    h0, hd = H(T0), H(Td)
     assert h0 <= hd + 1e-12
     assert hd <= h0 + sum(deltas) + 1e-12
 
@@ -237,8 +220,11 @@ def test_incremental_residual_matches_recompute():
     for _ in range(50):
         i = int(rng.integers(0, 2))
         state.apply_update(i, 0.1 * rng.standard_normal(obj.partition.sizes[i]))
-    drift = np.linalg.norm(state.r - (obj.smooth.A @ state.x - obj.smooth.b))
+    fresh = obj.smooth.A @ state.x - obj.smooth.b
+    drift = np.linalg.norm(state.r - fresh)
     assert drift <= 1e-12 * (1 + np.linalg.norm(obj.smooth.b))
+    assert state.recompute_residual() == drift
+    assert np.array_equal(state.r, fresh)
 
 
 def test_overapproximation_property():

@@ -1,0 +1,53 @@
+"""Every exported name has a caller outside the tests.
+
+A name in an icdkit module's ``__all__`` must be referenced somewhere in
+``src/``, ``bench/`` or ``demos/`` besides its own definition and its
+``__all__`` entry. Re-exports in ``icdkit/__init__.py`` do not count as
+callers, and neither do the tests, so API that only its own tests call
+fails here.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "icdkit"
+
+
+def _exported(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+def _referenced(tree):
+    """Names loaded, attributes read and names imported; definitions and
+    the string entries of __all__ are none of these."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+    return names
+
+
+def test_every_exported_name_has_a_caller_outside_the_tests():
+    sources = [p for d in ("src", "bench", "demos") for p in sorted((ROOT / d).rglob("*.py"))]
+    trees = {p: ast.parse(p.read_text(), str(p)) for p in sources}
+    referenced = set().union(
+        *(_referenced(t) for p, t in trees.items() if p != PACKAGE / "__init__.py")
+    )
+    unused = [
+        f"{path.stem}.{name}"
+        for path, tree in trees.items()
+        if path.parent == PACKAGE
+        for name in _exported(tree)
+        if name not in referenced
+    ]
+    assert unused == []
