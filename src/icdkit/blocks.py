@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.blas import dtrmv
 
 __all__ = [
     "BlockPartition",
@@ -61,26 +62,24 @@ class BlockMetric:
     """Per-block SPD operators B_i of the block models (L_i B_i in the
     paper; only the product enters the model, and it is stored here).
 
-    Each B_i is a dense array or a sparse matrix; its symmetry is verified
-    at construction without densifying it.
+    objective.quadratic_metric builds it and keeps each block as the solver
+    reads it: the F-ordered upper Cholesky factor U_i of B_i = U_i^T U_i, or,
+    for a sparse block too wide to factor once, B_i itself as CSR.
     """
 
-    def __init__(self, operators):
-        self.operators = list(operators)
-        for i, B in enumerate(self.operators):
-            if not (isinstance(B, np.ndarray) or sp.issparse(B)):
-                raise ValueError(f"B_{i} must be a dense array or a sparse matrix")
-            scale = max(abs(B).max(), 1.0)
-            if abs(B - B.T).max() > 1e-12 * scale:
-                raise ValueError(f"B_{i} is not symmetric")
+    def __init__(self, stored):
+        self.stored = list(stored)
 
     @property
-    def n(self) -> int:
-        return len(self.operators)
+    def operators(self) -> list:
+        """Every B_i, rebuilt from its factor; for readers off the hot path."""
+        return [S if sp.issparse(S) else S.T @ S for S in self.stored]
 
     def apply(self, i: int, t: np.ndarray) -> np.ndarray:
-        B = self.operators[i]
-        return B @ t
+        S = self.stored[i]
+        if sp.issparse(S):
+            return S @ t
+        return dtrmv(S, dtrmv(S, t), trans=1, overwrite_x=1)
 
 
 @dataclass(frozen=True)

@@ -225,8 +225,7 @@ def mu_quadratic(objective: CompositeObjective, weights: WeightVector) -> float:
     A = objective.smooth.A
     H = (A.T @ A).toarray() if sp.issparse(A) else A.T @ A
     Bw = np.zeros((p.N, p.N))
-    for i in range(p.n):
-        B = objective.metric.operators[i]
+    for i, B in enumerate(objective.metric.operators):
         dense = B.toarray() if sp.issparse(B) else np.asarray(B)
         sl = p.range(i)
         Bw[sl, sl] = weights.w[i] * dense

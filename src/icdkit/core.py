@@ -216,13 +216,12 @@ def compute_update(
 
     if kind is RegularizerKind.ZERO:
         g = -grad
-        B = objective.metric.operators[i]
         method = solver.method if delta > 0 else "exact"
         if method == "exact":
-            t, stats = solve_exact_cholesky(B, g)
+            t, stats = solve_exact_cholesky(objective.metric, i, g)
         else:
             tol = delta * solver.lambda_min_estimates[i] if solver.rigorous else delta
-            prob = LinearSubproblem(B, g)
+            prob = LinearSubproblem(objective.metric, i, g)
             if method == "cg":
                 t, stats = solve_cg(prob, tol, solver.max_inner_iters)
             else:

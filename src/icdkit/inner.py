@@ -1,8 +1,8 @@
 """Inner solvers for the per-block update subproblem.
 
-Smooth blocks reduce to the SPD system B_i t = -(1/l_i) grad_i f, solved
-by conjugate gradients or an exact Cholesky factorization. CG and
-preconditioned CG share one Krylov loop: CG is PCG with M = I. The l1
+Smooth blocks reduce to the SPD system B_i t = -(1/l_i) grad_i f, solved by
+CG or by two triangular solves with the Cholesky factor the metric keeps.
+CG and preconditioned CG share one Krylov loop: CG is PCG with M = I. The l1
 and group-lasso blocks share one proximal-gradient loop with a
 duality-gap stopping test; only the proximal map, the penalty norm and
 its dual norm differ (soft threshold, l1, l-inf; group soft threshold,
@@ -45,15 +45,16 @@ __all__ = [
 
 
 class LinearSubproblem:
-    """SPD system B t = g, with B a dense array or a sparse matrix."""
+    """SPD system B_i t = g, with B_i block i of a BlockMetric."""
 
-    def __init__(self, B, g: np.ndarray):
-        self.B = B
+    def __init__(self, metric, i: int, g: np.ndarray):
+        self.metric = metric
+        self.i = i
         self.g = np.asarray(g, dtype=float)
         self.dim = self.g.shape[0]
 
     def apply(self, t: np.ndarray) -> np.ndarray:
-        return self.B @ t
+        return self.metric.apply(self.i, t)
 
 
 class StopMode(Enum):
@@ -228,17 +229,17 @@ def solve_pcg(
     return _krylov(prob, precond.apply, tol, max_iters)
 
 
-def solve_exact_cholesky(B, g: np.ndarray) -> tuple[np.ndarray, SolveStats]:
-    """Exact SPD solve: Cholesky factors followed by two triangular solves."""
-    try:
-        dense = B.toarray() if sp.issparse(B) else np.asarray(B, dtype=float)
-        factor = cho_factor(dense, lower=True)
-        t = cho_solve(factor, g)
-    except MemoryError as e:
-        raise RuntimeError("out of memory forming the Cholesky factor") from e
-    except np.linalg.LinAlgError as e:
-        raise ValueError("B is not positive definite") from e
-    res = _half_sq(dense @ t - g)
+def solve_exact_cholesky(metric, i: int, g: np.ndarray) -> tuple[np.ndarray, SolveStats]:
+    """Exact solve of B_i t = g: two triangular solves with block i's kept
+    Cholesky factor; a block the metric keeps as CSR is factored per call."""
+    U = metric.stored[i]
+    if sp.issparse(U):
+        try:
+            U, _ = cho_factor(U.toarray(), check_finite=False)
+        except MemoryError as e:
+            raise RuntimeError("out of memory forming the Cholesky factor") from e
+    t = cho_solve((U, False), g, check_finite=False)
+    res = _half_sq(metric.apply(i, t) - g)
     return t, SolveStats(1, res, StopMode.RESIDUAL_SQUARED)
 
 

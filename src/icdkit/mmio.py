@@ -4,10 +4,14 @@ The reader accepts real or integer, general or symmetric coordinate
 files. It sums duplicate entries, expands symmetric storage, and can
 transpose on read (block-angular collections often store the
 transpose). A file it cannot read raises ValueError naming the file and,
-for a parse error, scipy's line number.
+for a parse error, scipy's line number; so does an entry line with more
+than its three tokens, which scipy would read and silently truncate.
 """
 
 from __future__ import annotations
+
+import bz2
+import gzip
 
 import numpy as np
 import scipy.io
@@ -26,9 +30,26 @@ def read_matrix_market(path, transpose: bool = False) -> sp.csc_matrix:
         ):
             raise ValueError(f"unsupported matrix type: {fmt} {field} {symmetry}")
         mat = sp.csc_matrix(scipy.io.mmread(path), dtype=float)  # duplicates summed
+        _check_entry_tokens(path)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
     return mat.T.tocsc() if transpose else mat
+
+
+def _check_entry_tokens(path):
+    """Reject entry lines with extra tokens, which mmread reads and drops:
+    a coordinate entry of a real or integer file is 'row col value'."""
+    name = str(path)
+    opener = gzip.open if name.endswith(".gz") else bz2.open if name.endswith(".bz2") else open
+    with opener(path, "rt") as fh:
+        lines = (line.split() for line in fh if not line.startswith("%"))
+        size = next(tokens for tokens in lines if tokens)  # rows cols entries
+        found = sum(len(tokens) for tokens in lines)
+    expected = 3 * int(size[2])
+    if found != expected:
+        raise ValueError(
+            f"expected {expected} entry tokens (row col value per entry), found {found}"
+        )
 
 
 def write_matrix_market(path, mat, comment: str | None = None):

@@ -36,7 +36,7 @@ class QuadraticSmooth:
             raise ValueError("A has wrong number of columns for the partition")
         if A.shape[0] != b.shape[0]:
             raise ValueError("A and b have incompatible shapes")
-        self.A = sp.csc_matrix(A) if sp.issparse(A) else np.asarray(A, dtype=float)
+        self.A = sp.csc_matrix(A, dtype=float) if sp.issparse(A) else np.asarray(A, dtype=float)
         self.b = np.asarray(b, dtype=float)
         self.partition = partition
         # column slicing is cheap on CSC / contiguous on dense arrays
@@ -103,8 +103,8 @@ class SeparableRegularizer:
         return self.block_weight(i) * float(np.linalg.norm(v))
 
 
-# A sparse block's B_i is stored dense up to this many columns and as CSR
-# above it; only blocks up to this size get the Cholesky rank check.
+# A sparse block's B_i is kept as CSR above this many columns, and
+# factored on each exact solve; every other block keeps its factor.
 _DENSE_METRIC_CAP = 600
 
 
@@ -115,34 +115,35 @@ def quadratic_metric(smooth: QuadraticSmooth) -> BlockMetric:
     eps = 1e-8 * ||A_i||_F^2 / N_i, which keeps B_i SPD at the cost of a
     strict (rather than exact) overapproximation.
     """
-    ops = []
-    for i, Ai in enumerate(smooth.blocks):
-        Ni = Ai.shape[1]
-        small = Ni <= _DENSE_METRIC_CAP
-        if sp.issparse(Ai):
-            B = (Ai.T @ Ai).toarray() if small else sp.csr_matrix(Ai.T @ Ai)
-            fro2 = float(Ai.multiply(Ai).sum())
-        else:
-            B = Ai.T @ Ai
-            fro2 = float((Ai * Ai).sum())
-        deficient = Ai.shape[0] < Ni
-        if not deficient and small:
-            try:
-                np.linalg.cholesky(B)
-            except np.linalg.LinAlgError:
-                deficient = True
-        if deficient:
-            eps = 1e-8 * fro2 / Ni
-            if sp.issparse(B):
-                B = B + eps * sp.eye(Ni, format="csr")
-            else:
-                B = B + eps * np.eye(Ni)
-        ops.append(B)
-    return BlockMetric(ops)
+    return BlockMetric([_block_metric(Ai) for Ai in smooth.blocks])
+
+
+def _block_metric(Ai):
+    """Block i's kept metric: the factor U_i its Cholesky rank check gives, or
+    a wide sparse block's CSR B_i. One block per call: one dense B_i at a time."""
+    Ni = Ai.shape[1]
+    if sp.issparse(Ai):
+        fro2 = float(Ai.multiply(Ai).sum())
+    else:
+        fro2 = float((Ai * Ai).sum())
+    eps = 1e-8 * fro2 / Ni
+    B = Ai.T @ Ai  # CSR for a CSC A_i
+    if sp.issparse(B) and Ni > _DENSE_METRIC_CAP:
+        return B + eps * sp.eye(Ni, format="csr") if Ai.shape[0] < Ni else B
+    B = B.toarray() if sp.issparse(B) else B
+    if Ai.shape[0] >= Ni:
+        try:
+            return np.linalg.cholesky(B).T  # L is C-ordered, so U_i = L^T is F-ordered
+        except np.linalg.LinAlgError:
+            pass
+    B[np.diag_indices(Ni)] += eps
+    # eps = 0 only for an all-zero block, whose B_i = 0 is its own factor
+    return np.linalg.cholesky(B).T if eps > 0 else B.T
 
 
 class CompositeObjective:
-    """Immutable bundle of smooth part, regularizer, metric and optima."""
+    """Immutable bundle of smooth part, regularizer, metric and optima;
+    metric, when given, is quadratic_metric(smooth), which objectives may share."""
 
     def __init__(
         self,

@@ -399,9 +399,10 @@ def test_criterion_9_scaled_comparison_report():
             )
             medians[(ell, name)] = med
         if ell == 1:
-            # loose-tolerance per-update cost: an exact update factors the
-            # full block metric regardless of tolerance, while CG stops
-            # after a handful of matrix-vector products
+            # loose-tolerance per-update cost: an exact update is two
+            # triangular solves with the block's kept Cholesky factor
+            # whatever the tolerance, while CG stops after a handful of
+            # matrix-vector products
             for name in ("exact", "cg"):
                 t0 = time.time()
                 res = icd_run(

@@ -1,11 +1,9 @@
-"""Block partition, block views, per-block operators and weights."""
+"""Block partition, block views and weights."""
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from icdkit.blocks import BlockMetric, BlockPartition, WeightVector, block_view
+from icdkit.blocks import BlockPartition, WeightVector, block_view
 
 
 def test_partition_invariants():
@@ -47,18 +45,6 @@ def test_block_view_is_view():
     x = np.zeros(4)
     block_view(x, 0, p)[0] = 7.0
     assert x[0] == 7.0
-
-
-@pytest.mark.parametrize("fmt", ["dense", "sparse"])
-def test_metric_requires_symmetry(fmt):
-    B = np.array([[1.0, 0.5], [0.0, 1.0]])
-    with pytest.raises(ValueError, match="not symmetric"):
-        BlockMetric([B if fmt == "dense" else sp.csr_matrix(B)])
-
-
-def test_metric_rejects_linear_operator():
-    with pytest.raises(ValueError, match="dense array or a sparse matrix"):
-        BlockMetric([spla.aslinearoperator(np.eye(2))])
 
 
 def test_weight_vector_rejects_nonpositive():

@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from icdkit import inner
@@ -413,6 +414,28 @@ def test_run_rejects_per_block_solver_lists_of_another_length():
     long = SolverConfig(method="cg", rigorous=True, lambda_min_estimates=[1.0] * 4)
     with pytest.raises(ValueError, match="solver has 4 lambda_min_estimates but the partition"):
         icd_run(obj, x0, InexactnessPolicy.uniform(1e-6), law, long)
+
+
+def test_run_exact_factors_no_block(monkeypatch):
+    # B_i is fixed for the run: each block's Cholesky factor is formed once,
+    # with the metric, and an exact update only solves with it
+    obj, x0, _ = _pcg_problem()
+    factored = []
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            factored.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting(np.linalg.cholesky))
+    monkeypatch.setattr(scipy.linalg, "cho_factor", counting(scipy.linalg.cho_factor))
+    monkeypatch.setattr(inner, "cho_factor", counting(inner.cho_factor))
+    res = icd_run(obj, x0, InexactnessPolicy(), SamplingLaw.uniform(3, seed=0),
+                  SolverConfig(method="exact"), max_block_updates=30)
+    assert res.block_updates == 30
+    assert all(r.certificate_mode == "residual_squared" for r in res.records)
+    assert factored == []
 
 
 def test_run_evaluates_one_gradient_and_one_model_value_per_update(monkeypatch):

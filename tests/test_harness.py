@@ -84,6 +84,7 @@ _GENERAL = "%%MatrixMarket matrix coordinate real general\n"
         (_GENERAL + "2 2 1\n1 x 1.0\n", "Line 3: Invalid integer value"),
         (_GENERAL + "2 2 1\n1 1 1.0\n2 2 1.0\n", "Line 4: Too many lines"),
         (_GENERAL + "2 2 2\n1 1 1.0\n", "Truncated file"),
+        (_GENERAL + "2 2 1\n1 1 1.0 5\n", "expected 3 entry tokens (row col value per entry), found 4"),
         (
             "%%MatrixMarket matrix coordinate complex general\n1 1 1\n1 1 1.0 0.0\n",
             "unsupported matrix type: coordinate complex general",
@@ -97,7 +98,10 @@ _GENERAL = "%%MatrixMarket matrix coordinate real general\n"
             "unsupported matrix type: array real general",
         ),
     ],
-    ids=["malformed-entry", "too-many-entries", "truncated", "complex", "pattern", "array"],
+    ids=[
+        "malformed-entry", "too-many-entries", "truncated", "extra-token",
+        "complex", "pattern", "array",
+    ],
 )
 def test_read_rejects_a_file_it_cannot_read(tmp_path, text, message):
     # the bad banner and out-of-range cases are the two tests above

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg import solve_triangular
 
+from icdkit.blocks import BlockMetric
 from icdkit.inner import (
     LinearSubproblem,
     SolveStats,
@@ -31,18 +32,27 @@ def _random_spd(rng, d, shift=0.1):
     return M.T @ M + shift * np.eye(d)
 
 
+def _metric(B):
+    """A one-block metric for B: its upper Cholesky factor, or a CSR B as it is."""
+    return BlockMetric([B if sp.issparse(B) else np.linalg.cholesky(B).T])
+
+
+def _system(B, g):
+    return LinearSubproblem(_metric(B), 0, g)
+
+
 # ---------------------------------------------------------------- CG
 
 
 def test_cg_diagonal_system():
-    prob = LinearSubproblem(np.diag([2.0, 1.0]), np.array([-2.0, -1.0]))
+    prob = _system(np.diag([2.0, 1.0]), np.array([-2.0, -1.0]))
     t, stats = solve_cg(prob, 1e-28, CAP)
     assert np.allclose(t, [-1.0, -1.0], atol=1e-12)
     assert stats.iterations <= 2
 
 
 def test_cg_zero_rhs():
-    prob = LinearSubproblem(np.eye(3), np.zeros(3))
+    prob = _system(np.eye(3), np.zeros(3))
     t, stats = solve_cg(prob, 0.0, CAP)
     assert np.array_equal(t, np.zeros(3))
     assert stats.iterations == 0
@@ -52,23 +62,23 @@ def test_cg_matches_direct_solve():
     rng = np.random.default_rng(0)
     B = _random_spd(rng, 20)
     g = rng.standard_normal(20)
-    t, stats = solve_cg(LinearSubproblem(B, g), 1e-24, CAP)
+    t, stats = solve_cg(_system(B, g), 1e-24, CAP)
     exact = np.linalg.solve(B, g)
     assert np.linalg.norm(t - exact) <= 1e-8 * np.linalg.norm(exact)
     assert stats.converged
 
 
 def test_cg_negative_curvature_raises():
-    B = np.diag([1.0, -1.0])
+    B = sp.csr_matrix(np.diag([1.0, -1.0]))  # a CSR block is applied as it is
     with pytest.raises(ValueError, match="not SPD"):
-        solve_cg(LinearSubproblem(B, np.array([0.0, 1.0])), 1e-30, CAP)
+        solve_cg(_system(B, np.array([0.0, 1.0])), 1e-30, CAP)
 
 
 def test_cg_iteration_cap_returns_best_iterate():
     rng = np.random.default_rng(1)
     B = _random_spd(rng, 30, shift=1e-4)
     g = rng.standard_normal(30)
-    t, stats = solve_cg(LinearSubproblem(B, g), 1e-30, 3)
+    t, stats = solve_cg(_system(B, g), 1e-30, 3)
     assert not stats.converged
     assert stats.iterations == 3
     assert stats.certificate == pytest.approx(0.5 * np.sum((B @ t - g) ** 2), rel=1e-8)
@@ -79,7 +89,7 @@ def test_cg_certificate_respects_threshold():
     B = _random_spd(rng, 40)
     g = rng.standard_normal(40)
     beta = 1e-6
-    t, stats = solve_cg(LinearSubproblem(B, g), beta, CAP)
+    t, stats = solve_cg(_system(B, g), beta, CAP)
     assert 0.5 * np.sum((B @ t - g) ** 2) <= beta
 
 
@@ -90,7 +100,7 @@ def test_cg_rigorous_mode_tightens_threshold():
     g = rng.standard_normal(15)
     beta = 1e-4
     # the rigorous tolerance beta * lambda_min(B), which compute_update sets
-    t, stats = solve_cg(LinearSubproblem(B, g), beta * lam_min, CAP)
+    t, stats = solve_cg(_system(B, g), beta * lam_min, CAP)
     # the certified residual bounds the model gap: V(t) - V(t*) <= beta
     t_star = np.linalg.solve(B, g)
     gap = 0.5 * float(t @ B @ t) - g @ t - (0.5 * float(t_star @ B @ t_star) - g @ t_star)
@@ -136,7 +146,7 @@ def test_ichol_shifts_up_to_the_mean_diagonal():
     L = incomplete_cholesky(sp.csc_matrix(P), drop_tol=0.1)
     assert np.all(L.diagonal() > 0)
     g = rng.standard_normal(30)
-    t, stats = solve_pcg(LinearSubproblem(P, g), _TriangularPreconditioner(L), 1e-20, CAP)
+    t, stats = solve_pcg(_system(P, g), _TriangularPreconditioner(L), 1e-20, CAP)
     assert stats.converged
     assert np.allclose(t, np.linalg.solve(P, g), rtol=1e-8)
 
@@ -149,14 +159,14 @@ def test_pcg_exact_preconditioner_one_iteration():
     B = _random_spd(rng, 10)
     L = np.linalg.cholesky(B)
     g = rng.standard_normal(10)
-    t, stats = solve_pcg(LinearSubproblem(B, g), _TriangularPreconditioner(L), 1e-20, CAP)
+    t, stats = solve_pcg(_system(B, g), _TriangularPreconditioner(L), 1e-20, CAP)
     assert stats.iterations <= 1
     assert np.allclose(t, np.linalg.solve(B, g), atol=1e-10)
 
 
 def test_pcg_zero_rhs():
     identity = _TriangularPreconditioner(sp.eye(3, format="csc"))
-    t, stats = solve_pcg(LinearSubproblem(np.eye(3), np.zeros(3)), identity, 0.0, CAP)
+    t, stats = solve_pcg(_system(np.eye(3), np.zeros(3)), identity, 0.0, CAP)
     assert np.array_equal(t, np.zeros(3))
     assert stats.iterations == 0
 
@@ -167,7 +177,7 @@ def test_pcg_matches_cg_solution():
     B = P + 0.05 * _random_spd(rng, 25, shift=0.0)
     g = rng.standard_normal(25)
     L = incomplete_cholesky(sp.csc_matrix(P), drop_tol=0.0)
-    t_pcg, _ = solve_pcg(LinearSubproblem(B, g), _TriangularPreconditioner(L), 1e-24, CAP)
+    t_pcg, _ = solve_pcg(_system(B, g), _TriangularPreconditioner(L), 1e-24, CAP)
     exact = np.linalg.solve(B, g)
     assert np.linalg.norm(t_pcg - exact) <= 1e-8 * np.linalg.norm(exact)
 
@@ -175,7 +185,7 @@ def test_pcg_matches_cg_solution():
 def test_pcg_identity_preconditioner_is_cg():
     rng = np.random.default_rng(9)
     n = 20
-    prob = LinearSubproblem(_random_spd(rng, n), rng.standard_normal(n))
+    prob = _system(_random_spd(rng, n), rng.standard_normal(n))
     t_cg, s_cg = solve_cg(prob, 1e-20, CAP)
     identity = _TriangularPreconditioner(sp.eye(n, format="csc"))
     t_pcg, s_pcg = solve_pcg(prob, identity, 1e-20, CAP)
@@ -218,13 +228,13 @@ def test_preconditioner_apply_matches_triangular_solves(dense):
 
 
 def test_exact_cholesky_diagonal():
-    t, _ = solve_exact_cholesky(np.diag([2.0, 1.0]), np.array([-2.0, -1.0]))
+    t, _ = solve_exact_cholesky(_metric(np.diag([2.0, 1.0])), 0, np.array([-2.0, -1.0]))
     assert np.allclose(t, [-1.0, -1.0])
 
 
 def test_exact_cholesky_identity():
     g = np.array([3.0, -1.0, 0.5])
-    t, _ = solve_exact_cholesky(np.eye(3), g)
+    t, _ = solve_exact_cholesky(_metric(np.eye(3)), 0, g)
     assert np.allclose(t, g)
 
 
@@ -232,14 +242,16 @@ def test_exact_cholesky_matches_cg():
     rng = np.random.default_rng(8)
     B = _random_spd(rng, 30)
     g = rng.standard_normal(30)
-    t_chol, _ = solve_exact_cholesky(B, g)
-    t_cg, _ = solve_cg(LinearSubproblem(B, g), 1e-24, CAP)
+    t_chol, _ = solve_exact_cholesky(_metric(B), 0, g)
+    t_cg, _ = solve_cg(_system(B, g), 1e-24, CAP)
     assert np.linalg.norm(t_chol - t_cg) <= 1e-8 * np.linalg.norm(t_chol)
 
 
 def test_exact_cholesky_rejects_indefinite():
-    with pytest.raises((ValueError, np.linalg.LinAlgError, RuntimeError)):
-        solve_exact_cholesky(np.diag([1.0, -1.0]), np.ones(2))
+    # a CSR block is factored on each call, so its factorization can fail there
+    B = sp.csr_matrix(np.diag([1.0, -1.0]))
+    with pytest.raises(ValueError, match="not positive definite"):
+        solve_exact_cholesky(_metric(B), 0, np.ones(2))
 
 
 # ------------------------------------------------------ prox operators

@@ -1,5 +1,7 @@
 """Composite objective: values, gradients, per-block model, and updates."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -262,3 +264,47 @@ def test_rank_deficient_block_gets_regularized_metric():
     B = metric.operators[0]
     B = B.toarray() if sp.issparse(B) else np.asarray(B)
     assert np.linalg.eigvalsh(B).min() > 0
+
+
+def test_metric_keeps_one_factor_per_block(monkeypatch):
+    # one factorization per block, a second when the rank check fails; the
+    # kept factor reproduces B_i, shifted where the block is rank-deficient
+    rng = np.random.default_rng(13)
+    A = rng.standard_normal((8, 18))
+    A[:, 5] = 0.0  # block 1: tall, rank-deficient
+    A[:, 16:] = 0.0  # block 3: all zero
+    smooth = QuadraticSmooth(sp.csc_matrix(A), np.zeros(8), BlockPartition((3, 3, 10, 2)))
+    calls = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda B: calls.append(B.shape) or cholesky(B))
+    metric = quadratic_metric(smooth)
+    assert calls == [(3, 3), (3, 3), (3, 3), (10, 10), (2, 2)]
+    shifted = [False, True, True, False]
+    for i, B in enumerate(metric.operators):
+        Ai = A[:, smooth.partition.range(i)]
+        eps = 1e-8 * float((Ai * Ai).sum()) / Ai.shape[1] if shifted[i] else 0.0
+        expected = Ai.T @ Ai + eps * np.eye(Ai.shape[1])
+        np.testing.assert_allclose(B, expected, rtol=0.0, atol=1e-12 * np.abs(expected).max())
+        assert metric.stored[i].flags.f_contiguous
+        t = rng.standard_normal(Ai.shape[1])
+        np.testing.assert_allclose(metric.apply(i, t), B @ t, rtol=1e-12, atol=1e-12)
+    assert not metric.operators[3].any()
+
+
+def test_metric_build_holds_one_dense_block_at_a_time():
+    # the metric keeps n factors; building it block by block adds at most a
+    # few blocks' worth on top, where forming every B_i first would add n
+    n, Ni = 8, 200
+    A = np.random.default_rng(14).standard_normal((300, n * Ni))
+    smooth = QuadraticSmooth(A, np.zeros(300), BlockPartition((Ni,) * n))
+    block = Ni * Ni * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        metric = quadratic_metric(smooth)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(metric.stored) == n
+    assert abs((kept - base) / block - n) <= 0.5
+    assert (peak - kept) / block <= 3.0
