@@ -29,6 +29,8 @@ __all__ = [
 ]
 
 SPECTRUM_DIM_CAP = 500
+# spectrum_report counts an eigenvalue within this of 0 or 1 as equal to it
+UNIT_TOL = 1e-8
 
 
 class BlockAngularMatrix:
@@ -185,7 +187,6 @@ def spectrum_report(
     i: int,
     which: str,
     rho_shift: float = 0.5,
-    unit_tol: float = 1e-8,
 ) -> SpectrumReport:
     """Eigenvalues and classification of the preconditioned block operator.
 
@@ -217,9 +218,9 @@ def spectrum_report(
         vals = scipy.linalg.eigh(B, P, eigvals_only=True)
         rep.eigenvalues = vals
         rep.counts = {
-            "equal_one": int(np.sum(np.abs(vals - 1.0) <= unit_tol)),
-            "greater_one": int(np.sum(vals > 1.0 + unit_tol)),
-            "less_one": int(np.sum(vals < 1.0 - unit_tol)),
+            "equal_one": int(np.sum(np.abs(vals - 1.0) <= UNIT_TOL)),
+            "greater_one": int(np.sum(vals > 1.0 + UNIT_TOL)),
+            "less_one": int(np.sum(vals < 1.0 - UNIT_TOL)),
         }
         # trace identity via D = Z C and the thin QR of C
         Z, res, *_ = np.linalg.lstsq(C.T, D.T, rcond=None)
@@ -239,8 +240,8 @@ def spectrum_report(
         vals = scipy.linalg.eigh(P, Phat, eigvals_only=True)
         rep.eigenvalues = vals
         rep.counts = {
-            "zero": int(np.sum(np.abs(vals) <= unit_tol)),
-            "positive": int(np.sum(vals > unit_tol)),
+            "zero": int(np.sum(np.abs(vals) <= UNIT_TOL)),
+            "positive": int(np.sum(vals > UNIT_TOL)),
         }
         return rep
 
@@ -263,13 +264,13 @@ def spectrum_report(
         rep.trace_rhs = rhs
         upper = 1.0 + lhs
         rep.trace_bound = upper
-        ztol = unit_tol * max(1.0, float(np.abs(vals).max()) if vals.size else 1.0)
+        ztol = UNIT_TOL * max(1.0, float(np.abs(vals).max()) if vals.size else 1.0)
         rep.counts = {
             "zero": int(np.sum(np.abs(vals) <= ztol)),
-            "in_zero_one": int(np.sum((vals > ztol) & (vals < 1.0 - unit_tol))),
-            "equal_one": int(np.sum(np.abs(vals - 1.0) <= unit_tol)),
-            "greater_one": int(np.sum(vals > 1.0 + unit_tol)),
-            "above_bound": int(np.sum(vals > upper + unit_tol)),
+            "in_zero_one": int(np.sum((vals > ztol) & (vals < 1.0 - UNIT_TOL))),
+            "equal_one": int(np.sum(np.abs(vals - 1.0) <= UNIT_TOL)),
+            "greater_one": int(np.sum(vals > 1.0 + UNIT_TOL)),
+            "above_bound": int(np.sum(vals > upper + UNIT_TOL)),
         }
         return rep
 

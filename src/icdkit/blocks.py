@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg.blas import dtrmv
 
 __all__ = [
@@ -63,8 +62,7 @@ class BlockMetric:
     paper; only the product enters the model, and it is stored here).
 
     objective.quadratic_metric builds it and keeps each block as the solver
-    reads it: the F-ordered upper Cholesky factor U_i of B_i = U_i^T U_i, or,
-    for a sparse block too wide to factor once, B_i itself as CSR.
+    reads it: the F-ordered upper Cholesky factor U_i of B_i = U_i^T U_i.
     """
 
     def __init__(self, stored):
@@ -73,13 +71,11 @@ class BlockMetric:
     @property
     def operators(self) -> list:
         """Every B_i, rebuilt from its factor; for readers off the hot path."""
-        return [S if sp.issparse(S) else S.T @ S for S in self.stored]
+        return [U.T @ U for U in self.stored]
 
     def apply(self, i: int, t: np.ndarray) -> np.ndarray:
-        S = self.stored[i]
-        if sp.issparse(S):
-            return S @ t
-        return dtrmv(S, dtrmv(S, t), trans=1, overwrite_x=1)
+        U = self.stored[i]
+        return dtrmv(U, dtrmv(U, t), trans=1, overwrite_x=1)
 
 
 @dataclass(frozen=True)

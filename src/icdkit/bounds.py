@@ -215,7 +215,8 @@ THEOREMS = {
 def mu_quadratic(objective: CompositeObjective, weights: WeightVector) -> float:
     """Strong convexity parameter of the quadratic smooth part relative to
     the weighted block norm: the smallest generalized eigenvalue of
-    A^T A v = mu * blockdiag(w_i B_i) v, by a dense eigensolve."""
+    A^T A v = mu * blockdiag(w_i B_i) v, by a dense eigensolve for that
+    eigenvalue alone."""
     p = objective.partition
     if p.N > EIGENSOLVE_DIM_CAP:
         raise ValueError(
@@ -226,9 +227,8 @@ def mu_quadratic(objective: CompositeObjective, weights: WeightVector) -> float:
     H = (A.T @ A).toarray() if sp.issparse(A) else A.T @ A
     Bw = np.zeros((p.N, p.N))
     for i, B in enumerate(objective.metric.operators):
-        dense = B.toarray() if sp.issparse(B) else np.asarray(B)
         sl = p.range(i)
-        Bw[sl, sl] = weights.w[i] * dense
-    vals = scipy.linalg.eigh(H, Bw, eigvals_only=True)
+        Bw[sl, sl] = weights.w[i] * B
+    vals = scipy.linalg.eigh(H, Bw, eigvals_only=True, subset_by_index=[0, 0])
     return float(vals[0])
 

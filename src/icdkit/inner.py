@@ -27,7 +27,7 @@ from enum import Enum
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve
 
 __all__ = [
     "LinearSubproblem",
@@ -231,14 +231,8 @@ def solve_pcg(
 
 def solve_exact_cholesky(metric, i: int, g: np.ndarray) -> tuple[np.ndarray, SolveStats]:
     """Exact solve of B_i t = g: two triangular solves with block i's kept
-    Cholesky factor; a block the metric keeps as CSR is factored per call."""
-    U = metric.stored[i]
-    if sp.issparse(U):
-        try:
-            U, _ = cho_factor(U.toarray(), check_finite=False)
-        except MemoryError as e:
-            raise RuntimeError("out of memory forming the Cholesky factor") from e
-    t = cho_solve((U, False), g, check_finite=False)
+    Cholesky factor."""
+    t = cho_solve((metric.stored[i], False), g, check_finite=False)
     res = _half_sq(metric.apply(i, t) - g)
     return t, SolveStats(1, res, StopMode.RESIDUAL_SQUARED)
 

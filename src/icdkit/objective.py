@@ -2,7 +2,8 @@
 
 f(x) = 1/2 ||A x - b||^2 with A sparse or dense, and Psi block separable
 (zero, l1 or group lasso). The natural metric for the quadratic is
-B_i = A_i^T A_i, which makes the per-block model an exact upper bound.
+B_i = A_i^T A_i, which makes the per-block model an exact upper bound;
+each block keeps it as one Cholesky factor, formed once.
 The residual r = A x - b is maintained incrementally so a block update
 costs O(nnz(A_i)).
 """
@@ -103,39 +104,39 @@ class SeparableRegularizer:
         return self.block_weight(i) * float(np.linalg.norm(v))
 
 
-# A sparse block's B_i is kept as CSR above this many columns, and
-# factored on each exact solve; every other block keeps its factor.
-_DENSE_METRIC_CAP = 600
-
-
 def quadratic_metric(smooth: QuadraticSmooth) -> BlockMetric:
     """Build the exact metric B_i = A_i^T A_i for a quadratic.
 
-    A rank-deficient block gets B_i = A_i^T A_i + eps*I with
-    eps = 1e-8 * ||A_i||_F^2 / N_i, which keeps B_i SPD at the cost of a
-    strict (rather than exact) overapproximation.
+    Each block keeps its Cholesky factor, 8 * N_i^2 bytes; a block whose
+    factor does not fit in memory is a ValueError that names it. A
+    rank-deficient block gets B_i = A_i^T A_i + eps*I with
+    eps = 1e-8 * trace(A_i^T A_i) / N_i, which keeps B_i SPD at the cost of
+    a strict (rather than exact) overapproximation.
     """
-    return BlockMetric([_block_metric(Ai) for Ai in smooth.blocks])
+    stored = []
+    for i, Ai in enumerate(smooth.blocks):
+        try:
+            stored.append(_block_metric(Ai))
+        except MemoryError as e:
+            raise ValueError(
+                f"out of memory forming the Cholesky factor of block {i} "
+                f"({Ai.shape[1]} columns)"
+            ) from e
+    return BlockMetric(stored)
 
 
 def _block_metric(Ai):
-    """Block i's kept metric: the factor U_i its Cholesky rank check gives, or
-    a wide sparse block's CSR B_i. One block per call: one dense B_i at a time."""
+    """Block i's kept metric: the factor U_i its Cholesky rank check gives.
+    One block per call: one dense B_i at a time."""
     Ni = Ai.shape[1]
-    if sp.issparse(Ai):
-        fro2 = float(Ai.multiply(Ai).sum())
-    else:
-        fro2 = float((Ai * Ai).sum())
-    eps = 1e-8 * fro2 / Ni
-    B = Ai.T @ Ai  # CSR for a CSC A_i
-    if sp.issparse(B) and Ni > _DENSE_METRIC_CAP:
-        return B + eps * sp.eye(Ni, format="csr") if Ai.shape[0] < Ni else B
-    B = B.toarray() if sp.issparse(B) else B
+    B = Ai.T @ Ai
+    B = B.toarray() if sp.issparse(Ai) else B
     if Ai.shape[0] >= Ni:
         try:
             return np.linalg.cholesky(B).T  # L is C-ordered, so U_i = L^T is F-ordered
         except np.linalg.LinAlgError:
             pass
+    eps = 1e-8 * float(np.trace(B)) / Ni
     B[np.diag_indices(Ni)] += eps
     # eps = 0 only for an all-zero block, whose B_i = 0 is its own factor
     return np.linalg.cholesky(B).T if eps > 0 else B.T

@@ -216,11 +216,7 @@ def test_criterion_4_monte_carlo_bound_validity():
     )
     assert bound.feasible
     # rigorous inner stopping certifies the model gap itself
-    lam_mins = []
-    for i in range(n):
-        B = obj.metric.operators[i]
-        B = B.toarray() if sp.issparse(B) else B
-        lam_mins.append(float(np.linalg.eigvalsh(B).min()))
+    lam_mins = [float(np.linalg.eigvalsh(B).min()) for B in obj.metric.operators]
     successes = 0
     for seed in range(200):
         res = icd_run(

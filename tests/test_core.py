@@ -21,7 +21,6 @@ from icdkit.core import (
     sample_block,
 )
 from icdkit.objective import (
-    _DENSE_METRIC_CAP,
     CompositeObjective,
     QuadraticSmooth,
     SeparableRegularizer,
@@ -169,17 +168,23 @@ def test_update_certificate_within_budget():
     assert obj.model_value(state, 0, t) <= obj.model_value(state, 0, np.zeros(4)) + 1e-12
 
 
-def test_update_on_a_csr_metric_block_exact_and_tight_cg_agree():
-    # a sparse block wider than the dense cap keeps B_i as CSR; the exact
-    # path densifies it per update, CG applies it as it is
+def _wide_sparse_objective():
+    # one sparse 1400x700 block of full column rank
     rng = np.random.default_rng(11)
-    N = _DENSE_METRIC_CAP + 100
+    N = 700
     R = sp.random(N, N, density=0.01, random_state=rng)
-    A = sp.vstack([sp.eye(N), R], format="csc")  # full column rank
+    A = sp.vstack([sp.eye(N), R], format="csc")
     smooth = QuadraticSmooth(A, rng.standard_normal(2 * N), BlockPartition((N,)))
-    obj = CompositeObjective(smooth)
-    assert sp.issparse(obj.metric.operators[0])
-    state = obj.start(np.zeros(N))
+    return CompositeObjective(smooth)
+
+
+def test_update_on_a_wide_sparse_block_exact_and_tight_cg_agree():
+    # a wide sparse block keeps its factor like any other; the exact path
+    # solves with it and CG applies it
+    obj = _wide_sparse_objective()
+    U = obj.metric.stored[0]
+    assert isinstance(U, np.ndarray) and U.shape == (700, 700) and U.flags.f_contiguous
+    state = obj.start(np.zeros(700))
     t_exact, _, _ = compute_update(obj, state, 0, 0.0, SolverConfig(method="exact"))
     t_cg, stats, fallback = compute_update(obj, state, 0, 1e-16, SolverConfig(method="cg"))
     assert stats.converged and not fallback
@@ -418,8 +423,9 @@ def test_run_rejects_per_block_solver_lists_of_another_length():
 
 def test_run_exact_factors_no_block(monkeypatch):
     # B_i is fixed for the run: each block's Cholesky factor is formed once,
-    # with the metric, and an exact update only solves with it
-    obj, x0, _ = _pcg_problem()
+    # with the metric, and an exact update only solves with it, however wide
+    generated, x0, _ = _pcg_problem()
+    problems = [(generated, x0), (_wide_sparse_objective(), np.zeros(700))]
     factored = []
 
     def counting(fn):
@@ -428,13 +434,18 @@ def test_run_exact_factors_no_block(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    # scipy's cholesky and cho_factor both factor through _cholesky, under
+    # whatever name a caller imported them
+    cholesky_module = scipy.linalg._decomp_cholesky
     monkeypatch.setattr(np.linalg, "cholesky", counting(np.linalg.cholesky))
-    monkeypatch.setattr(scipy.linalg, "cho_factor", counting(scipy.linalg.cho_factor))
-    monkeypatch.setattr(inner, "cho_factor", counting(inner.cho_factor))
-    res = icd_run(obj, x0, InexactnessPolicy(), SamplingLaw.uniform(3, seed=0),
-                  SolverConfig(method="exact"), max_block_updates=30)
-    assert res.block_updates == 30
-    assert all(r.certificate_mode == "residual_squared" for r in res.records)
+    monkeypatch.setattr(cholesky_module, "_cholesky", counting(cholesky_module._cholesky))
+    for obj, x0 in problems:
+        n = obj.partition.n
+        res = icd_run(obj, x0, InexactnessPolicy(), SamplingLaw.uniform(n, seed=0),
+                      SolverConfig(method="exact"), max_block_updates=30,
+                      stagnation_window=100)
+        assert res.block_updates == 30
+        assert all(r.certificate_mode == "residual_squared" for r in res.records)
     assert factored == []
 
 

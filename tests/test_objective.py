@@ -261,9 +261,7 @@ def test_rank_deficient_block_gets_regularized_metric():
     A = rng.standard_normal((3, 5))
     smooth = QuadraticSmooth(sp.csc_matrix(A), np.zeros(3), p)
     metric = quadratic_metric(smooth)
-    B = metric.operators[0]
-    B = B.toarray() if sp.issparse(B) else np.asarray(B)
-    assert np.linalg.eigvalsh(B).min() > 0
+    assert np.linalg.eigvalsh(metric.operators[0]).min() > 0
 
 
 def test_metric_keeps_one_factor_per_block(monkeypatch):
@@ -289,6 +287,23 @@ def test_metric_keeps_one_factor_per_block(monkeypatch):
         t = rng.standard_normal(Ai.shape[1])
         np.testing.assert_allclose(metric.apply(i, t), B @ t, rtol=1e-12, atol=1e-12)
     assert not metric.operators[3].any()
+
+
+def test_metric_names_the_block_whose_factor_does_not_fit(monkeypatch):
+    # running out of memory on one block's factor is an input error that
+    # names the block and its width, not a MemoryError from deep inside
+    A = np.random.default_rng(15).standard_normal((12, 9))
+    smooth = QuadraticSmooth(sp.csc_matrix(A), np.zeros(12), BlockPartition((3, 4, 2)))
+    cholesky = np.linalg.cholesky
+
+    def no_room_for_block_1(B):
+        if B.shape == (4, 4):
+            raise MemoryError
+        return cholesky(B)
+
+    monkeypatch.setattr(np.linalg, "cholesky", no_room_for_block_1)
+    with pytest.raises(ValueError, match=r"block 1 \(4 columns\)"):
+        quadratic_metric(smooth)
 
 
 def test_metric_build_holds_one_dense_block_at_a_time():
