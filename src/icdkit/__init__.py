@@ -9,7 +9,8 @@ The library is organised around a handful of small modules:
     Composite objective F = f + Psi for a sparse quadratic f, with block
     gradients, the per-block model and incremental residual updates.
 ``inner``
-    Inner solvers for the block subproblem: CG, preconditioned CG,
+    Inner solvers for the block subproblem, all reading block i's model
+    through one ``LinearSubproblem``: CG, preconditioned CG,
     incomplete/exact Cholesky, and one proximal-gradient loop for the l1
     and group-lasso blocks that terminates on the duality gap.
 ``core``

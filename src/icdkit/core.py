@@ -214,14 +214,13 @@ def compute_update(
     if kind is RegularizerKind.ZERO and not np.any(grad):
         return np.zeros(Ni), SolveStats(0, 0.0, StopMode.RESIDUAL_SQUARED, True), False
 
+    prob = LinearSubproblem(objective.metric, i, -grad)
     if kind is RegularizerKind.ZERO:
-        g = -grad
         method = solver.method if delta > 0 else "exact"
         if method == "exact":
-            t, stats = solve_exact_cholesky(objective.metric, i, g)
+            t, stats = solve_exact_cholesky(prob)
         else:
             tol = delta * solver.lambda_min_estimates[i] if solver.rigorous else delta
-            prob = LinearSubproblem(objective.metric, i, g)
             if method == "cg":
                 t, stats = solve_cg(prob, tol, solver.max_inner_iters)
             else:
@@ -232,8 +231,8 @@ def compute_update(
         # looked up at call time, so a wrapper installed on this module sees it
         solve = solve_l1_subproblem if kind is RegularizerKind.L1 else solve_group_subproblem
         t, stats = solve(
-            objective.smooth.blocks[i],
-            state.r,
+            prob,
+            state.f_value(),
             block_view(state.x, i, objective.partition),
             objective.reg.block_weight(i),
             beta=delta,

@@ -1,12 +1,14 @@
 """Inner solvers for the per-block update subproblem.
 
-Smooth blocks reduce to the SPD system B_i t = -(1/l_i) grad_i f, solved by
-CG or by two triangular solves with the Cholesky factor the metric keeps.
-CG and preconditioned CG share one Krylov loop: CG is PCG with M = I. The l1
-and group-lasso blocks share one proximal-gradient loop with a
-duality-gap stopping test; only the proximal map, the penalty norm and
-its dual norm differ (soft threshold, l1, l-inf; group soft threshold,
-l2, l2).
+Every solver reads block i through one LinearSubproblem: B_i, applied with
+the Cholesky factor the metric keeps, and g = -grad_i f. Smooth blocks
+solve B_i t = g, by CG or by two triangular solves with that factor. CG
+and preconditioned CG share one Krylov loop: CG is PCG with M = I. The l1
+and group-lasso blocks share one proximal-gradient loop on the model
+<grad_i f, t> + 1/2 <B_i t, t> + Psi_i(x^(i) + t), one product with B_i per
+iterate, with a duality-gap stopping test; only the proximal map, the
+penalty norm and its dual norm differ (soft threshold, l1, l-inf; group
+soft threshold, l2, l2).
 
 The linear-path certificate is the squared normal-equation residual
 1/2 ||B_i t - g||^2 <= beta. The model gap it must control is
@@ -45,7 +47,11 @@ __all__ = [
 
 
 class LinearSubproblem:
-    """SPD system B_i t = g, with B_i block i of a BlockMetric."""
+    """Block i's model data: B_i of a BlockMetric and g = -grad_i f.
+
+    The linear solvers solve B_i t = g; the proximal solvers minimize
+    -<g, t> + 1/2 <B_i t, t> + Psi_i(x^(i) + t).
+    """
 
     def __init__(self, metric, i: int, g: np.ndarray):
         self.metric = metric
@@ -229,11 +235,11 @@ def solve_pcg(
     return _krylov(prob, precond.apply, tol, max_iters)
 
 
-def solve_exact_cholesky(metric, i: int, g: np.ndarray) -> tuple[np.ndarray, SolveStats]:
+def solve_exact_cholesky(prob: LinearSubproblem) -> tuple[np.ndarray, SolveStats]:
     """Exact solve of B_i t = g: two triangular solves with block i's kept
     Cholesky factor."""
-    t = cho_solve((metric.stored[i], False), g, check_finite=False)
-    res = _half_sq(metric.apply(i, t) - g)
+    t = cho_solve((prob.metric.stored[prob.i], False), prob.g, check_finite=False)
+    res = _half_sq(prob.apply(t) - prob.g)
     return t, SolveStats(1, res, StopMode.RESIDUAL_SQUARED)
 
 
@@ -255,31 +261,18 @@ def group_soft_threshold(v: np.ndarray, tau: float) -> np.ndarray:
     return (1.0 - tau / nrm) * v
 
 
-def _dual_gap(
-    res: np.ndarray, grad: np.ndarray, c: np.ndarray, y: np.ndarray, weight: float, order, dual_order
-) -> float:
-    """Duality gap for min_y 1/2||A y - c||^2 + weight ||y||_order at the point y,
-    given its residual res = A y - c and grad = A^T res.
-
-    The dual point is the residual scaled into the dual_order-norm ball of
-    radius weight.
-    """
-    primal = _half_sq(res) + weight * float(np.linalg.norm(y, order))
-    grad_dual = float(np.linalg.norm(grad, dual_order))
-    s = 1.0 if grad_dual <= weight else weight / grad_dual
-    nu = s * res
-    dual = -_half_sq(nu) - float(nu @ c)
-    return primal - dual
+POWER_ITERS = 30  # power iterations of estimate_operator_norm_sq
+POWER_SEED = 0  # seed of its random start vector
 
 
-def estimate_operator_norm_sq(Ai, iters: int = 30, seed: int = 0) -> float:
+def estimate_operator_norm_sq(A) -> float:
     """Power-iteration estimate of ||A||^2 with a 1.05 safety factor."""
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(Ai.shape[1])
+    rng = np.random.default_rng(POWER_SEED)
+    v = rng.standard_normal(A.shape[1])
     v /= np.linalg.norm(v)
     est = 1.0
-    for _ in range(iters):
-        u = Ai.T @ (Ai @ v)
+    for _ in range(POWER_ITERS):
+        u = A.T @ (A @ v)
         nrm = float(np.linalg.norm(u))
         if nrm == 0:
             return 1.0
@@ -289,61 +282,69 @@ def estimate_operator_norm_sq(Ai, iters: int = 30, seed: int = 0) -> float:
 
 
 def _prox_gradient(
-    Ai, r, x_i, weight, beta, max_iters, lipschitz, prox, order, dual_order
+    prob, f_x, x_i, weight, beta, max_iters, lipschitz, prox, order, dual_order
 ) -> tuple[np.ndarray, SolveStats]:
-    """Proximal gradient on 1/2||A_i t + r||^2 + weight ||x_i + t||_order.
+    """Proximal gradient on V(t) = f_x - <g, t> + 1/2 <B t, t> + weight ||x_i + t||_order,
+    with B and g = -grad_i f from prob and f_x = f(x) = 1/2||r||^2.
 
-    Works in y = x_i + t, so the problem reads
-    min_y 1/2||A_i y - c||^2 + weight ||y||_order with c = A_i x_i - r, and
-    terminates when the duality gap at y falls below beta. prox(v, s) is
-    the proximal map of s ||.||_order; the step is 1/lipschitz, with
-    lipschitz >= ||A_i||^2. Each iterate's residual A_i y - c
-    and gradient A_i^T (A_i y - c) serve both its gap and the next step.
+    Works in y = x_i + t, one prob.apply per iterate for the gradient
+    B t - g. Stops once the duality gap
+    1/2 (1-s)^2 ||res||^2 + s <y, grad> + weight ||y||_order falls below beta,
+    with ||res||^2 = 2 f_x + <t, B t - 2 g> and s <= 1 the largest scale
+    that puts s * grad in the dual_order-norm ball of radius weight. That
+    is the gap of min_y 1/2||A t + r||^2 + weight ||y||_order at the dual
+    point s * res for any A, r with B = A^T A, A^T r = -g and 1/2||r||^2 = f_x
+    ([A_i; sqrt(eps) I] and [r; 0] for a shifted B), so it bounds
+    V(t) - min V. prox(v, s) is the proximal map of s ||.||_order; the step
+    is 1/lipschitz, with lipschitz >= ||B||.
     """
     if beta <= 0:
         raise ValueError("beta must be positive for the duality-gap test")
-    c = Ai @ x_i - r
     step = 1.0 / lipschitz
     y = np.array(x_i, dtype=float, copy=True)
     k = 0
     while True:
-        res = Ai @ y - c
-        grad = Ai.T @ res
-        gap = _dual_gap(res, grad, c, y, weight, order, dual_order)
+        t = y - x_i
+        grad = prob.apply(t) - prob.g
+        res_sq = 2.0 * f_x + float(t @ (grad - prob.g))
+        grad_dual = float(np.linalg.norm(grad, dual_order))
+        s = 1.0 if grad_dual <= weight else weight / grad_dual
+        gap = 0.5 * (1.0 - s) ** 2 * res_sq + s * float(y @ grad)
+        gap += weight * float(np.linalg.norm(y, order))
         if not gap > beta or k >= max_iters:
-            return y - x_i, SolveStats(k, gap, StopMode.DUALITY_GAP, gap <= beta)
+            return t, SolveStats(k, gap, StopMode.DUALITY_GAP, gap <= beta)
         y = prox(y - step * grad, weight * step)
         k += 1
 
 
 def solve_l1_subproblem(
-    Ai,
-    r: np.ndarray,
+    prob: LinearSubproblem,
+    f_x: float,
     x_i: np.ndarray,
     lam: float,
     beta: float,
     max_iters: int,
     lipschitz: float,
 ) -> tuple[np.ndarray, SolveStats]:
-    """Proximal gradient on V_i(t) = 1/2||A_i t + r||^2 + lam||x_i + t||_1,
+    """Proximal gradient on V_i(t) = f_x - <g, t> + 1/2 <B t, t> + lam||x_i + t||_1,
     stopped when the duality gap falls below beta."""
     if lam <= 0:
         raise ValueError("lam must be positive; use the linear path for lam=0")
     return _prox_gradient(
-        Ai, r, x_i, lam, beta, max_iters, lipschitz, soft_threshold, 1, np.inf
+        prob, f_x, x_i, lam, beta, max_iters, lipschitz, soft_threshold, 1, np.inf
     )
 
 
 def solve_group_subproblem(
-    Ai,
-    r: np.ndarray,
+    prob: LinearSubproblem,
+    f_x: float,
     x_i: np.ndarray,
     tau: float,
     beta: float,
     max_iters: int,
     lipschitz: float,
 ) -> tuple[np.ndarray, SolveStats]:
-    """Proximal gradient on 1/2||A_i t + r||^2 + tau||x_i + t||_2.
+    """Proximal gradient on V_i(t) = f_x - <g, t> + 1/2 <B t, t> + tau||x_i + t||_2.
 
     Same scheme as the l1 solver with the group soft-threshold proximal
     map; tau already includes the group weight (lam * sqrt(d_i)).
@@ -351,5 +352,5 @@ def solve_group_subproblem(
     if tau <= 0:
         raise ValueError("tau must be positive; use the linear path otherwise")
     return _prox_gradient(
-        Ai, r, x_i, tau, beta, max_iters, lipschitz, group_soft_threshold, 2, 2
+        prob, f_x, x_i, tau, beta, max_iters, lipschitz, group_soft_threshold, 2, 2
     )

@@ -171,15 +171,9 @@ class CompositeObjective:
         """grad_i f = A_i^T r for the quadratic."""
         return self.smooth.blocks[i].T @ state.r
 
-    def model_value(
-        self, state: "ResidualState", i: int, t: np.ndarray, grad: np.ndarray | None = None
-    ) -> float:
-        """V_i(x, t) = <grad_i f, t> + 1/2 <B_i t, t> + Psi_i(x^(i) + t).
-
-        grad, when given, is grad_i f(x), which the caller already holds.
-        """
-        if grad is None:
-            grad = self.block_gradient(state, i)
+    def model_value(self, state: "ResidualState", i: int, t: np.ndarray, grad: np.ndarray) -> float:
+        """V_i(x, t) = <grad_i f, t> + 1/2 <B_i t, t> + Psi_i(x^(i) + t),
+        with grad = grad_i f(x), which the caller already holds."""
         xi = block_view(state.x, i, self.partition)
         quad = 0.5 * float(t @ self.metric.apply(i, t))
         return float(grad @ t) + quad + self.reg.block_value(i, xi + t)

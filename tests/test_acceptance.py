@@ -328,9 +328,10 @@ def test_criterion_8_certificate_soundness():
         for k in range(steps):
             deltas, _ = delta_budget(policy, F, obj.F_star, law.p)
             i = sample_block(law, rng, k)
+            grad = obj.block_gradient(state, i)
             t, stats, fallback = compute_update(obj, state, i, float(deltas[i]), solver)
-            v_t = obj.model_value(state, i, t)
-            v_0 = obj.model_value(state, i, np.zeros(t.size))
+            v_t = obj.model_value(state, i, t, grad)
+            v_0 = obj.model_value(state, i, np.zeros(t.size), grad)
             ok = ok and v_t <= v_0 + 1e-12 * (1 + abs(v_0))
             if not fallback and stats.converged and deltas[i] > 0:
                 ok = ok and stats.certificate <= deltas[i]

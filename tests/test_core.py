@@ -165,7 +165,9 @@ def test_update_certificate_within_budget():
     t, stats, fallback = compute_update(obj, state, 0, delta, SolverConfig(method="cg"))
     assert fallback or stats.certificate <= delta
     # the B-residual certificate implies the model is no worse than vacuous
-    assert obj.model_value(state, 0, t) <= obj.model_value(state, 0, np.zeros(4)) + 1e-12
+    grad = obj.block_gradient(state, 0)
+    v_0 = obj.model_value(state, 0, np.zeros(4), grad)
+    assert obj.model_value(state, 0, t, grad) <= v_0 + 1e-12
 
 
 def _wide_sparse_objective():

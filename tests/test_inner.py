@@ -5,12 +5,11 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg import solve_triangular
 
-from icdkit.blocks import BlockMetric
+from icdkit.blocks import BlockMetric, BlockPartition
 from icdkit.inner import (
     LinearSubproblem,
     SolveStats,
     StopMode,
-    _dual_gap,
     _TriangularPreconditioner,
     estimate_operator_norm_sq,
     group_soft_threshold,
@@ -22,6 +21,7 @@ from icdkit.inner import (
     solve_l1_subproblem,
     solve_pcg,
 )
+from icdkit.objective import QuadraticSmooth, quadratic_metric
 
 
 CAP = 10_000  # SolverConfig's default inner iteration cap
@@ -39,6 +39,11 @@ def _metric(B):
 
 def _system(B, g):
     return LinearSubproblem(_metric(B), 0, g)
+
+
+def _prox_args(A, r):
+    """Block model of 1/2||A t + r||^2 as the prox solvers read it, and f_x = 1/2||r||^2."""
+    return _system(A.T @ A, -A.T @ r), 0.5 * float(r @ r)
 
 
 # ---------------------------------------------------------------- CG
@@ -229,13 +234,13 @@ def test_preconditioner_apply_matches_triangular_solves(dense):
 
 
 def test_exact_cholesky_diagonal():
-    t, _ = solve_exact_cholesky(_metric(np.diag([2.0, 1.0])), 0, np.array([-2.0, -1.0]))
+    t, _ = solve_exact_cholesky(_system(np.diag([2.0, 1.0]), np.array([-2.0, -1.0])))
     assert np.allclose(t, [-1.0, -1.0])
 
 
 def test_exact_cholesky_identity():
     g = np.array([3.0, -1.0, 0.5])
-    t, _ = solve_exact_cholesky(_metric(np.eye(3)), 0, g)
+    t, _ = solve_exact_cholesky(_system(np.eye(3), g))
     assert np.allclose(t, g)
 
 
@@ -243,7 +248,7 @@ def test_exact_cholesky_matches_cg():
     rng = np.random.default_rng(8)
     B = _random_spd(rng, 30)
     g = rng.standard_normal(30)
-    t_chol, _ = solve_exact_cholesky(_metric(B), 0, g)
+    t_chol, _ = solve_exact_cholesky(_system(B, g))
     t_cg, _ = solve_cg(_system(B, g), 1e-24, CAP)
     assert np.linalg.norm(t_chol - t_cg) <= 1e-8 * np.linalg.norm(t_chol)
 
@@ -277,20 +282,18 @@ def test_operator_norm_estimate_upper_bounds():
 
 def test_l1_scalar_case():
     # min 1/2 (t + 1)^2 + 0.5 |t|: optimum at soft_threshold(-1, 0.5) = -0.5
-    t, stats = solve_l1_subproblem(
-        np.array([[1.0]]), np.array([1.0]), np.array([0.0]), 0.5, 1e-14, CAP, lipschitz=1.0
-    )
+    prob, f_x = _prox_args(np.array([[1.0]]), np.array([1.0]))
+    t, stats = solve_l1_subproblem(prob, f_x, np.array([0.0]), 0.5, 1e-14, CAP, lipschitz=1.0)
     assert t[0] == pytest.approx(-0.5, abs=1e-6)
     assert stats.certificate <= 1e-14
 
 
 def test_l1_gap_zero_at_optimum():
-    # place y exactly at the known scalar optimum and check the gap
-    Ai = np.array([[1.0]])
-    c, y = np.array([-1.0]), np.array([-0.5])
-    res = Ai @ y - c
-    gap = _dual_gap(res, Ai.T @ res, c, y, 0.5, 1, np.inf)
-    assert 0.0 <= gap <= 1e-12
+    # start at the scalar optimum y = -0.5 of 1/2 (y + 1)^2 + 0.5 |y|
+    prob, f_x = _prox_args(np.array([[1.0]]), np.array([0.5]))
+    t, stats = solve_l1_subproblem(prob, f_x, np.array([-0.5]), 0.5, 1e-12, CAP, 1.0)
+    assert stats.iterations == 0 and np.array_equal(t, [0.0])
+    assert 0.0 <= stats.certificate <= 1e-12
 
 
 def test_l1_matches_long_reference_run():
@@ -303,7 +306,8 @@ def test_l1_matches_long_reference_run():
     def objective(t):
         return 0.5 * np.sum((Ai @ t + r) ** 2) + lam * np.sum(np.abs(x_i + t))
 
-    t, stats = solve_l1_subproblem(Ai, r, x_i, lam, 1e-10, CAP, estimate_operator_norm_sq(Ai))
+    prob, f_x = _prox_args(Ai, r)
+    t, stats = solve_l1_subproblem(prob, f_x, x_i, lam, 1e-10, CAP, estimate_operator_norm_sq(Ai))
     # independent long-run proximal gradient reference
     L = np.linalg.norm(Ai, 2) ** 2
     y = x_i.copy()
@@ -316,58 +320,123 @@ def test_l1_matches_long_reference_run():
 
 
 def test_l1_gap_nonnegative_along_iterates():
+    # a cap of k returns the gap at the k-th iterate
     rng = np.random.default_rng(11)
     Ai = rng.standard_normal((15, 6))
-    c = rng.standard_normal(15)
-    lam = 0.2
+    prob, f_x = _prox_args(Ai, rng.standard_normal(15))
     L = np.linalg.norm(Ai, 2) ** 2
-    y = np.zeros(6)
-    for _ in range(200):
-        res = Ai @ y - c
-        gap = _dual_gap(res, Ai.T @ res, c, y, lam, 1, np.inf)
-        assert gap >= -1e-12
-        y = soft_threshold(y - (Ai.T @ (Ai @ y - c)) / L, lam / L)
+    for k in range(200):
+        _, stats = solve_l1_subproblem(prob, f_x, np.zeros(6), 0.2, 1e-300, k, L)
+        assert stats.iterations == k
+        assert stats.certificate >= -1e-12
 
 
 def test_l1_iteration_cap_flags_not_converged():
     rng = np.random.default_rng(12)
     Ai = rng.standard_normal((20, 10))
-    t, stats = solve_l1_subproblem(
-        Ai, rng.standard_normal(20), np.zeros(10), 0.01, 1e-16, 2, estimate_operator_norm_sq(Ai)
-    )
+    prob, f_x = _prox_args(Ai, rng.standard_normal(20))
+    L = estimate_operator_norm_sq(Ai)
+    t, stats = solve_l1_subproblem(prob, f_x, np.zeros(10), 0.01, 1e-16, 2, L)
     assert not stats.converged
 
 
-class _CountingOperator:
-    """A dense matrix that counts its products with A and with A^T."""
+class _CountingSubproblem(LinearSubproblem):
+    """A LinearSubproblem that counts its products with B."""
 
-    def __init__(self, A, counts=None, transposed=False):
-        self.A, self.transposed = A, transposed
-        self.counts = counts if counts is not None else {"A": 0, "A^T": 0}
+    calls = 0
 
-    @property
-    def T(self):
-        return _CountingOperator(self.A.T, self.counts, not self.transposed)
-
-    def __matmul__(self, v):
-        self.counts["A^T" if self.transposed else "A"] += 1
-        return self.A @ v
+    def apply(self, t):
+        self.calls += 1
+        return super().apply(t)
 
 
 @pytest.mark.parametrize("solve", [solve_l1_subproblem, solve_group_subproblem])
 def test_prox_makes_one_product_pair_per_iterate(solve):
-    # c = A x_i - r takes one product; each of the k + 1 iterates takes one
-    # with A (its residual) and one with A^T (its gap and the next step)
+    # each of the k + 1 iterates takes one prob.apply, the product pair
+    # U^T (U t), for its gradient, its gap and the next step
     rng = np.random.default_rng(13)
     A = rng.standard_normal((20, 8))
     r, x_i = rng.standard_normal(20), rng.standard_normal(8)
     L = np.linalg.norm(A, 2) ** 2
-    op = _CountingOperator(A)
-    t, stats = solve(op, r, x_i, 0.1, 1e-10, CAP, L)
+    prob, f_x = _prox_args(A, r)
+    counting = _CountingSubproblem(prob.metric, 0, prob.g)
+    t, stats = solve(counting, f_x, x_i, 0.1, 1e-10, CAP, L)
     k = stats.iterations
     assert k > 1
-    assert op.counts == {"A": k + 2, "A^T": k + 1}
-    assert np.array_equal(t, solve(A, r, x_i, 0.1, 1e-10, CAP, L)[0])
+    assert counting.calls == k + 1
+    assert np.array_equal(t, solve(prob, f_x, x_i, 0.1, 1e-10, CAP, L)[0])
+
+
+def _residual_form_gap(A, r, x_i, t, weight, order, dual_order):
+    """Duality gap of min_y 1/2||A y - c||^2 + weight ||y||_order, c = A x_i - r,
+    at y = x_i + t: primal minus dual at s * res, from A and r."""
+    y = x_i + t
+    c = A @ x_i - r
+    res = A @ y - c
+    grad = A.T @ res
+    primal = 0.5 * float(res @ res) + weight * float(np.linalg.norm(y, order))
+    grad_dual = float(np.linalg.norm(grad, dual_order))
+    s = 1.0 if grad_dual <= weight else weight / grad_dual
+    nu = s * res
+    return primal - (-0.5 * float(nu @ nu) - float(nu @ c))
+
+
+@pytest.mark.parametrize(
+    "solve, order, dual_order",
+    [(solve_l1_subproblem, 1, np.inf), (solve_group_subproblem, 2, 2)],
+    ids=["l1", "group"],
+)
+@pytest.mark.parametrize("cap", [0, 3, CAP])
+def test_prox_certificate_is_the_residual_form_gap(solve, order, dual_order, cap):
+    # the certificate, read from B = A^T A and f_x = 1/2||r||^2, equals the
+    # gap recomputed from A and r in the M-long residual space
+    rng = np.random.default_rng(14)
+    A = rng.standard_normal((40, 8))
+    r, x_i = 3.0 * rng.standard_normal(40), rng.standard_normal(8)
+    weight = 0.5
+    prob, f_x = _prox_args(A, r)
+    t, stats = solve(prob, f_x, x_i, weight, 1e-10, cap, estimate_operator_norm_sq(A))
+    gap = _residual_form_gap(A, r, x_i, t, weight, order, dual_order)
+    assert abs(stats.certificate - gap) <= 1e-12 * (1.0 + f_x)
+
+
+def test_l1_certificate_bounds_the_shifted_model_of_a_rank_deficient_block():
+    # a duplicated column makes A^T A singular, so the metric keeps
+    # B = A^T A + eps I; the certificate must bound V(t) - min V for that B,
+    # the model the vacuous guard checks, not for 1/2||A t + r||^2
+    rng = np.random.default_rng(1)
+    A = rng.standard_normal((40, 8))
+    A[:, 1] = A[:, 0]
+    r, x_i = rng.standard_normal(40), rng.standard_normal(8)
+    lam = 0.5
+    metric = quadratic_metric(QuadraticSmooth(A, A @ x_i - r, BlockPartition((8,))))
+    B, grad = metric.operators[0], A.T @ r
+    eps = 1e-8 * float(np.sum(A * A)) / 8
+    assert B[0, 0] - A[:, 0] @ A[:, 0] == pytest.approx(eps, rel=1e-6)
+    f_x = 0.5 * float(r @ r)
+    prob = LinearSubproblem(metric, 0, -grad)
+    t, stats = solve_l1_subproblem(prob, f_x, x_i, lam, 1e-12, CAP, estimate_operator_norm_sq(A))
+    assert stats.converged
+
+    # min V from the optimality conditions on the support of x_i + t, checked
+    y = x_i + t
+    S, sign = y != 0, np.sign(y)
+    t_star = -x_i.copy()
+    rhs = -grad[S] - lam * sign[S] - B[np.ix_(S, ~S)] @ t_star[~S]
+    t_star[S] = np.linalg.solve(B[np.ix_(S, S)], rhs)
+    assert np.array_equal(np.sign((x_i + t_star)[S]), sign[S])
+    assert np.all(np.abs((B @ t_star + grad)[~S]) <= lam * (1 + 1e-9))
+
+    def V(t):
+        return float(grad @ t) + 0.5 * float(t @ B @ t) + lam * float(np.abs(x_i + t).sum())
+
+    tol = 1e-12 * (1.0 + f_x)
+    assert V(t) - V(t_star) <= stats.certificate + tol
+    # the certificate is the residual-form gap of the stacked factor
+    # [A; sqrt(eps) I] of B, whose residual is [A t + r; sqrt(eps) t]
+    stacked = np.vstack([A, np.sqrt(eps) * np.eye(8)])
+    gap = _residual_form_gap(stacked, np.concatenate([r, np.zeros(8)]), x_i, t, lam, 1, np.inf)
+    assert abs(stats.certificate - gap) <= tol
 
 
 # ------------------------------------------------ group subproblem
@@ -380,7 +449,8 @@ def test_group_identity_operator_is_group_soft_threshold(tau):
     r = rng.standard_normal(6)
     x_i = rng.standard_normal(6)
     beta = 1e-12
-    t, stats = solve_group_subproblem(np.eye(6), r, x_i, tau, beta, CAP, 1.0)
+    prob, f_x = _prox_args(np.eye(6), r)
+    t, stats = solve_group_subproblem(prob, f_x, x_i, tau, beta, CAP, 1.0)
     expected = group_soft_threshold(x_i - r, tau)
     assert np.allclose(x_i + t, expected, rtol=0.0, atol=1e-10)
     assert stats.converged
@@ -389,8 +459,8 @@ def test_group_identity_operator_is_group_soft_threshold(tau):
 
 
 def test_group_validates_tau_and_beta():
+    prob, f_x = _prox_args(np.eye(2), np.ones(2))
     with pytest.raises(ValueError, match="tau must be positive"):
-        solve_group_subproblem(np.eye(2), np.ones(2), np.zeros(2), 0.0, 1e-6, CAP, 1.0)
+        solve_group_subproblem(prob, f_x, np.zeros(2), 0.0, 1e-6, CAP, 1.0)
     with pytest.raises(ValueError, match="beta must be positive"):
-        solve_group_subproblem(np.eye(2), np.ones(2), np.zeros(2), 0.1, 0.0, CAP, 1.0)
-
+        solve_group_subproblem(prob, f_x, np.zeros(2), 0.1, 0.0, CAP, 1.0)

@@ -95,14 +95,16 @@ def test_block_gradient_matches_finite_differences():
 def test_model_value_at_zero_is_regularizer():
     obj = _identity_objective(SeparableRegularizer.l1(0.5))
     state = obj.start(np.array([2.0, -1.0]))
-    assert obj.model_value(state, 0, np.zeros(2)) == pytest.approx(0.5 * 3.0)
+    grad = obj.block_gradient(state, 0)
+    assert obj.model_value(state, 0, np.zeros(2), grad) == pytest.approx(0.5 * 3.0)
 
 
 def test_model_value_hand_case():
     # A = I2, b = 0, x = (1,1), t = (-1,-1): <g,t> + 1/2 |t|^2 = -2 + 1
     obj = _identity_objective()
     state = obj.start(np.array([1.0, 1.0]))
-    assert obj.model_value(state, 0, np.array([-1.0, -1.0])) == pytest.approx(-1.0)
+    grad = obj.block_gradient(state, 0)
+    assert obj.model_value(state, 0, np.array([-1.0, -1.0]), grad) == pytest.approx(-1.0)
 
 
 def test_model_value_quadratic_shift_identity():
@@ -114,7 +116,8 @@ def test_model_value_quadratic_shift_identity():
         t = rng.standard_normal(3)
         Ai = obj.smooth.blocks[i]
         direct = 0.5 * np.sum((Ai @ t + state.r) ** 2) - 0.5 * np.sum(state.r**2)
-        assert obj.model_value(state, i, t) == pytest.approx(direct, rel=1e-12, abs=1e-12)
+        grad = obj.block_gradient(state, i)
+        assert obj.model_value(state, i, t, grad) == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
 
 def test_smooth_exact_minimizer_value():
@@ -126,7 +129,7 @@ def test_smooth_exact_minimizer_value():
         g = obj.block_gradient(state, i)
         t_star = -np.linalg.solve(obj.metric.operators[i], g)
         conj_sq = float(g @ np.linalg.solve(obj.metric.operators[i], g))
-        assert obj.model_value(state, i, t_star) == pytest.approx(
+        assert obj.model_value(state, i, t_star, g) == pytest.approx(
             -conj_sq / 2, rel=1e-10, abs=1e-12
         )
 
@@ -167,7 +170,10 @@ def test_eval_H_exact_update_sandwich():
 
     def H(T):
         # H(x, T) = f(x) + sum_i V_i(x, T^(i)), through the solver's model_value
-        parts = (obj.model_value(state, i, block_view(T, i, obj.partition)) for i in range(3))
+        parts = (
+            obj.model_value(state, i, block_view(T, i, obj.partition), obj.block_gradient(state, i))
+            for i in range(3)
+        )
         return state.f_value() + sum(parts)
 
     h0, hd = H(T0), H(Td)
@@ -248,7 +254,8 @@ def test_overapproximation_property():
             psi_rest = sum(
                 o.reg.block_value(j, block_view(x, j, o.partition)) for j in range(2) if j != i
             )
-            rhs = state.f_value() + o.model_value(state, i, t) + psi_rest
+            v_t = o.model_value(state, i, t, o.block_gradient(state, i))
+            rhs = state.f_value() + v_t + psi_rest
             assert lhs_state.F_value() <= rhs + 1e-10
             if o is obj0:
                 assert lhs_state.F_value() == pytest.approx(rhs, rel=1e-10, abs=1e-10)
