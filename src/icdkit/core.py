@@ -4,17 +4,23 @@ the block subproblem, apply the update, record the iteration.
 Every accepted update is checked against the vacuous guard
 V_i(x, t) <= V_i(x, 0); a violating update is replaced by t = 0 and the
 event is logged in the iteration record.
+
+The per-update path does only the update's arithmetic: block indices are
+drawn in batches from the law's CDF (the same indices, from the same
+stream, as one ``rng.choice(n, p=p)`` per update), the budget is computed
+once per run when it cannot depend on F, and every run ends with a
+``stop_reason``.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from icdkit.blocks import block_view
 from icdkit.inner import (
     LinearSubproblem,
     SolveStats,
@@ -36,6 +42,7 @@ __all__ = [
     "check_method_fits",
     "IterationRecord",
     "RunResult",
+    "STOP_REASONS",
     "sample_block",
     "delta_budget",
     "compute_update",
@@ -81,11 +88,16 @@ class InexactnessPolicy:
 
 @dataclass(frozen=True)
 class SamplingLaw:
-    """Block sampling probabilities, or a pre-generated fixed block order."""
+    """Block sampling probabilities, or a pre-generated fixed block order.
+
+    cdf is the normalized cumulative sum of p, formed once as
+    ``rng.choice(n, p=p)`` forms it on every call.
+    """
 
     p: tuple[float, ...]
     seed: int = 0
     fixed_order: tuple[int, ...] | None = None
+    cdf: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         p = tuple(float(v) for v in self.p)
@@ -97,6 +109,9 @@ class SamplingLaw:
         if bad:
             raise ValueError(f"fixed block order: index {bad[0]} outside [0, {len(p)})")
         object.__setattr__(self, "p", p)
+        cdf = np.cumsum(p)
+        cdf /= cdf[-1]
+        object.__setattr__(self, "cdf", cdf)
 
     @classmethod
     def uniform(cls, n: int, seed: int = 0, fixed_order=None):
@@ -111,12 +126,23 @@ class SamplingLaw:
         return len(self.p)
 
 
-def sample_block(law: SamplingLaw, rng: np.random.Generator, k: int) -> int:
+# block indices icd_run draws per sample_block call: one call costs about
+# three single rng.choice calls, and a run draws at most this many unused
+_DRAW_BATCH = 1024
+
+
+def sample_block(
+    law: SamplingLaw, rng: np.random.Generator, k: int, count: int
+) -> Sequence[int]:
+    """Block indices of updates k, ..., k + count - 1.
+
+    A fixed order gives fewer once it runs out, none past its end. Random
+    draws equal ``count`` sequential ``int(rng.choice(law.n, p=law.p))``
+    calls: each consumes one uniform from rng and searches the same CDF.
+    """
     if law.fixed_order is not None:
-        if k >= len(law.fixed_order):
-            raise IndexError("fixed block-order list exhausted")
-        return law.fixed_order[k]
-    return int(rng.choice(law.n, p=law.p))
+        return law.fixed_order[k:k + count]
+    return law.cdf.searchsorted(rng.random(count), side="right").tolist()
 
 
 def delta_budget(
@@ -211,7 +237,7 @@ def compute_update(
     grad = objective.block_gradient(state, i)
     Ni = objective.partition.sizes[i]
 
-    if kind is RegularizerKind.ZERO and not np.any(grad):
+    if kind is RegularizerKind.ZERO and not grad.any():
         return np.zeros(Ni), SolveStats(0, 0.0, StopMode.RESIDUAL_SQUARED, True), False
 
     prob = LinearSubproblem(objective.metric, i, -grad)
@@ -233,7 +259,7 @@ def compute_update(
         t, stats = solve(
             prob,
             state.f_value(),
-            block_view(state.x, i, objective.partition),
+            state.x[objective.partition.range(i)],
             objective.reg.block_weight(i),
             beta=delta,
             max_iters=solver.max_inner_iters,
@@ -243,7 +269,7 @@ def compute_update(
     # vacuous guard: never accept an update worse than t = 0. V_i(x, 0) is
     # Psi_i(x^(i)), and V_i(x, t) reuses the gradient computed above.
     v_t = objective.model_value(state, i, t, grad)
-    v_0 = objective.reg.block_value(i, block_view(state.x, i, objective.partition))
+    v_0 = objective.reg.block_value(i, state.x[objective.partition.range(i)])
     if v_t > v_0 + 1e-12 * (1.0 + abs(v_0)):
         return np.zeros(Ni), stats, True
     return t, stats, False
@@ -265,12 +291,23 @@ class IterationRecord:
     inner_converged: bool = True
 
 
+STOP_REASONS = ("eps", "budget", "stagnated", "order_exhausted")
+
+
 @dataclass
 class RunResult:
+    """A run's iterate, records and end state.
+
+    stop_reason is one of STOP_REASONS: F - F* fell below eps, the update
+    budget ran out, F stagnated (no eps target), or the fixed block order
+    ran out. converged is True for the first and the third.
+    """
+
     x: np.ndarray
     records: list[IterationRecord]
     converged: bool
     F_final: float
+    stop_reason: str
 
     @property
     def block_updates(self) -> int:
@@ -298,8 +335,9 @@ def icd_run(
     """Run the inexact coordinate descent outer loop.
 
     Stops when F - F* < eps (requires a known F*), when the update budget
-    is exhausted, or on stagnation (relative F decrease below 1e-12 over
-    10*n consecutive updates when no eps target is available).
+    is exhausted, on stagnation (relative F decrease below 1e-12 over
+    10*n consecutive updates when no eps target is available), or when a
+    fixed block order runs out; RunResult.stop_reason says which.
     """
     solver = solver if solver is not None else SolverConfig()
     n = objective.partition.n
@@ -317,18 +355,34 @@ def icd_run(
     F = state.F_value()
     F_star = objective.F_star
     window = stagnation_window if stagnation_window is not None else 10 * n
+    # only these budgets, or their delta_bar check, change with F; any other
+    # is computed (and checked) once, at the first update
+    budget_tracks_F = policy.rule is DeltaRule.MULTIPLICATIVE_PLUS_ADDITIVE or (
+        policy.alpha > 0 and F_star is not None
+    )
+    deltas = None
+    batch: Sequence[int] = ()
+    batch_start = 0
     start = time.perf_counter()
     cum_inner = 0
     stagnant = 0
-    converged = eps is not None and F_star is not None and F - F_star < eps
+    stop_reason = "eps" if eps is not None and F - F_star < eps else None
     k = 0
-    while not converged and k < max_block_updates:
-        deltas, _ = delta_budget(policy, F, F_star, law.p)
-        try:
-            i = sample_block(law, rng, k)
-        except IndexError:
+    while stop_reason is None:
+        if k >= max_block_updates:
+            stop_reason = "budget"
             break
-        t, stats, fallback = compute_update(objective, state, i, float(deltas[i]), solver)
+        if deltas is None or budget_tracks_F:
+            deltas, _ = delta_budget(policy, F, F_star, law.p)
+        if k - batch_start == len(batch):
+            batch_start = k
+            batch = sample_block(law, rng, k, min(_DRAW_BATCH, max_block_updates - k))
+            if not batch:
+                stop_reason = "order_exhausted"
+                break
+        i = batch[k - batch_start]
+        delta = float(deltas[i])
+        t, stats, fallback = compute_update(objective, state, i, delta, solver)
         state.apply_update(i, t)
         F_new = state.F_value()
         cum_inner += stats.iterations
@@ -336,7 +390,7 @@ def icd_run(
             IterationRecord(
                 k=k,
                 block=i,
-                delta=float(deltas[i]),
+                delta=delta,
                 inner_iterations=stats.iterations,
                 F=F_new,
                 F_minus_Fstar=None if F_star is None else F_new - F_star,
@@ -354,8 +408,15 @@ def icd_run(
             stagnant = 0
         F = F_new
         k += 1
-        if eps is not None and F_star is not None and F - F_star < eps:
-            converged = True
-        if eps is None and stagnant >= window:
-            converged = True
-    return RunResult(x=state.x, records=records, converged=converged, F_final=F)
+        if eps is not None:
+            if F - F_star < eps:
+                stop_reason = "eps"
+        elif stagnant >= window:
+            stop_reason = "stagnated"
+    return RunResult(
+        x=state.x,
+        records=records,
+        converged=stop_reason in ("eps", "stagnated"),
+        F_final=F,
+        stop_reason=stop_reason,
+    )

@@ -18,6 +18,7 @@ import numpy as np
 from icdkit import block_angular, bounds, mmio
 from icdkit.blocks import BlockPartition
 from icdkit.core import (
+    STOP_REASONS,
     DeltaRule,
     InexactnessPolicy,
     RunResult,
@@ -233,12 +234,14 @@ class RunSummary:
     block_updates: list[int] = field(default_factory=list)
     inner_iterations: list[int] = field(default_factory=list)
     wall_times: list[float] = field(default_factory=list)
+    stop_reasons: list[str] = field(default_factory=list)
     failures: list[str] = field(default_factory=list)
 
     def add(self, result: RunResult):
         self.block_updates.append(result.block_updates)
         self.inner_iterations.append(result.inner_iterations)
         self.wall_times.append(result.wall_time_s)
+        self.stop_reasons.append(result.stop_reason)
 
     @property
     def mean_block_updates(self) -> float:
@@ -341,11 +344,16 @@ def _write_summary_csv(path, cfg, summaries):
     with open(path, "w") as fh:
         for line in cfg.echo_lines():
             fh.write(f"# {line}\n")
-        fh.write("solver,runs,mean_block_updates,mean_inner_iterations,mean_time_s,failures\n")
+        stops = [f"stop_{reason}" for reason in STOP_REASONS]
+        fh.write(
+            ",".join(["solver", "runs", "mean_block_updates", "mean_inner_iterations",
+                      "mean_time_s", *stops, "failures"]) + "\n"
+        )
         for method, s in summaries.items():
+            counts = ",".join(str(s.stop_reasons.count(reason)) for reason in STOP_REASONS)
             fh.write(
                 f"{method},{len(s.block_updates)},{s.mean_block_updates!r},"
-                f"{s.mean_inner_iterations!r},{s.mean_wall_time:.6f},"
+                f"{s.mean_inner_iterations!r},{s.mean_wall_time:.6f},{counts},"
                 f"{';'.join(s.failures)}\n"
             )
 

@@ -29,7 +29,7 @@ from enum import Enum
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dpotrs
 
 __all__ = [
     "LinearSubproblem",
@@ -237,8 +237,10 @@ def solve_pcg(
 
 def solve_exact_cholesky(prob: LinearSubproblem) -> tuple[np.ndarray, SolveStats]:
     """Exact solve of B_i t = g: two triangular solves with block i's kept
-    Cholesky factor."""
-    t = cho_solve((prob.metric.stored[prob.i], False), prob.g, check_finite=False)
+    Cholesky factor, by LAPACK's potrs, as cho_solve calls it."""
+    t, info = dpotrs(prob.metric.stored[prob.i], prob.g, lower=0)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of potrs")
     res = _half_sq(prob.apply(t) - prob.g)
     return t, SolveStats(1, res, StopMode.RESIDUAL_SQUARED)
 

@@ -5,7 +5,8 @@ f(x) = 1/2 ||A x - b||^2 with A sparse or dense, and Psi block separable
 B_i = A_i^T A_i, which makes the per-block model an exact upper bound;
 each block keeps it as one Cholesky factor, formed once.
 The residual r = A x - b is maintained incrementally so a block update
-costs O(nnz(A_i)).
+costs O(nnz(A_i)). Each block keeps A_i^T next to A_i, a view made once,
+so the gradient A_i^T r builds no matrix object per update.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ class QuadraticSmooth:
         self.partition = partition
         # column slicing is cheap on CSC / contiguous on dense arrays
         self.blocks = [self.A[:, partition.range(i)] for i in range(partition.n)]
+        # A_i^T shares A_i's memory: CSR over a CSC slice's arrays, or a numpy view
+        self.blocks_T = [Ai.T for Ai in self.blocks]
         self._norm_sq = [None] * partition.n
 
     def block_norm_sq(self, i: int) -> float:
@@ -169,12 +172,12 @@ class CompositeObjective:
 
     def block_gradient(self, state: "ResidualState", i: int) -> np.ndarray:
         """grad_i f = A_i^T r for the quadratic."""
-        return self.smooth.blocks[i].T @ state.r
+        return self.smooth.blocks_T[i] @ state.r
 
     def model_value(self, state: "ResidualState", i: int, t: np.ndarray, grad: np.ndarray) -> float:
         """V_i(x, t) = <grad_i f, t> + 1/2 <B_i t, t> + Psi_i(x^(i) + t),
         with grad = grad_i f(x), which the caller already holds."""
-        xi = block_view(state.x, i, self.partition)
+        xi = state.x[self.partition.range(i)]
         quad = 0.5 * float(t @ self.metric.apply(i, t))
         return float(grad @ t) + quad + self.reg.block_value(i, xi + t)
 
@@ -207,11 +210,10 @@ class ResidualState:
         p = self.objective.partition
         if t.shape[0] != p.sizes[i]:
             raise ValueError(f"update for block {i} must have length {p.sizes[i]}")
-        self.x[p.range(i)] += t
+        xi = self.x[p.range(i)]
+        xi += t
         self.r += self.objective.smooth.blocks[i] @ t
-        self._psi_blocks[i] = self.objective.reg.block_value(
-            i, block_view(self.x, i, p)
-        )
+        self._psi_blocks[i] = self.objective.reg.block_value(i, xi)
 
     def recompute_residual(self) -> float:
         """Refresh r from scratch; returns the drift that was present."""

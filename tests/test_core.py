@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from icdkit import inner
+from icdkit import core, inner
 from icdkit.block_angular import GeneratorSpec, build_preconditioner, generate
 from icdkit.blocks import BlockPartition
 from icdkit.core import (
@@ -46,22 +46,37 @@ def _consistent_objective(rng, M, sizes, reg=None, F_star=0.0):
 def test_sample_block_single():
     law = SamplingLaw(p=(1.0,), seed=0)
     rng = np.random.default_rng(0)
-    assert all(sample_block(law, rng, k) == 0 for k in range(10))
+    draws = sample_block(law, rng, 0, 10)
+    assert len(draws) == 10 and all(i == 0 for i in draws)
 
 
 def test_sample_block_frequencies():
     law = SamplingLaw(p=(0.5, 0.5), seed=42)
     rng = np.random.default_rng(42)
-    draws = np.array([sample_block(law, rng, k) for k in range(100_000)])
+    draws = np.array(sample_block(law, rng, 0, 100_000))
     assert abs(np.mean(draws == 0) - 0.5) < 0.01
 
 
 def test_sample_block_fixed_order():
     law = SamplingLaw(p=(1 / 3, 1 / 3, 1 / 3), seed=0, fixed_order=(2, 0, 1))
     rng = np.random.default_rng(0)
-    assert [sample_block(law, rng, k) for k in range(3)] == [2, 0, 1]
-    with pytest.raises(IndexError):
-        sample_block(law, rng, 3)
+    assert list(sample_block(law, rng, 0, 3)) == [2, 0, 1]
+    assert list(sample_block(law, rng, 1, 5)) == [0, 1]  # cut short where the order ends
+    assert not sample_block(law, rng, 3, 1)
+
+
+def test_run_draws_the_blocks_of_sequential_choice_calls():
+    # 3 000 updates span several draw batches; the sequence must be the one
+    # a call of rng.choice per update gives
+    rng = np.random.default_rng(13)
+    obj = _consistent_objective(rng, 40, (3, 4, 2, 5))
+    p = (0.1, 0.2, 0.3, 0.4)
+    res = icd_run(obj, rng.standard_normal(14), InexactnessPolicy.uniform(1e-2),
+                  SamplingLaw(p, seed=7), SolverConfig(method="cg"),
+                  max_block_updates=3000, stagnation_window=10**9)
+    draws = np.random.default_rng(7)
+    assert [r.block for r in res.records] == [int(draws.choice(4, p=p)) for _ in range(3000)]
+    assert all(type(r.block) is int for r in res.records)
 
 
 def test_sampling_law_validates_probabilities():
@@ -516,7 +531,85 @@ def test_run_stagnation_stop_without_eps():
         max_block_updates=5000,
     )
     assert res.converged  # stagnation at the solution counts as done
+    assert res.stop_reason == "stagnated"
     assert res.F_final < 1e-10
+
+
+def test_run_stops_at_eps():
+    rng = np.random.default_rng(9)
+    obj = _consistent_objective(rng, 14, (3, 4))
+    res = icd_run(obj, rng.standard_normal(7), InexactnessPolicy(),
+                  SamplingLaw.uniform(2, seed=2), SolverConfig(method="exact"),
+                  eps=1e-6, max_block_updates=5000)
+    assert res.converged and res.stop_reason == "eps"
+    assert res.F_final < 1e-6 <= res.records[-2].F
+    at_start = icd_run(obj, obj.x_star, InexactnessPolicy(), SamplingLaw.uniform(2),
+                       eps=1e-6)
+    assert at_start.stop_reason == "eps" and not at_start.records
+
+
+def test_run_stops_when_the_update_budget_runs_out():
+    rng = np.random.default_rng(9)
+    obj = _consistent_objective(rng, 14, (3, 4))
+    res = icd_run(obj, rng.standard_normal(7), InexactnessPolicy(),
+                  SamplingLaw.uniform(2, seed=2), SolverConfig(method="exact"),
+                  eps=1e-300, max_block_updates=7)
+    assert not res.converged and res.stop_reason == "budget"
+    assert res.block_updates == 7
+
+
+def test_run_stops_when_the_fixed_order_runs_out():
+    rng = np.random.default_rng(9)
+    obj = _consistent_objective(rng, 14, (3, 4))
+    law = SamplingLaw.uniform(2, fixed_order=(1, 0, 0, 1, 1))
+    res = icd_run(obj, rng.standard_normal(7), InexactnessPolicy(), law,
+                  SolverConfig(method="exact"), eps=1e-300, max_block_updates=100)
+    assert not res.converged and res.stop_reason == "order_exhausted"
+    assert [r.block for r in res.records] == [1, 0, 0, 1, 1]
+
+
+@pytest.mark.parametrize(
+    "policy, calls",
+    [
+        (InexactnessPolicy.uniform(1e-6), 1),
+        (InexactnessPolicy(0.0, 1e-5, DeltaRule.PER_BLOCK_LIST, (1e-6, 1e-5)), 1),
+        (InexactnessPolicy(0.1, 1e-6, DeltaRule.MULTIPLICATIVE_PLUS_ADDITIVE), 40),
+        (InexactnessPolicy(0.1, 1e-5, DeltaRule.PER_BLOCK_LIST, (1e-6, 1e-5)), 40),
+    ],
+)
+def test_run_calls_delta_budget_once_unless_it_tracks_F(monkeypatch, policy, calls):
+    rng = np.random.default_rng(9)
+    obj = _consistent_objective(rng, 14, (3, 4))
+    seen = []
+
+    def counted(*args):
+        seen.append(args)
+        return delta_budget(*args)
+
+    monkeypatch.setattr(core, "delta_budget", counted)
+    res = icd_run(obj, rng.standard_normal(7), policy, SamplingLaw.uniform(2, seed=2),
+                  SolverConfig(method="cg"), eps=1e-300, max_block_updates=40)
+    assert res.block_updates == 40
+    assert len(seen) == calls
+
+
+def test_per_block_budget_with_alpha_raises_once_F_nears_F_star(monkeypatch):
+    # alpha*(F - F*) + beta shrinks as F falls, so the check runs every update
+    # and fails once it drops below delta_bar = 5.8e-6, after 130 updates
+    rng = np.random.default_rng(1)
+    p = BlockPartition((10, 10, 10))
+    A = rng.standard_normal((60, 30))
+    x_star = rng.standard_normal(30)
+    obj = CompositeObjective(QuadraticSmooth(sp.csc_matrix(A), A @ x_star, p),
+                             F_star=0.0, x_star=x_star)
+    updates = []
+    update = core.compute_update
+    monkeypatch.setattr(core, "compute_update", lambda *a: updates.append(1) or update(*a))
+    policy = InexactnessPolicy(0.1, 1e-9, DeltaRule.PER_BLOCK_LIST, (1e-6, 1e-5, 2e-6))
+    with pytest.raises(ValueError, match="delta_bar exceeds the alpha/beta budget"):
+        icd_run(obj, np.ones(30), policy, SamplingLaw((0.2, 0.5, 0.3), seed=4),
+                SolverConfig(method="cg"), eps=1e-10)
+    assert len(updates) == 130
 
 
 def test_exact_limit_cg_matches_cholesky():

@@ -12,6 +12,7 @@ import pytest
 import scipy.sparse as sp
 
 from icdkit import block_angular, bounds, cli, harness, mmio
+from icdkit.core import STOP_REASONS
 
 
 # ------------------------------------------------------- Matrix Market
@@ -219,6 +220,22 @@ def test_records_csv_carries_certificate_and_flags(tmp_path):
         assert row["certificate_mode"] == rec.certificate_mode
         assert bool(int(row["vacuous_fallback"])) == rec.vacuous_fallback
         assert bool(int(row["inner_converged"])) == rec.inner_converged
+
+
+def test_summary_csv_counts_stop_reasons(tmp_path):
+    cfg = harness.parse_config(
+        SMALL_CONFIG + f"stop.max_block_updates = 3\noutput.dir = {tmp_path}\n"
+    )
+    summaries, records = harness.run_experiment(cfg)
+    text = (tmp_path / "experiment_summary.csv").read_text()
+    rows = list(csv.DictReader(l for l in text.splitlines() if not l.startswith("#")))
+    assert [row["solver"] for row in rows] == list(summaries)
+    for row in rows:
+        reasons = [res.stop_reason for _, res in records[row["solver"]]]
+        assert reasons == ["budget", "budget"]
+        assert {k: int(row[f"stop_{k}"]) for k in STOP_REASONS} == {
+            "eps": 0, "budget": 2, "stagnated": 0, "order_exhausted": 0,
+        }
 
 
 def test_run_experiment_deterministic_replay(tmp_path):

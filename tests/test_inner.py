@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.linalg import solve_triangular
+from scipy.linalg import cho_solve, solve_triangular
 
 from icdkit.blocks import BlockMetric, BlockPartition
 from icdkit.inner import (
@@ -251,6 +251,19 @@ def test_exact_cholesky_matches_cg():
     t_chol, _ = solve_exact_cholesky(_system(B, g))
     t_cg, _ = solve_cg(_system(B, g), 1e-24, CAP)
     assert np.linalg.norm(t_chol - t_cg) <= 1e-8 * np.linalg.norm(t_chol)
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse", "rank_deficient"])
+def test_exact_cholesky_equals_cho_solve_on_the_kept_factor(kind):
+    rng = np.random.default_rng(12)
+    A = rng.standard_normal((60, 10))
+    if kind == "rank_deficient":
+        A[:, 1] = A[:, 0]  # the metric keeps the factor of A^T A + eps I
+    data = sp.csc_matrix(A) if kind == "sparse" else A
+    metric = quadratic_metric(QuadraticSmooth(data, np.zeros(60), BlockPartition((10,))))
+    g = rng.standard_normal(10)
+    t, _ = solve_exact_cholesky(LinearSubproblem(metric, 0, g))
+    assert np.array_equal(t, cho_solve((metric.stored[0], False), g))
 
 
 # ------------------------------------------------------ prox operators
