@@ -62,11 +62,18 @@ class BlockMetric:
     paper; only the product enters the model, and it is stored here).
 
     objective.quadratic_metric builds it and keeps each block as the solver
-    reads it: the F-ordered upper Cholesky factor U_i of B_i = U_i^T U_i.
+    reads it: the F-ordered upper Cholesky factor U_i of B_i = U_i^T U_i,
+    for the exact solve, and, in sparse[i], the pair (A_i, A_i^T) cut down
+    to A_i's nonzero rows where A_i is sparse, B_i needed no rank shift and
+    2 nnz(A_i) < N_i^2, so that A_i^T (A_i t) costs fewer flops than the
+    two triangular products with U_i. The pair shares A_i's values and
+    costs about 4 nnz(A_i) bytes of row indices; sparse[i] is None for
+    every other block. apply reads the pair where a block has one.
     """
 
-    def __init__(self, stored):
+    def __init__(self, stored, sparse=None):
         self.stored = list(stored)
+        self.sparse = list(sparse) if sparse is not None else [None] * len(self.stored)
 
     @property
     def operators(self) -> list:
@@ -74,6 +81,10 @@ class BlockMetric:
         return [U.T @ U for U in self.stored]
 
     def apply(self, i: int, t: np.ndarray) -> np.ndarray:
+        pair = self.sparse[i]
+        if pair is not None:
+            Ai, AiT = pair
+            return AiT @ (Ai @ t)
         U = self.stored[i]
         return dtrmv(U, dtrmv(U, t), trans=1, overwrite_x=1)
 

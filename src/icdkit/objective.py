@@ -3,7 +3,11 @@
 f(x) = 1/2 ||A x - b||^2 with A sparse or dense, and Psi block separable
 (zero, l1 or group lasso). The natural metric for the quadratic is
 B_i = A_i^T A_i, which makes the per-block model an exact upper bound;
-each block keeps it as one Cholesky factor, formed once.
+each block keeps it as one Cholesky factor, formed once, for the exact
+solve. A product with B_i costs two triangular products with that factor,
+O(N_i^2), except on a sparse block that needed no rank shift and has
+2 nnz(A_i) < N_i^2: that block also keeps A_i cut down to its nonzero
+rows, about 4 nnz(A_i) bytes, and applies B_i as A_i^T (A_i t).
 The residual r = A x - b is maintained incrementally so a block update
 costs O(nnz(A_i)). Each block keeps A_i^T next to A_i, a view made once,
 so the gradient A_i^T r builds no matrix object per update.
@@ -110,39 +114,64 @@ class SeparableRegularizer:
 def quadratic_metric(smooth: QuadraticSmooth) -> BlockMetric:
     """Build the exact metric B_i = A_i^T A_i for a quadratic.
 
-    Each block keeps its Cholesky factor, 8 * N_i^2 bytes; a block whose
-    factor does not fit in memory is a ValueError that names it. A
-    rank-deficient block gets B_i = A_i^T A_i + eps*I with
-    eps = 1e-8 * trace(A_i^T A_i) / N_i, which keeps B_i SPD at the cost of
-    a strict (rather than exact) overapproximation.
+    Each block keeps its Cholesky factor U_i, 8 * N_i^2 bytes, which the
+    exact solve reads; a block whose factor does not fit in memory is a
+    ValueError that names it. A rank-deficient block gets
+    B_i = A_i^T A_i + eps*I with eps = 1e-8 * trace(A_i^T A_i) / N_i, which
+    keeps B_i SPD at the cost of a strict (rather than exact)
+    overapproximation.
+
+    A product with B_i is two triangular products with U_i, 2 * N_i^2
+    flops, except on a block that is sparse, needed no shift, and has
+    2 * nnz(A_i) < N_i^2: that block also keeps A_i cut down to its
+    nonzero rows, with the transpose view of the cut, and BlockMetric.apply
+    returns A_i^T (A_i t), 4 * nnz(A_i) flops. The cut shares A_i's values
+    and column pointers, so it costs about 4 * nnz(A_i) bytes of row
+    indices; its products round as the full-height A_i^T (A_i t) does.
     """
-    stored = []
+    stored, sparse = [], []
     for i, Ai in enumerate(smooth.blocks):
         try:
-            stored.append(_block_metric(Ai))
+            U, pair = _block_metric(Ai)
         except MemoryError as e:
             raise ValueError(
                 f"out of memory forming the Cholesky factor of block {i} "
                 f"({Ai.shape[1]} columns)"
             ) from e
-    return BlockMetric(stored)
+        stored.append(U)
+        sparse.append(pair)
+    return BlockMetric(stored, sparse)
 
 
 def _block_metric(Ai):
-    """Block i's kept metric: the factor U_i its Cholesky rank check gives.
+    """Block i's kept metric: the factor U_i its Cholesky rank check gives,
+    and the row-cut pair (A_i, A_i^T) where quadratic_metric's rule takes it.
     One block per call: one dense B_i at a time."""
     Ni = Ai.shape[1]
     B = Ai.T @ Ai
     B = B.toarray() if sp.issparse(Ai) else B
     if Ai.shape[0] >= Ni:
         try:
-            return np.linalg.cholesky(B).T  # L is C-ordered, so U_i = L^T is F-ordered
+            U = np.linalg.cholesky(B).T  # L is C-ordered, so U_i = L^T is F-ordered
         except np.linalg.LinAlgError:
             pass
+        else:
+            cheaper = sp.issparse(Ai) and 2 * Ai.nnz < Ni * Ni
+            return U, _nonzero_rows(Ai) if cheaper else None
     eps = 1e-8 * float(np.trace(B)) / Ni
     B[np.diag_indices(Ni)] += eps
     # eps = 0 only for an all-zero block, whose B_i = 0 is its own factor
-    return np.linalg.cholesky(B).T if eps > 0 else B.T
+    return (np.linalg.cholesky(B).T if eps > 0 else B.T), None
+
+
+def _nonzero_rows(Ai):
+    """The CSC block Ai cut down to its nonzero rows, and its transpose view.
+    Every entry keeps its place, so each product adds the same terms in the
+    same order as the full-height one."""
+    kept, rows = np.unique(Ai.indices, return_inverse=True)
+    rows = rows.astype(Ai.indices.dtype)
+    C = sp.csc_matrix((Ai.data, rows, Ai.indptr), shape=(kept.size, Ai.shape[1]))
+    return C, C.T
 
 
 class CompositeObjective:

@@ -387,6 +387,30 @@ def test_run_pcg_builds_one_preconditioner_per_block(monkeypatch):
     assert len(built) == 3
 
 
+@pytest.mark.parametrize("method", ["exact", "cg", "pcg"])
+def test_sparse_product_blocks_certify_every_update_and_never_raise_F(method):
+    # the criterion-9 shape at small scale: every block applies B_i as
+    # A_i^T (A_i t), while the exact solve still reads the kept factor
+    mat, x_star, b = generate(GeneratorSpec(n=3, M_i=200, N_i=50, ell=1, seed=3))
+    smooth = QuadraticSmooth(mat.assemble(), b, mat.partition)
+    obj = CompositeObjective(
+        smooth, SeparableRegularizer.zero(), quadratic_metric(smooth), F_star=0.0, x_star=x_star
+    )
+    assert all(pair is not None for pair in obj.metric.sparse)
+    if method == "pcg":
+        factors = [inner.incomplete_cholesky(build_preconditioner(mat, i), 0.1) for i in range(3)]
+        solver = SolverConfig(method="pcg", precond_factors=factors)
+    else:
+        solver = SolverConfig(method=method)
+    res = icd_run(obj, np.zeros(mat.N), InexactnessPolicy.uniform(1e-8),
+                  SamplingLaw.uniform(3, seed=0), solver, eps=1e-6, max_block_updates=300)
+    assert res.stop_reason == "eps"
+    F = [0.5 * float(b @ b)] + [r.F for r in res.records]
+    assert all(later <= earlier for earlier, later in zip(F, F[1:]))
+    assert not any(r.vacuous_fallback for r in res.records)
+    assert all(r.certificate <= r.delta for r in res.records if r.inner_converged)
+
+
 def _prox_problem():
     obj = lasso_instance(60, 30, (10, 10, 10), 0.05, seed=0)
     return obj, np.zeros(30), SolverConfig(method="prox")

@@ -5,8 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg.blas import dtrmv
 
-from icdkit import objective
+from icdkit import block_angular, objective, synthetic
 from icdkit.blocks import BlockPartition, block_view
 from icdkit.objective import (
     CompositeObjective,
@@ -294,6 +295,88 @@ def test_metric_keeps_one_factor_per_block(monkeypatch):
         t = rng.standard_normal(Ai.shape[1])
         np.testing.assert_allclose(metric.apply(i, t), B @ t, rtol=1e-12, atol=1e-12)
     assert not metric.operators[3].any()
+
+
+def _unshifted(Ai) -> bool:
+    B = (Ai.T @ Ai).toarray()
+    try:
+        np.linalg.cholesky(B)
+    except np.linalg.LinAlgError:
+        return False
+    return Ai.shape[0] >= Ai.shape[1]
+
+
+def test_metric_applies_cheap_sparse_blocks_as_a_product_with_their_nonzero_rows():
+    # exactly the unshifted sparse blocks with 2 nnz(A_i) < N_i^2 keep the
+    # row-cut A_i; their product equals B_i t and is the full-height
+    # A_i^T (A_i t) bit for bit; every other block applies its factor
+    mat, _, b = block_angular.generate(block_angular.GeneratorSpec(n=3, M_i=200, N_i=50, ell=1, seed=3))
+    dense = np.random.default_rng(16).standard_normal((60, 30))
+    rng = np.random.default_rng(17)
+    taken = []
+    for A, rhs, partition in (
+        (mat.assemble(), b, mat.partition),
+        (sp.csc_matrix(dense), np.zeros(60), BlockPartition((10, 10, 10))),
+    ):
+        smooth = QuadraticSmooth(A, rhs, partition)
+        metric = quadratic_metric(smooth)
+        for i, Ai in enumerate(smooth.blocks):
+            cheap = _unshifted(Ai) and 2 * Ai.nnz < Ai.shape[1] ** 2
+            assert (metric.sparse[i] is not None) == cheap
+            taken.append(cheap)
+            t = rng.standard_normal(Ai.shape[1])
+            Bt = metric.operators[i] @ t
+            out = metric.apply(i, t)
+            np.testing.assert_allclose(out, Bt, rtol=0.0, atol=1e-12 * np.abs(Bt).max())
+            if cheap:
+                assert np.array_equal(out, Ai.T @ (Ai @ t))
+                C, CT = metric.sparse[i]
+                assert C.shape == (np.unique(Ai.indices).size, Ai.shape[1])
+                assert np.shares_memory(C.data, Ai.data) and np.shares_memory(CT.data, Ai.data)
+    assert taken == [True, True, True, False, False, False]
+
+
+def test_rank_deficient_sparse_block_keeps_its_shifted_factor():
+    # a duplicated column: the block is sparse and 2 nnz < N_i^2, but its
+    # B_i carries the +eps*I shift, which only the factor holds; four ones
+    # in columns 0 and 1 make the Cholesky pivot of column 1 exactly 4 - 2^2
+    A = sp.random(300, 40, density=0.05, random_state=np.random.default_rng(18), format="csc").toarray()
+    A[:, :2] = 0.0
+    A[[3, 50, 120, 299], :2] = 1.0
+    A = sp.csc_matrix(A)
+    assert 2 * A.nnz < 40 * 40
+    metric = quadratic_metric(QuadraticSmooth(A, np.zeros(300), BlockPartition((40,))))
+    assert metric.sparse[0] is None
+    eps = 1e-8 * float(A.multiply(A).sum()) / 40
+    expected = (A.T @ A).toarray() + eps * np.eye(40)
+    np.testing.assert_allclose(metric.operators[0], expected, rtol=0.0, atol=1e-12 * np.abs(expected).max())
+    t = np.random.default_rng(19).standard_normal(40)
+    U = metric.stored[0]
+    assert np.array_equal(metric.apply(0, t), dtrmv(U, dtrmv(U, t), trans=1))
+
+
+@pytest.mark.parametrize(
+    "smooth",
+    [
+        # the lasso shape, and the smallblock shape: dense data held as CSC
+        synthetic.lasso_instance(200, 100, (10,) * 10, lam=0.1, seed=0).smooth,
+        QuadraticSmooth(
+            sp.csc_matrix(np.random.default_rng(20).standard_normal((100, 50))),
+            np.zeros(100),
+            BlockPartition((10,) * 5),
+        ),
+    ],
+    ids=["lasso", "smallblock"],
+)
+def test_dense_data_held_as_csc_applies_its_factor_bit_for_bit(smooth):
+    # dense blocks keep the two triangular products, so their rounding, and
+    # with it every record of such a run, stays where it was
+    metric = quadratic_metric(smooth)
+    rng = np.random.default_rng(21)
+    for i, U in enumerate(metric.stored):
+        assert metric.sparse[i] is None
+        t = rng.standard_normal(U.shape[0])
+        assert np.array_equal(metric.apply(i, t), dtrmv(U, dtrmv(U, t), trans=1))
 
 
 def test_metric_names_the_block_whose_factor_does_not_fit(monkeypatch):
