@@ -24,7 +24,6 @@ __all__ = [
     "SpectrumReport",
     "generate",
     "build_preconditioner",
-    "build_perturbed",
     "spectrum_report",
 ]
 
@@ -141,24 +140,17 @@ def generate(spec: GeneratorSpec) -> tuple[BlockAngularMatrix, np.ndarray, np.nd
     return mat, x_star, b
 
 
-def build_preconditioner(mat: BlockAngularMatrix, i: int) -> sp.csc_matrix:
-    """P_i = C_i^T C_i; only valid for tall blocks with full column rank."""
+def build_preconditioner(
+    mat: BlockAngularMatrix, i: int, rho_shift: float = 0.5
+) -> sp.csc_matrix:
+    """P_i = C_i^T C_i for a tall block; P_hat_i = C_i^T C_i + rho_shift * I
+    for a wide one, whose C_i^T C_i is rank deficient."""
     C = mat.C_blocks[i]
-    if C.shape[0] < C.shape[1]:
-        raise ValueError(
-            "C_i is wide so C_i^T C_i is rank deficient; "
-            "use the perturbed preconditioner build_perturbed instead"
-        )
-    return (C.T @ C).tocsc()
-
-
-def build_perturbed(mat: BlockAngularMatrix, i: int, rho_shift: float = 0.5) -> sp.csc_matrix:
-    """P_hat_i = C_i^T C_i + rho_shift * I (nonsingular for any block shape)."""
+    if C.shape[0] >= C.shape[1]:
+        return (C.T @ C).tocsc()
     if rho_shift <= 0:
         raise ValueError("rho_shift must be positive")
-    C = mat.C_blocks[i]
-    N = C.shape[1]
-    return (C.T @ C + rho_shift * sp.eye(N)).tocsc()
+    return (C.T @ C + rho_shift * sp.eye(C.shape[1])).tocsc()
 
 
 @dataclass

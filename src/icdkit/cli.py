@@ -97,13 +97,13 @@ def _dispatch(args):
     elif args.command == "run":
         with open(args.config) as fh:
             cfg = harness.parse_config(fh.read())
-        summaries, _ = harness.run_experiment(cfg, write_files=not args.no_files)
+        summaries = harness.run_experiment(cfg, write_files=not args.no_files)
         for method, s in summaries.items():
             print(
-                f"{method}: runs={len(s.block_updates)} "
-                f"block_updates={s.mean_block_updates:.1f} "
-                f"inner_iters={s.mean_inner_iterations:.1f} "
-                f"time={s.mean_wall_time:.3f}s "
+                f"{method}: runs={len(s.runs)} "
+                f"block_updates={s.mean('block_updates'):.1f} "
+                f"inner_iters={s.mean('inner_iterations'):.1f} "
+                f"time={s.mean('wall_time_s'):.3f}s "
                 f"failures={len(s.failures)}"
             )
             for fail in s.failures:

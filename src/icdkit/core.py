@@ -15,9 +15,9 @@ once per run when it cannot depend on F, and every run ends with a
 from __future__ import annotations
 
 import time
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice
 
 import numpy as np
 
@@ -131,9 +131,7 @@ class SamplingLaw:
 _DRAW_BATCH = 1024
 
 
-def sample_block(
-    law: SamplingLaw, rng: np.random.Generator, k: int, count: int
-) -> Sequence[int]:
+def sample_block(law: SamplingLaw, rng: np.random.Generator, k: int, count: int):
     """Block indices of updates k, ..., k + count - 1.
 
     A fixed order gives fewer once it runs out, none past its end. Random
@@ -143,6 +141,18 @@ def sample_block(
     if law.fixed_order is not None:
         return law.fixed_order[k:k + count]
     return law.cdf.searchsorted(rng.random(count), side="right").tolist()
+
+
+def _draws(law: SamplingLaw, rng: np.random.Generator):
+    """Every block index the law gives, _DRAW_BATCH per sample_block call;
+    ends after the first short batch, which only a fixed order gives."""
+    k = 0
+    while True:
+        batch = sample_block(law, rng, k, _DRAW_BATCH)
+        yield from batch
+        if len(batch) < _DRAW_BATCH:
+            return
+        k += _DRAW_BATCH
 
 
 def delta_budget(
@@ -305,9 +315,12 @@ class RunResult:
 
     x: np.ndarray
     records: list[IterationRecord]
-    converged: bool
     F_final: float
     stop_reason: str
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason in ("eps", "stagnated")
 
     @property
     def block_updates(self) -> int:
@@ -334,10 +347,13 @@ def icd_run(
 ) -> RunResult:
     """Run the inexact coordinate descent outer loop.
 
-    Stops when F - F* < eps (requires a known F*), when the update budget
-    is exhausted, on stagnation (relative F decrease below 1e-12 over
-    10*n consecutive updates when no eps target is available), or when a
-    fixed block order runs out; RunResult.stop_reason says which.
+    Each update takes the next block the law draws (_DRAW_BATCH indices
+    per sample_block call), budgets its delta, solves its subproblem and
+    applies the step. The run stops when F - F* < eps (requires a known
+    F*), on stagnation (relative F decrease below 1e-12 over 10*n
+    consecutive updates when no eps target is available), after
+    max_block_updates updates, or when a fixed block order runs out;
+    RunResult.stop_reason says which.
     """
     solver = solver if solver is not None else SolverConfig()
     n = objective.partition.n
@@ -345,11 +361,12 @@ def icd_run(
         raise ValueError("eps-based stopping requires a known F*")
     if law.n != n:
         raise ValueError(f"sampling law has {law.n} blocks but the partition has {n}")
+    if max_block_updates < 0:
+        raise ValueError(f"max_block_updates must be nonnegative, got {max_block_updates}")
     for name in ("preconditioners", "lambda_min_estimates"):
         per_block = getattr(solver, name)
         if per_block is not None and len(per_block) != n:
             raise ValueError(f"solver has {len(per_block)} {name} but the partition has {n} blocks")
-    rng = np.random.default_rng(law.seed)
     state = objective.start(x0)
     records: list[IterationRecord] = []
     F = state.F_value()
@@ -361,26 +378,15 @@ def icd_run(
         policy.alpha > 0 and F_star is not None
     )
     deltas = None
-    batch: Sequence[int] = ()
-    batch_start = 0
+    stop_reason = "eps" if eps is not None and F - F_star < eps else None
+    rng = np.random.default_rng(law.seed)
+    blocks = () if stop_reason else islice(_draws(law, rng), max_block_updates)
     start = time.perf_counter()
     cum_inner = 0
     stagnant = 0
-    stop_reason = "eps" if eps is not None and F - F_star < eps else None
-    k = 0
-    while stop_reason is None:
-        if k >= max_block_updates:
-            stop_reason = "budget"
-            break
+    for k, i in enumerate(blocks):
         if deltas is None or budget_tracks_F:
             deltas, _ = delta_budget(policy, F, F_star, law.p)
-        if k - batch_start == len(batch):
-            batch_start = k
-            batch = sample_block(law, rng, k, min(_DRAW_BATCH, max_block_updates - k))
-            if not batch:
-                stop_reason = "order_exhausted"
-                break
-        i = batch[k - batch_start]
         delta = float(deltas[i])
         t, stats, fallback = compute_update(objective, state, i, delta, solver)
         state.apply_update(i, t)
@@ -407,16 +413,13 @@ def icd_run(
         else:
             stagnant = 0
         F = F_new
-        k += 1
         if eps is not None:
             if F - F_star < eps:
                 stop_reason = "eps"
+                break
         elif stagnant >= window:
             stop_reason = "stagnated"
-    return RunResult(
-        x=state.x,
-        records=records,
-        converged=stop_reason in ("eps", "stagnated"),
-        F_final=F,
-        stop_reason=stop_reason,
-    )
+            break
+    if stop_reason is None:
+        stop_reason = "budget" if len(records) == max_block_updates else "order_exhausted"
+    return RunResult(x=state.x, records=records, F_final=F, stop_reason=stop_reason)

@@ -4,14 +4,17 @@ Configs are flat ``section.key = value`` text (diff-friendly, no schema
 dependency) that ``parse_config`` parses; the caller reads the file.
 Every output file starts with the echoed config so a run can be
 reproduced from its own artifacts. A bad problem, regularizer or policy
-key, a bad sampling.p, or a value that does not parse raises
-ValueError; a solver's setup or run error is recorded as its failure.
+key, a bad sampling.p or sampling.fixed_order_path, or a value that does
+not parse raises ValueError before any solver runs; a solver's setup or
+run error is recorded as its failure. One sampling law serves the whole
+experiment, re-seeded per repetition, and each solver's RunSummary keeps
+its (repetition, RunResult) pairs, which both CSVs are written from.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -189,20 +192,6 @@ def _build_policy(cfg: ExperimentConfig) -> InexactnessPolicy:
     )
 
 
-def _read_fixed_order(cfg: ExperimentConfig) -> tuple[int, ...] | None:
-    order_path = cfg.get("sampling.fixed_order_path")
-    if not order_path:
-        return None
-    with open(order_path) as fh:
-        return tuple(int(tok) for tok in fh.read().split())
-
-
-def _build_law(p, n: int, seed: int, fixed) -> SamplingLaw:
-    if p is None:
-        return SamplingLaw.uniform(n, seed, fixed)
-    return SamplingLaw(tuple(p), seed, fixed)
-
-
 def _build_solver(cfg: ExperimentConfig, method: str, objective, mat) -> SolverConfig:
     check_method_fits(method, objective.reg.kind)
     factors = None
@@ -211,14 +200,10 @@ def _build_solver(cfg: ExperimentConfig, method: str, objective, mat) -> SolverC
             raise ValueError("pcg needs block-angular structure for preconditioners")
         drop_tol = cfg.get_float("inner.drop_tol", 0.1)
         rho_shift = cfg.get_float("inner.rho_shift", 0.5)
-        factors = []
-        for i in range(mat.n):
-            C = mat.C_blocks[i]
-            if C.shape[0] >= C.shape[1]:
-                P = block_angular.build_preconditioner(mat, i)
-            else:
-                P = block_angular.build_perturbed(mat, i, rho_shift)
-            factors.append(incomplete_cholesky(P, drop_tol))
+        factors = [
+            incomplete_cholesky(block_angular.build_preconditioner(mat, i, rho_shift), drop_tol)
+            for i in range(mat.n)
+        ]
     return SolverConfig(
         method=method,
         max_inner_iters=cfg.get_int("inner.max_iters", 10_000),
@@ -228,39 +213,24 @@ def _build_solver(cfg: ExperimentConfig, method: str, objective, mat) -> SolverC
 
 @dataclass
 class RunSummary:
-    """Totals per run and per-solver means (the table-style aggregate)."""
+    """One solver's completed runs, as (repetition, RunResult) pairs, and
+    its failures."""
 
     solver: str
-    block_updates: list[int] = field(default_factory=list)
-    inner_iterations: list[int] = field(default_factory=list)
-    wall_times: list[float] = field(default_factory=list)
-    stop_reasons: list[str] = field(default_factory=list)
+    runs: list[tuple[int, RunResult]] = field(default_factory=list)
     failures: list[str] = field(default_factory=list)
 
-    def add(self, result: RunResult):
-        self.block_updates.append(result.block_updates)
-        self.inner_iterations.append(result.inner_iterations)
-        self.wall_times.append(result.wall_time_s)
-        self.stop_reasons.append(result.stop_reason)
-
-    @property
-    def mean_block_updates(self) -> float:
-        return float(np.mean(self.block_updates)) if self.block_updates else float("nan")
-
-    @property
-    def mean_inner_iterations(self) -> float:
-        return float(np.mean(self.inner_iterations)) if self.inner_iterations else float("nan")
-
-    @property
-    def mean_wall_time(self) -> float:
-        return float(np.mean(self.wall_times)) if self.wall_times else float("nan")
+    def mean(self, attr: str) -> float:
+        """Mean of a RunResult attribute over the runs; nan with no run."""
+        values = [getattr(result, attr) for _, result in self.runs]
+        return float(np.mean(values)) if values else float("nan")
 
 
-def run_experiment(cfg: ExperimentConfig, write_files: bool = True):
+def run_experiment(cfg: ExperimentConfig, write_files: bool = True) -> dict[str, RunSummary]:
     """Run all configured solvers for the configured repetitions.
 
-    Returns (summaries, records_by_solver); optionally writes the raw
-    record CSV and the summary CSV, both headed by the echoed config.
+    Returns the RunSummary of each solver, by name; optionally writes the
+    raw record CSV and the summary CSV, both headed by the echoed config.
     """
     objective, mat = build_problem(cfg)
     policy = _build_policy(cfg)
@@ -272,63 +242,56 @@ def run_experiment(cfg: ExperimentConfig, write_files: bool = True):
     base_seed = cfg.get_int("sampling.seed", 0)
     n = objective.partition.n
     p = cfg.get_list("sampling.p")
-    if p is not None:
-        if len(p) != n:
-            raise ValueError(
-                f"sampling.p has {len(p)} probabilities but the problem has {n} blocks"
-            )
-        try:
-            SamplingLaw(tuple(p))
-        except ValueError as e:
-            raise ValueError(f"sampling.p: {e}") from None
-    x0 = np.zeros(objective.partition.N)
+    if p is not None and len(p) != n:
+        raise ValueError(f"sampling.p has {len(p)} probabilities but the problem has {n} blocks")
     try:
-        fixed, order_error = _read_fixed_order(cfg), None
-    except (ValueError, OSError) as e:
-        fixed, order_error = None, e
+        law = SamplingLaw.uniform(n, base_seed) if p is None else SamplingLaw(tuple(p), base_seed)
+    except ValueError as e:
+        raise ValueError(f"sampling.p: {e}") from None
+    order_path = cfg.get("sampling.fixed_order_path")
+    if order_path:
+        try:
+            with open(order_path) as fh:
+                law = replace(law, fixed_order=tuple(int(tok) for tok in fh.read().split()))
+        except (ValueError, OSError) as e:
+            raise ValueError(f"sampling.fixed_order_path: {e}") from None
+    x0 = np.zeros(objective.partition.N)
 
     summaries: dict[str, RunSummary] = {}
-    records: dict[str, list[tuple[int, RunResult]]] = {}
     for method in methods:
-        summary = RunSummary(solver=method)
-        summaries[method] = summary
-        records[method] = []
+        summary = summaries[method] = RunSummary(solver=method)
         try:
-            if order_error is not None:
-                raise order_error
             solver = _build_solver(cfg, method, objective, mat)
         except (ValueError, OSError, RuntimeError) as e:
             summary.failures.append(f"setup: {e}")
             continue
         for rep in range(reps):
             try:
-                law = _build_law(p, n, base_seed + rep, fixed)
                 result = icd_run(
-                    objective, x0, policy, law, solver,
+                    objective, x0, policy, replace(law, seed=base_seed + rep), solver,
                     eps=eps, max_block_updates=max_updates,
                 )
             except (ValueError, RuntimeError) as e:
                 summary.failures.append(f"run {rep}: {e}")
                 continue
-            summary.add(result)
-            records[method].append((rep, result))
+            summary.runs.append((rep, result))
 
     if write_files:
         out = cfg.get("output.dir", ".")
         os.makedirs(out, exist_ok=True)
         prefix = cfg.get("output.prefix", "experiment")
-        _write_records_csv(os.path.join(out, f"{prefix}_records.csv"), cfg, records)
+        _write_records_csv(os.path.join(out, f"{prefix}_records.csv"), cfg, summaries)
         _write_summary_csv(os.path.join(out, f"{prefix}_summary.csv"), cfg, summaries)
-    return summaries, records
+    return summaries
 
 
-def _write_records_csv(path, cfg, records):
+def _write_records_csv(path, cfg, summaries):
     with open(path, "w") as fh:
         for line in cfg.echo_lines():
             fh.write(f"# {line}\n")
         fh.write(",".join(["solver"] + RECORD_COLUMNS) + "\n")
-        for method, runs in records.items():
-            for rep, result in runs:
+        for method, s in summaries.items():
+            for rep, result in s.runs:
                 for rec in result.records:
                     fstar = "" if rec.F_minus_Fstar is None else repr(rec.F_minus_Fstar)
                     fh.write(
@@ -350,10 +313,11 @@ def _write_summary_csv(path, cfg, summaries):
                       "mean_time_s", *stops, "failures"]) + "\n"
         )
         for method, s in summaries.items():
-            counts = ",".join(str(s.stop_reasons.count(reason)) for reason in STOP_REASONS)
+            reasons = [result.stop_reason for _, result in s.runs]
+            counts = ",".join(str(reasons.count(reason)) for reason in STOP_REASONS)
             fh.write(
-                f"{method},{len(s.block_updates)},{s.mean_block_updates!r},"
-                f"{s.mean_inner_iterations!r},{s.mean_wall_time:.6f},{counts},"
+                f"{method},{len(s.runs)},{s.mean('block_updates')!r},"
+                f"{s.mean('inner_iterations')!r},{s.mean('wall_time_s'):.6f},{counts},"
                 f"{';'.join(s.failures)}\n"
             )
 

@@ -7,7 +7,6 @@ import scipy.sparse as sp
 from icdkit.block_angular import (
     BlockAngularMatrix,
     GeneratorSpec,
-    build_perturbed,
     build_preconditioner,
     generate,
     spectrum_report,
@@ -114,13 +113,8 @@ def test_preconditioner_identity():
 
 def test_perturbed_preconditioner_wide():
     mat = _toy_wide()
-    Ph = build_perturbed(mat, 0, rho_shift=0.5)
+    Ph = build_preconditioner(mat, 0, rho_shift=0.5)
     assert np.allclose(Ph.toarray() if sp.issparse(Ph) else Ph, np.diag([1.5, 0.5]))
-
-
-def test_preconditioner_rejects_wide_block():
-    with pytest.raises(ValueError, match="perturbed"):
-        build_preconditioner(_toy_wide(), 0)
 
 
 def test_preconditioner_spd_on_random_tall():

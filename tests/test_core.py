@@ -99,6 +99,13 @@ def test_run_rejects_law_with_another_block_count():
                 SamplingLaw((0.5, 0.5)), SolverConfig(method="prox"))
 
 
+def test_run_rejects_a_negative_update_budget():
+    obj = lasso_instance(60, 30, (10, 10, 10), 0.05, seed=0)
+    with pytest.raises(ValueError, match="max_block_updates must be nonnegative, got -1"):
+        icd_run(obj, np.zeros(30), InexactnessPolicy.uniform(1e-6),
+                SamplingLaw.uniform(3), SolverConfig(method="prox"), max_block_updates=-1)
+
+
 # ------------------------------------------------------------- budgets
 
 
@@ -582,14 +589,36 @@ def test_run_stops_when_the_update_budget_runs_out():
     assert res.block_updates == 7
 
 
-def test_run_stops_when_the_fixed_order_runs_out():
+@pytest.mark.parametrize(
+    "length, budget, eps_on_last, reason, updates",
+    [
+        (5, 100, False, "order_exhausted", 5),
+        (5, 0, False, "budget", 0),
+        (5, 5, False, "budget", 5),
+        (core._DRAW_BATCH, 2000, False, "order_exhausted", core._DRAW_BATCH),
+        (5, 4, True, "eps", 4),
+    ],
+    ids=["order-runs-out", "zero-budget", "order-as-long-as-budget",
+         "order-of-one-draw-batch", "eps-on-the-last-update"],
+)
+def test_run_stops_when_the_fixed_order_runs_out(length, budget, eps_on_last, reason, updates):
     rng = np.random.default_rng(9)
     obj = _consistent_objective(rng, 14, (3, 4))
-    law = SamplingLaw.uniform(2, fixed_order=(1, 0, 0, 1, 1))
-    res = icd_run(obj, rng.standard_normal(7), InexactnessPolicy(), law,
-                  SolverConfig(method="exact"), eps=1e-300, max_block_updates=100)
-    assert not res.converged and res.stop_reason == "order_exhausted"
-    assert [r.block for r in res.records] == [1, 0, 0, 1, 1]
+    x0 = rng.standard_normal(7)
+    order = tuple((1, 0, 0, 1, 1)[k % 5] for k in range(length))
+    law = SamplingLaw.uniform(2, fixed_order=order)
+    eps = 1e-300
+    if eps_on_last:
+        # an eps between the last two values F takes without one
+        F = [r.F for r in icd_run(obj, x0, InexactnessPolicy(), law,
+                                  SolverConfig(method="exact"), eps=eps,
+                                  max_block_updates=budget).records]
+        assert F[-1] < F[-2]
+        eps = 0.5 * (F[-2] + F[-1])
+    res = icd_run(obj, x0, InexactnessPolicy(), law,
+                  SolverConfig(method="exact"), eps=eps, max_block_updates=budget)
+    assert res.stop_reason == reason and res.converged == (reason == "eps")
+    assert [r.block for r in res.records] == list(order[:updates])
 
 
 @pytest.mark.parametrize(

@@ -181,18 +181,17 @@ stop.max_block_updates = 30
 
 def test_run_experiment_all_solvers(tmp_path):
     cfg = harness.parse_config(SMALL_CONFIG + f"output.dir = {tmp_path}\n")
-    summaries, records = harness.run_experiment(cfg)
+    summaries = harness.run_experiment(cfg)
     for method in ("exact", "cg", "pcg"):
         s = summaries[method]
         assert not s.failures
-        assert len(s.block_updates) == 2
-        assert all(res.F_final < 0.1 for _, res in records[method])
-    # summary aggregates equal recomputation from raw records
-    for method, runs in records.items():
-        totals = [len(res.records) for _, res in runs]
-        assert totals == summaries[method].block_updates
-        inner = [sum(r.inner_iterations for r in res.records) for _, res in runs]
-        assert inner == summaries[method].inner_iterations
+        assert [rep for rep, _ in s.runs] == [0, 1]
+        assert all(res.F_final < 0.1 for _, res in s.runs)
+        # summary means equal recomputation from the raw records
+        totals = [len(res.records) for _, res in s.runs]
+        assert s.mean("block_updates") == np.mean(totals)
+        inner = [sum(r.inner_iterations for r in res.records) for _, res in s.runs]
+        assert s.mean("inner_iterations") == np.mean(inner)
     assert (tmp_path / "experiment_records.csv").exists()
     assert (tmp_path / "experiment_summary.csv").exists()
 
@@ -208,12 +207,12 @@ def test_output_files_echo_config(tmp_path):
 
 
 def test_records_csv_carries_certificate_and_flags(tmp_path):
-    _, records = harness.run_experiment(
+    summaries = harness.run_experiment(
         harness.parse_config(SMALL_CONFIG + f"output.dir = {tmp_path}\n")
     )
     text = (tmp_path / "experiment_records.csv").read_text()
     rows = list(csv.DictReader(l for l in text.splitlines() if not l.startswith("#")))
-    recs = [r for runs in records.values() for _, res in runs for r in res.records]
+    recs = [r for s in summaries.values() for _, res in s.runs for r in res.records]
     assert len(rows) == len(recs) > 0
     for row, rec in zip(rows, recs):
         assert float(row["certificate"]) == rec.certificate
@@ -226,12 +225,12 @@ def test_summary_csv_counts_stop_reasons(tmp_path):
     cfg = harness.parse_config(
         SMALL_CONFIG + f"stop.max_block_updates = 3\noutput.dir = {tmp_path}\n"
     )
-    summaries, records = harness.run_experiment(cfg)
+    summaries = harness.run_experiment(cfg)
     text = (tmp_path / "experiment_summary.csv").read_text()
     rows = list(csv.DictReader(l for l in text.splitlines() if not l.startswith("#")))
     assert [row["solver"] for row in rows] == list(summaries)
     for row in rows:
-        reasons = [res.stop_reason for _, res in records[row["solver"]]]
+        reasons = [res.stop_reason for _, res in summaries[row["solver"]].runs]
         assert reasons == ["budget", "budget"]
         assert {k: int(row[f"stop_{k}"]) for k in STOP_REASONS} == {
             "eps": 0, "budget": 2, "stagnated": 0, "order_exhausted": 0,
@@ -246,12 +245,12 @@ def test_run_experiment_deterministic_replay(tmp_path):
         SMALL_CONFIG + f"sampling.fixed_order_path = {order_path}\nrun.repetitions = 1\n"
         "inner.solver = cg\n"
     )
-    (s1, r1), (s2, r2) = (
+    s1, s2 = (
         harness.run_experiment(cfg, write_files=False),
         harness.run_experiment(cfg, write_files=False),
     )
-    rec1 = [(r.k, r.block, r.F) for _, res in r1["cg"] for r in res.records]
-    rec2 = [(r.k, r.block, r.F) for _, res in r2["cg"] for r in res.records]
+    rec1 = [(r.k, r.block, r.F) for _, res in s1["cg"].runs for r in res.records]
+    rec2 = [(r.k, r.block, r.F) for _, res in s2["cg"].runs for r in res.records]
     assert rec1 == rec2
 
 
@@ -270,10 +269,10 @@ inner.solver = pcg,cg
 stop.eps = 1e-6
 """
     )
-    summaries, records = harness.run_experiment(cfg, write_files=False)
+    summaries = harness.run_experiment(cfg, write_files=False)
     assert len(summaries["pcg"].failures) == 1
     assert summaries["pcg"].failures[0].startswith("setup: ")
-    assert not summaries["cg"].failures and len(records["cg"]) == 1
+    assert not summaries["cg"].failures and len(summaries["cg"].runs) == 1
 
     # the l1 path takes only prox: exact fails once, at set-up, however
     # many repetitions are asked for, while prox completes every run
@@ -281,46 +280,13 @@ stop.eps = 1e-6
         L1_CONFIG.replace("reg.lam = 0.1", "reg.lam = 0.1\ninner.solver = exact,prox")
         + "run.repetitions = 2\n"
     )
-    summaries, records = harness.run_experiment(cfg, write_files=False)
+    summaries = harness.run_experiment(cfg, write_files=False)
     assert summaries["exact"].failures == [
         "setup: method 'exact' does not fit the l1 regularizer: "
         "l1 and group lasso take 'prox', zero takes exact, cg or pcg"
     ]
-    assert not summaries["prox"].failures and summaries["prox"].block_updates == [30, 30]
-
-
-@pytest.mark.parametrize("order, bad", [("0 1 3 0", 3), ("0 1 2 -1 0", -1)])
-def test_run_experiment_records_a_fixed_order_outside_the_blocks(tmp_path, order, bad):
-    (tmp_path / "order.txt").write_text(order)
-    cfg = harness.parse_config(
-        SMALL_CONFIG + f"sampling.fixed_order_path = {tmp_path / 'order.txt'}\n"
-        "inner.solver = exact,cg\nrun.repetitions = 1\n"
-    )
-    summaries, records = harness.run_experiment(cfg, write_files=False)
-    for method in ("exact", "cg"):
-        assert records[method] == []
-        assert summaries[method].failures == [
-            f"run 0: fixed block order: index {bad} outside [0, 3)"
-        ]
-
-
-@pytest.mark.parametrize(
-    "content, named", [(None, "no_order.txt"), ("0 1 x 2", "'x'")], ids=["missing", "not-int"]
-)
-def test_run_experiment_records_an_unreadable_order_file_as_setup_failure(
-    tmp_path, content, named
-):
-    order_path = tmp_path / "no_order.txt"
-    if content is not None:
-        order_path.write_text(content)
-    cfg = harness.parse_config(
-        SMALL_CONFIG + f"sampling.fixed_order_path = {order_path}\ninner.solver = exact,cg\n"
-    )
-    summaries, records = harness.run_experiment(cfg, write_files=False)
-    for method in ("exact", "cg"):
-        assert records[method] == []
-        [failure] = summaries[method].failures
-        assert failure.startswith("setup: ") and named in failure
+    assert not summaries["prox"].failures
+    assert [res.block_updates for _, res in summaries["prox"].runs] == [30, 30]
 
 
 def test_run_experiment_reads_the_order_file_once(tmp_path, monkeypatch):
@@ -337,10 +303,10 @@ def test_run_experiment_reads_the_order_file_once(tmp_path, monkeypatch):
         SMALL_CONFIG + f"sampling.fixed_order_path = {order_path}\n"
         "inner.solver = exact,cg\nrun.repetitions = 3\n"
     )
-    summaries, records = harness.run_experiment(cfg, write_files=False)
+    summaries = harness.run_experiment(cfg, write_files=False)
     assert opened == [str(order_path)]
     for method in ("exact", "cg"):
-        assert not summaries[method].failures and len(records[method]) == 3
+        assert not summaries[method].failures and len(summaries[method].runs) == 3
 
 
 def test_run_experiment_records_an_unknown_solver_as_setup_failure():
@@ -350,18 +316,18 @@ def test_run_experiment_records_an_unknown_solver_as_setup_failure():
         SMALL_CONFIG.replace("policy.beta = 0.1\n", "")
         + "inner.solver = cg,foo\nrun.repetitions = 1\n"
     )
-    summaries, records = harness.run_experiment(cfg, write_files=False)
+    summaries = harness.run_experiment(cfg, write_files=False)
     assert summaries["foo"].failures == ["setup: unknown inner solver 'foo'"]
-    assert records["foo"] == []
-    assert not summaries["cg"].failures and len(records["cg"]) == 1
+    assert summaries["foo"].runs == []
+    assert not summaries["cg"].failures and len(summaries["cg"].runs) == 1
 
 
 def test_run_experiment_defaults_to_prox_for_l1():
     cfg = harness.parse_config(L1_CONFIG)
-    summaries, _ = harness.run_experiment(cfg, write_files=False)
+    summaries = harness.run_experiment(cfg, write_files=False)
     assert list(summaries) == ["prox"]
     assert not summaries["prox"].failures
-    assert summaries["prox"].block_updates == [30]
+    assert [res.block_updates for _, res in summaries["prox"].runs] == [30]
 
 
 def test_bounds_report_rows():
@@ -453,6 +419,26 @@ def test_cli_bounds_names_missing_inputs(theorem, capsys):
         (["run", "CFG"], "sampling.p = 0.5,0.5\n", "sampling.p has 2 probabilities"),
         (["run", "CFG"], "sampling.p = 0.5,0.5,0.5\n", "sampling.p: probabilities must sum to 1"),
         (["run", "CFG"], "policy.alpha = 0.1\n", "uniform-beta rule carries no multiplicative"),
+        (
+            ["run", "CFG"],
+            "sampling.fixed_order_path = TMP/no_order.txt\n",
+            "sampling.fixed_order_path: [Errno 2] No such file or directory",
+        ),
+        (
+            ["run", "CFG"],
+            "sampling.fixed_order_path = TMP/order_x.txt\n",
+            "sampling.fixed_order_path: invalid literal for int() with base 10: 'x'",
+        ),
+        (
+            ["run", "CFG"],
+            "sampling.fixed_order_path = TMP/order_3.txt\n",
+            "sampling.fixed_order_path: fixed block order: index 3 outside [0, 3)",
+        ),
+        (
+            ["run", "CFG"],
+            "sampling.fixed_order_path = TMP/order_minus_1.txt\n",
+            "sampling.fixed_order_path: fixed block order: index -1 outside [0, 3)",
+        ),
         (["generate", "--rows-per-block", "10", "--cols-per-block", "20"], None, "M_i >= N_i"),
         (
             ["generate", "--rows-per-block", "20", "--cols-per-block", "20", "--nnz-per-col", "1"],
@@ -471,13 +457,19 @@ def test_cli_bounds_names_missing_inputs(theorem, capsys):
     ids=[
         "missing-config", "unknown-reg", "group-weights", "negative-budget",
         "repetitions-not-int", "probability-count", "probability-sum", "uniform-beta-alpha",
+        "order-missing", "order-not-int", "order-index-3", "order-index-minus-1",
         "generate-shape", "generate-rank", "block-9", "block-minus-1", "PB-on-wide",
     ],
 )
 def test_cli_input_error_is_one_usage_error_line(tmp_path, capsys, argv, config, named):
-    # "CFG" stands for a config file, which exists only when config is given
+    # "CFG" stands for a config file, which exists only when config is given;
+    # "TMP" in config stands for the directory that holds these order files
+    (tmp_path / "order_x.txt").write_text("0 1 x 2")
+    (tmp_path / "order_3.txt").write_text("0 1 3 0")
+    (tmp_path / "order_minus_1.txt").write_text("0 1 2 -1 0")
     cfg = tmp_path / "exp.cfg"
     if config is not None:
+        config = config.replace("TMP", str(tmp_path))
         cfg.write_text(SMALL_CONFIG + f"output.dir = {tmp_path}\n" + config)
     with pytest.raises(SystemExit) as exit_info:
         cli.main([str(cfg) if a == "CFG" else a for a in argv])

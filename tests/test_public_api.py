@@ -1,10 +1,13 @@
-"""Every exported name has a caller outside the tests.
+"""Every exported name has a caller outside the tests, and every imported
+name has a use.
 
 A name in an icdkit module's ``__all__`` must be referenced somewhere in
 ``src/``, ``bench/`` or ``demos/`` besides its own definition and its
 ``__all__`` entry. Re-exports in ``icdkit/__init__.py`` do not count as
 callers, and neither do the tests, so API that only its own tests call
-fails here.
+fails here. A name an icdkit module imports must be read in that module
+or listed in its ``__all__``; no linter is assumed installed, so this
+check stands in for one.
 """
 
 import ast
@@ -50,4 +53,22 @@ def test_every_exported_name_has_a_caller_outside_the_tests():
         for name in _exported(tree)
         if name not in referenced
     ]
+    assert unused == []
+
+
+def test_every_imported_name_is_used():
+    unused = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        used = set(_exported(tree)) | {
+            node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.stem}: {alias.name}")
     assert unused == []
