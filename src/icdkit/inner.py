@@ -26,8 +26,11 @@ compares 1/2 ||B_i t - g||^2 with the tolerance it is given.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -140,19 +143,48 @@ def solve_cg(
 def incomplete_cholesky(P, drop_tol: float) -> sp.csc_matrix:
     """Left-looking incomplete Cholesky with a relative drop tolerance.
 
-    Entries of the working column smaller in magnitude than
-    drop_tol * ||P[:, j]||_2 are dropped (the diagonal is always kept).
-    A zero or negative pivot restarts the factorization on P + shift*I
-    with shift = 1e-4 * trace(P)/dim, escalating by 10x up to trace(P)/dim,
-    at most 5 times.
+    Entries of the working column that are zero or smaller in magnitude
+    than drop_tol * ||P[:, j]||_2 are dropped (the diagonal is always
+    kept). A zero or negative pivot restarts the factorization on
+    P + shift*I with shift = 1e-4 * trace(P)/dim, escalating by 10x up to
+    trace(P)/dim, at most 5 times. P is read in canonical form, so
+    duplicate entries count as their sum. drop_tol must be >= 0.
+
+    The work comes in two phases. Once per call, over all of P at once:
+    the column norms, the diagonal, and each column's candidates, its
+    strictly lower nonzeros with |P_rj| >= drop_tol * ||P[:, j]||_2. Then,
+    per column j, only the rows r that an earlier column k with L_jk != 0
+    touches are recomputed: P_rj - L_jk L_rk, subtracted in ascending k,
+    and the pivot is P_jj + shift - sum_k L_jk^2. Every other row keeps
+    P_rj and its candidate verdict. A column so costs time in proportion
+    to its update entries (the entries L_rk, r >= j, of the columns k it
+    reads) and its candidates, not to dim. Every entry takes the operations
+    of a dense left-looking sweep, in the same order, so the factor equals
+    that sweep's to the bit (tests/test_inner.py keeps it as the reference).
     """
-    P = sp.csc_matrix(P)
+    if not drop_tol >= 0:
+        raise ValueError(f"drop_tol must be a nonnegative number, got {drop_tol!r}")
+    P = sp.csc_matrix(P, dtype=float, copy=True)  # sum_duplicates works in place
     n = P.shape[0]
     if P.shape[0] != P.shape[1]:
         raise ValueError("P must be square")
-    base_shift = 1e-4 * P.diagonal().sum() / n
+    P.sum_duplicates()
+    ptr, rows, vals = P.indptr, P.indices, P.data
+    bounds = ptr.tolist()
+    # np.linalg.norm's own dot, column by column: a norm summed in another
+    # order can differ in the last bit and flip a verdict at the threshold
+    thresholds = [
+        drop_tol * math.sqrt(v.dot(v)) for v in (vals[a:b] for a, b in zip(bounds, bounds[1:]))
+    ]
+    col = np.repeat(np.arange(n), np.diff(ptr))
+    below = rows > col
+    candidate = below & (vals != 0) & (np.abs(vals) >= np.array(thresholds)[col])
+    lower, candidates = (_by_column(n, col, rows, vals, m) for m in (below, candidate))
+    diag = P.diagonal()
+    pivots = diag.tolist()
+    base_shift = 1e-4 * diag.sum() / n
     for shift in [0.0] + [base_shift * (10.0**e) for e in range(5)]:
-        L = _ichol_attempt(P, n, drop_tol, shift)
+        L = _ichol_sweep(n, pivots, thresholds, lower, candidates, shift)
         if L is not None:
             return L
     raise ValueError(
@@ -161,51 +193,101 @@ def incomplete_cholesky(P, drop_tol: float) -> sp.csc_matrix:
     )
 
 
-def _ichol_attempt(P: sp.csc_matrix, n: int, drop_tol: float, shift: float):
-    col_idx: list[np.ndarray] = []
-    col_val: list[np.ndarray] = []
-    # row_map[i] lists (k, L[i,k]) for finalized columns k < j
-    row_map: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+# a column with this many update entries below its diagonal is formed in a
+# dense scratch vector; a sparser one in Python scalars
+_DENSE_TOUCHES = 64
+
+
+def _ichol_sweep(n, diag, thresholds, lower, candidates, shift) -> sp.csc_matrix | None:
+    """One left-looking pass over P + shift*I: L, or None at a nonpositive pivot.
+
+    lower and candidates are _by_column parts of P. A column whose updates
+    touch fewer than _DENSE_TOUCHES entries is formed in Python scalars,
+    one dictionary entry per touched row; a denser one in a dense scratch
+    vector with np.subtract.at, which applies the products in the same
+    ascending-k order.
+    """
+    lptr, lrows, lvals, lrows_a, lvals_a = lower
+    cptr, crows, cvals, crows_a, _ = candidates
+    # column k of L as lists, diagonal first; numpy copies once a dense column reads it
+    cols_r: list[list[int]] = []
+    cols_v: list[list[float]] = []
+    arrays: list[tuple[np.ndarray, np.ndarray] | None] = [None] * n
+    # row_map[r] lists (k, position of row r in column k) for finished k
+    row_map: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     w = np.zeros(n)
+    flag = np.zeros(n, dtype=bool)
     for j in range(n):
-        lo, hi = P.indptr[j], P.indptr[j + 1]
-        rows = P.indices[lo:hi]
-        vals = P.data[lo:hi]
-        col_norm = float(np.linalg.norm(vals))
-        keep = rows >= j
-        w[rows[keep]] = vals[keep]
-        if shift:
-            w[j] += shift
-        for k, ljk in row_map[j]:
-            idx = col_idx[k]
-            sub = idx >= j
-            w[idx[sub]] -= ljk * col_val[k][sub]
-        pivot = w[j]
+        ents = row_map[j]
+        pivot = diag[j] + shift
+        touches = 0
+        for k, p in ents:
+            ljk = cols_v[k][p]
+            pivot -= ljk * ljk
+            touches += len(cols_r[k]) - p - 1
         if pivot <= 0:
             return None
-        diag = np.sqrt(pivot)
-        below = np.flatnonzero(w)
-        below = below[below > j]
-        if drop_tol > 0 and below.size:
-            below = below[np.abs(w[below]) >= drop_tol * col_norm]
-        idx = np.concatenate([[j], below]).astype(np.int64)
-        val = np.empty(idx.size)
-        val[0] = diag
-        val[1:] = w[below] / diag
-        # reset scratch (touched entries only)
-        w[rows[keep]] = 0.0
-        w[j] = 0.0
-        for k, ljk in row_map[j]:
-            w[col_idx[k]] = 0.0
-        col_idx.append(idx)
-        col_val.append(val)
-        for pos in range(1, idx.size):
-            row_map[idx[pos]].append((j, val[pos]))
+        d = math.sqrt(pivot)
+        c0, c1 = cptr[j], cptr[j + 1]
+        lo, hi = lptr[j], lptr[j + 1]
+        if not touches:
+            kept_r = crows[c0:c1]
+            kept_v = [v / d for v in cvals[c0:c1]]
+        elif touches < _DENSE_TOUCHES:
+            acc: dict[int, float] = {}
+            for k, p in ents:
+                rk, vk = cols_r[k], cols_v[k]
+                ljk = vk[p]
+                for q in range(p + 1, len(rk)):
+                    r = rk[q]
+                    x = acc.get(r)
+                    if x is None:
+                        i = bisect_left(lrows, r, lo, hi)
+                        x = lvals[i] if i < hi and lrows[i] == r else 0.0
+                    acc[r] = x - ljk * vk[q]
+            t = thresholds[j]
+            kept = dict(zip(crows[c0:c1], cvals[c0:c1]))
+            for r, x in acc.items():
+                if x != 0 and abs(x) >= t:
+                    kept[r] = x
+                else:
+                    kept.pop(r, None)
+            kept_r = sorted(kept)
+            kept_v = [kept[r] / d for r in kept_r]
+        else:
+            for k, _ in ents:
+                if arrays[k] is None:
+                    arrays[k] = (np.array(cols_r[k]), np.array(cols_v[k]))
+            w[lrows_a[lo:hi]] = lvals_a[lo:hi]
+            r = np.concatenate([arrays[k][0][p + 1 :] for k, p in ents])
+            prods = [arrays[k][1][p + 1 :] * arrays[k][1][p] for k, p in ents]
+            np.subtract.at(w, r, np.concatenate(prods))
+            wr = w[r]
+            flag[crows_a[c0:c1]] = True
+            flag[r] = (wr != 0) & (np.abs(wr) >= thresholds[j])
+            kept_a = np.flatnonzero(flag)
+            kept_r, kept_v = kept_a.tolist(), (w[kept_a] / d).tolist()
+            flag[kept_a] = False
+            w[lrows_a[lo:hi]] = 0.0
+            w[r] = 0.0
+        for p, r in enumerate(kept_r, 1):
+            row_map[r].append((j, p))
+        cols_r.append([j, *kept_r])
+        cols_v.append([d, *kept_v])
     indptr = np.zeros(n + 1, dtype=np.int64)
-    indptr[1:] = np.cumsum([ix.size for ix in col_idx])
-    indices = np.concatenate(col_idx) if col_idx else np.zeros(0, dtype=np.int64)
-    data = np.concatenate(col_val) if col_val else np.zeros(0)
+    np.cumsum([len(c) for c in cols_r], out=indptr[1:])
+    indices = np.fromiter(chain.from_iterable(cols_r), np.int64, indptr[-1])
+    data = np.fromiter(chain.from_iterable(cols_v), float, indptr[-1])
     return sp.csc_matrix((data, indices, indptr), shape=(n, n))
+
+
+def _by_column(n, col, rows, vals, mask):
+    """The entries under mask, column by column: pointers, rows and values
+    as lists for scalar reads, rows and values as arrays for scatters."""
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(col[mask], minlength=n), out=ptr[1:])
+    r, v = rows[mask], vals[mask]
+    return ptr.tolist(), r.tolist(), v.tolist(), r, v
 
 
 class _TriangularPreconditioner:

@@ -322,6 +322,19 @@ def test_run_experiment_records_an_unknown_solver_as_setup_failure():
     assert not summaries["cg"].failures and len(summaries["cg"].runs) == 1
 
 
+@pytest.mark.parametrize("drop_tol", ["-0.1", "nan"])
+def test_run_experiment_records_a_bad_drop_tol_as_setup_failure(drop_tol):
+    cfg = harness.parse_config(
+        SMALL_CONFIG + f"inner.solver = cg,pcg\ninner.drop_tol = {drop_tol}\nrun.repetitions = 1\n"
+    )
+    summaries = harness.run_experiment(cfg, write_files=False)
+    assert summaries["pcg"].failures == [
+        f"setup: drop_tol must be a nonnegative number, got {float(drop_tol)!r}"
+    ]
+    assert summaries["pcg"].runs == []
+    assert not summaries["cg"].failures and len(summaries["cg"].runs) == 1
+
+
 def test_run_experiment_defaults_to_prox_for_l1():
     cfg = harness.parse_config(L1_CONFIG)
     summaries = harness.run_experiment(cfg, write_files=False)

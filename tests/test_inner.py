@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg import cho_solve, solve_triangular
 
+from icdkit import block_angular, inner
 from icdkit.blocks import BlockMetric, BlockPartition
 from icdkit.inner import (
     LinearSubproblem,
@@ -151,10 +152,117 @@ def test_ichol_shifts_up_to_the_mean_diagonal():
     P = M.T @ M + 0.1 * np.eye(30)
     L = incomplete_cholesky(sp.csc_matrix(P), drop_tol=0.1)
     assert np.all(L.diagonal() > 0)
+    assert L[0, 0] > np.sqrt(P[0, 0])  # it factored P + shift*I, shift > 0
     g = rng.standard_normal(30)
     t, stats = solve_pcg(_system(P, g), _TriangularPreconditioner(L), 1e-20, CAP)
     assert stats.converged
     assert np.allclose(t, np.linalg.solve(P, g), rtol=1e-8)
+
+
+def test_ichol_sums_duplicate_entries():
+    # P = [[4, 1], [1, 3]] with its (1, 0) entry stored as 0.5 + 0.5
+    P = sp.csc_matrix(
+        (np.array([4.0, 0.5, 0.5, 1.0, 3.0]), np.array([0, 1, 1, 0, 1]), np.array([0, 3, 5])),
+        shape=(2, 2),
+    )
+    L = incomplete_cholesky(P, drop_tol=0.0)
+    assert L[1, 0] == 0.5
+    assert np.allclose((L @ L.T).toarray(), [[4.0, 1.0], [1.0, 3.0]], rtol=0, atol=1e-15)
+    assert P.nnz == 5  # the caller's matrix is left as it was
+
+
+@pytest.mark.parametrize("drop_tol", [-0.1, float("nan")])
+def test_ichol_rejects_a_negative_or_nan_drop_tol(drop_tol):
+    with pytest.raises(ValueError, match="drop_tol"):
+        incomplete_cholesky(sp.eye(3, format="csc"), drop_tol)
+
+
+def _reference_ichol(P, drop_tol):
+    """The dense-scratch left-looking sweep that incomplete_cholesky replaced:
+    O(dim) work per column, the same drop rule and shift restarts."""
+    P = sp.csc_matrix(P)
+    n = P.shape[0]
+    base_shift = 1e-4 * P.diagonal().sum() / n
+    for shift in [0.0] + [base_shift * (10.0**e) for e in range(5)]:
+        L = _reference_attempt(P, n, drop_tol, shift)
+        if L is not None:
+            return L
+    raise ValueError("broke down")
+
+
+def _reference_attempt(P, n, drop_tol, shift):
+    col_idx, col_val = [], []
+    row_map = [[] for _ in range(n)]  # row_map[i] lists (k, L[i, k]) for finished k
+    w = np.zeros(n)
+    for j in range(n):
+        lo, hi = P.indptr[j], P.indptr[j + 1]
+        rows, vals = P.indices[lo:hi], P.data[lo:hi]
+        col_norm = float(np.linalg.norm(vals))
+        keep = rows >= j
+        w[rows[keep]] = vals[keep]
+        if shift:
+            w[j] += shift
+        for k, ljk in row_map[j]:
+            idx = col_idx[k]
+            sub = idx >= j
+            w[idx[sub]] -= ljk * col_val[k][sub]
+        pivot = w[j]
+        if pivot <= 0:
+            return None
+        diag = np.sqrt(pivot)
+        below = np.flatnonzero(w)
+        below = below[below > j]
+        if drop_tol > 0 and below.size:
+            below = below[np.abs(w[below]) >= drop_tol * col_norm]
+        idx = np.concatenate([[j], below]).astype(np.int64)
+        val = np.empty(idx.size)
+        val[0] = diag
+        val[1:] = w[below] / diag
+        w[rows[keep]] = 0.0
+        w[j] = 0.0
+        for k, _ in row_map[j]:
+            w[col_idx[k]] = 0.0
+        col_idx.append(idx)
+        col_val.append(val)
+        for pos in range(1, idx.size):
+            row_map[idx[pos]].append((j, val[pos]))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    indptr[1:] = np.cumsum([ix.size for ix in col_idx])
+    return sp.csc_matrix((np.concatenate(col_val), np.concatenate(col_idx), indptr), shape=(n, n))
+
+
+def _block_angular_P(M_i, N_i, n=1, shape="tall"):
+    mat, _, _ = block_angular.generate(
+        block_angular.GeneratorSpec(n=n, M_i=M_i, N_i=N_i, ell=1, shape=shape, seed=3)
+    )
+    return [block_angular.build_preconditioner(mat, i) for i in range(n)]
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(11)
+    M = rng.standard_normal((33, 30))
+    cases = [("bench-shape", P, 0.1) for P in _block_angular_P(2000, 500)]
+    for drop_tol in (0.0, 0.1, 0.3):
+        cases += [(f"tiny-{drop_tol}", P, drop_tol) for P in _block_angular_P(200, 50, n=3)]
+    cases += [("wide-shifted", P, 0.1) for P in _block_angular_P(30, 50, n=2, shape="wide")]
+    # the factor of test_ichol_shifts_up_to_the_mean_diagonal, after shift restarts
+    cases.append(("33x30-shift-restarts", sp.csc_matrix(M.T @ M + 0.1 * np.eye(30)), 0.1))
+    cases.append(("spd-drop-0", sp.csc_matrix(_random_spd(np.random.default_rng(5), 40)), 0.0))
+    # L L^T with L = [[1, 0, 0], [1, 1, 0], [1, 0, 1]]: L_21 cancels to exactly 0
+    cases.append(("exact-zero", sp.csc_matrix([[1.0, 1, 1], [1, 2, 1], [1, 1, 2]]), 0.0))
+    return [pytest.param(P, drop_tol, id=f"{name}-{i}") for i, (name, P, drop_tol) in enumerate(cases)]
+
+
+@pytest.mark.parametrize("dense_touches", [1, inner._DENSE_TOUCHES, 10**9],
+                         ids=["all-dense", "default", "all-scalar"])
+@pytest.mark.parametrize("P, drop_tol", _oracle_cases())
+def test_ichol_matches_the_dense_scratch_sweep_to_the_bit(P, drop_tol, dense_touches, monkeypatch):
+    # every column through each of the two column forms, and the default mix
+    monkeypatch.setattr(inner, "_DENSE_TOUCHES", dense_touches)
+    L, R = incomplete_cholesky(P, drop_tol), _reference_ichol(P, drop_tol)
+    assert np.array_equal(L.indptr, R.indptr)
+    assert np.array_equal(L.indices, R.indices)
+    assert np.array_equal(L.data, R.data)
 
 
 # ---------------------------------------------------------------- PCG
