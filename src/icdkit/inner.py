@@ -158,9 +158,11 @@ def incomplete_cholesky(P, drop_tol: float) -> sp.csc_matrix:
     and the pivot is P_jj + shift - sum_k L_jk^2. Every other row keeps
     P_rj and its candidate verdict. A column so costs time in proportion
     to its update entries (the entries L_rk, r >= j, of the columns k it
-    reads) and its candidates, not to dim. Every entry takes the operations
-    of a dense left-looking sweep, in the same order, so the factor equals
-    that sweep's to the bit (tests/test_inner.py keeps it as the reference).
+    reads) and its candidates, not to dim. Each update is one Python scalar
+    step, so a near-complete factor (drop_tol near 0) costs more than a
+    dense sweep would. Every entry takes the operations of a dense
+    left-looking sweep, in the same order, so the factor equals that
+    sweep's to the bit (tests/test_inner.py keeps it as the reference).
     """
     if not drop_tol >= 0:
         raise ValueError(f"drop_tol must be a nonnegative number, got {drop_tol!r}")
@@ -193,87 +195,49 @@ def incomplete_cholesky(P, drop_tol: float) -> sp.csc_matrix:
     )
 
 
-# a column with this many update entries below its diagonal is formed in a
-# dense scratch vector; a sparser one in Python scalars
-_DENSE_TOUCHES = 64
-
-
 def _ichol_sweep(n, diag, thresholds, lower, candidates, shift) -> sp.csc_matrix | None:
     """One left-looking pass over P + shift*I: L, or None at a nonpositive pivot.
 
-    lower and candidates are _by_column parts of P. A column whose updates
-    touch fewer than _DENSE_TOUCHES entries is formed in Python scalars,
-    one dictionary entry per touched row; a denser one in a dense scratch
-    vector with np.subtract.at, which applies the products in the same
-    ascending-k order.
+    lower and candidates are _by_column parts of P. Column j is formed in
+    Python scalars, one dictionary entry per row that an update touches.
     """
-    lptr, lrows, lvals, lrows_a, lvals_a = lower
-    cptr, crows, cvals, crows_a, _ = candidates
-    # column k of L as lists, diagonal first; numpy copies once a dense column reads it
+    lptr, lrows, lvals = lower
+    cptr, crows, cvals = candidates
+    # column k of L as lists, diagonal first
     cols_r: list[list[int]] = []
     cols_v: list[list[float]] = []
-    arrays: list[tuple[np.ndarray, np.ndarray] | None] = [None] * n
     # row_map[r] lists (k, position of row r in column k) for finished k
     row_map: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    w = np.zeros(n)
-    flag = np.zeros(n, dtype=bool)
     for j in range(n):
-        ents = row_map[j]
         pivot = diag[j] + shift
-        touches = 0
-        for k, p in ents:
-            ljk = cols_v[k][p]
+        lo, hi = lptr[j], lptr[j + 1]
+        acc: dict[int, float] = {}
+        for k, p in row_map[j]:
+            rk, vk = cols_r[k], cols_v[k]
+            ljk = vk[p]
             pivot -= ljk * ljk
-            touches += len(cols_r[k]) - p - 1
+            for q in range(p + 1, len(rk)):
+                r = rk[q]
+                x = acc.get(r)
+                if x is None:
+                    i = bisect_left(lrows, r, lo, hi)
+                    x = lvals[i] if i < hi and lrows[i] == r else 0.0
+                acc[r] = x - ljk * vk[q]
         if pivot <= 0:
             return None
         d = math.sqrt(pivot)
-        c0, c1 = cptr[j], cptr[j + 1]
-        lo, hi = lptr[j], lptr[j + 1]
-        if not touches:
-            kept_r = crows[c0:c1]
-            kept_v = [v / d for v in cvals[c0:c1]]
-        elif touches < _DENSE_TOUCHES:
-            acc: dict[int, float] = {}
-            for k, p in ents:
-                rk, vk = cols_r[k], cols_v[k]
-                ljk = vk[p]
-                for q in range(p + 1, len(rk)):
-                    r = rk[q]
-                    x = acc.get(r)
-                    if x is None:
-                        i = bisect_left(lrows, r, lo, hi)
-                        x = lvals[i] if i < hi and lrows[i] == r else 0.0
-                    acc[r] = x - ljk * vk[q]
-            t = thresholds[j]
-            kept = dict(zip(crows[c0:c1], cvals[c0:c1]))
-            for r, x in acc.items():
-                if x != 0 and abs(x) >= t:
-                    kept[r] = x
-                else:
-                    kept.pop(r, None)
-            kept_r = sorted(kept)
-            kept_v = [kept[r] / d for r in kept_r]
-        else:
-            for k, _ in ents:
-                if arrays[k] is None:
-                    arrays[k] = (np.array(cols_r[k]), np.array(cols_v[k]))
-            w[lrows_a[lo:hi]] = lvals_a[lo:hi]
-            r = np.concatenate([arrays[k][0][p + 1 :] for k, p in ents])
-            prods = [arrays[k][1][p + 1 :] * arrays[k][1][p] for k, p in ents]
-            np.subtract.at(w, r, np.concatenate(prods))
-            wr = w[r]
-            flag[crows_a[c0:c1]] = True
-            flag[r] = (wr != 0) & (np.abs(wr) >= thresholds[j])
-            kept_a = np.flatnonzero(flag)
-            kept_r, kept_v = kept_a.tolist(), (w[kept_a] / d).tolist()
-            flag[kept_a] = False
-            w[lrows_a[lo:hi]] = 0.0
-            w[r] = 0.0
+        t = thresholds[j]
+        kept = dict(zip(crows[cptr[j] : cptr[j + 1]], cvals[cptr[j] : cptr[j + 1]]))
+        for r, x in acc.items():
+            if x != 0 and abs(x) >= t:
+                kept[r] = x
+            else:
+                kept.pop(r, None)
+        kept_r = sorted(kept)
         for p, r in enumerate(kept_r, 1):
             row_map[r].append((j, p))
         cols_r.append([j, *kept_r])
-        cols_v.append([d, *kept_v])
+        cols_v.append([d, *(kept[r] / d for r in kept_r)])
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum([len(c) for c in cols_r], out=indptr[1:])
     indices = np.fromiter(chain.from_iterable(cols_r), np.int64, indptr[-1])
@@ -282,12 +246,10 @@ def _ichol_sweep(n, diag, thresholds, lower, candidates, shift) -> sp.csc_matrix
 
 
 def _by_column(n, col, rows, vals, mask):
-    """The entries under mask, column by column: pointers, rows and values
-    as lists for scalar reads, rows and values as arrays for scatters."""
+    """The entries under mask, column by column: pointers, rows and values as lists."""
     ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(col[mask], minlength=n), out=ptr[1:])
-    r, v = rows[mask], vals[mask]
-    return ptr.tolist(), r.tolist(), v.tolist(), r, v
+    return ptr.tolist(), rows[mask].tolist(), vals[mask].tolist()
 
 
 class _TriangularPreconditioner:

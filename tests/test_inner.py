@@ -1,11 +1,13 @@
 """Inner solvers: CG, incomplete Cholesky, PCG, exact solve, l1/group prox."""
 
+import functools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg import cho_solve, solve_triangular
 
-from icdkit import block_angular, inner
+from icdkit import block_angular
 from icdkit.blocks import BlockMetric, BlockPartition
 from icdkit.inner import (
     LinearSubproblem,
@@ -231,6 +233,7 @@ def _reference_attempt(P, n, drop_tol, shift):
     return sp.csc_matrix((np.concatenate(col_val), np.concatenate(col_idx), indptr), shape=(n, n))
 
 
+@functools.cache
 def _block_angular_P(M_i, N_i, n=1, shape="tall"):
     mat, _, _ = block_angular.generate(
         block_angular.GeneratorSpec(n=n, M_i=M_i, N_i=N_i, ell=1, shape=shape, seed=3)
@@ -238,27 +241,44 @@ def _block_angular_P(M_i, N_i, n=1, shape="tall"):
     return [block_angular.build_preconditioner(mat, i) for i in range(n)]
 
 
-def _oracle_cases():
-    rng = np.random.default_rng(11)
-    M = rng.standard_normal((33, 30))
-    cases = [("bench-shape", P, 0.1) for P in _block_angular_P(2000, 500)]
-    for drop_tol in (0.0, 0.1, 0.3):
-        cases += [(f"tiny-{drop_tol}", P, drop_tol) for P in _block_angular_P(200, 50, n=3)]
-    cases += [("wide-shifted", P, 0.1) for P in _block_angular_P(30, 50, n=2, shape="wide")]
-    # the factor of test_ichol_shifts_up_to_the_mean_diagonal, after shift restarts
-    cases.append(("33x30-shift-restarts", sp.csc_matrix(M.T @ M + 0.1 * np.eye(30)), 0.1))
-    cases.append(("spd-drop-0", sp.csc_matrix(_random_spd(np.random.default_rng(5), 40)), 0.0))
+def _oracle_matrix(name, i):
+    """Oracle case name's i-th matrix, built when its test runs."""
+    if name == "bench-shape":
+        return _block_angular_P(2000, 500)[i]
+    if name == "tiny":
+        return _block_angular_P(200, 50, n=3)[i]
+    if name == "wide-shifted":
+        return _block_angular_P(30, 50, n=2, shape="wide")[i]
+    if name == "33x30-shift-restarts":
+        # the factor of test_ichol_shifts_up_to_the_mean_diagonal
+        M = np.random.default_rng(11).standard_normal((33, 30))
+        return sp.csc_matrix(M.T @ M + 0.1 * np.eye(30))
+    if name == "spd":
+        return sp.csc_matrix(_random_spd(np.random.default_rng(5), 40))
+    if name == "stored-zero":
+        # [[4, 0, 1], [0, 3, 0], [1, 0, 2]] with both zeros stored
+        data, rows = [4.0, 0.0, 1.0, 0.0, 3.0, 1.0, 2.0], [0, 1, 2, 0, 1, 0, 2]
+        return sp.csc_matrix((data, rows, [0, 3, 5, 7]), shape=(3, 3))
+    assert name == "exact-zero"
     # L L^T with L = [[1, 0, 0], [1, 1, 0], [1, 0, 1]]: L_21 cancels to exactly 0
-    cases.append(("exact-zero", sp.csc_matrix([[1.0, 1, 1], [1, 2, 1], [1, 1, 2]]), 0.0))
-    return [pytest.param(P, drop_tol, id=f"{name}-{i}") for i, (name, P, drop_tol) in enumerate(cases)]
+    return sp.csc_matrix([[1.0, 1, 1], [1, 2, 1], [1, 1, 2]])
 
 
-@pytest.mark.parametrize("dense_touches", [1, inner._DENSE_TOUCHES, 10**9],
-                         ids=["all-dense", "default", "all-scalar"])
-@pytest.mark.parametrize("P, drop_tol", _oracle_cases())
-def test_ichol_matches_the_dense_scratch_sweep_to_the_bit(P, drop_tol, dense_touches, monkeypatch):
-    # every column through each of the two column forms, and the default mix
-    monkeypatch.setattr(inner, "_DENSE_TOUCHES", dense_touches)
+_ORACLE_CASES = [
+    ("bench-shape", 0, 0.1),
+    *[("tiny", i, drop_tol) for drop_tol in (0.0, 0.1, 0.3) for i in range(3)],
+    ("wide-shifted", 0, 0.1),
+    ("wide-shifted", 1, 0.1),
+    ("33x30-shift-restarts", 0, 0.1),
+    ("spd", 0, 0.0),
+    ("stored-zero", 0, 0.0),
+    ("exact-zero", 0, 0.0),
+]
+
+
+@pytest.mark.parametrize("name, i, drop_tol", _ORACLE_CASES)
+def test_ichol_matches_the_dense_scratch_sweep_to_the_bit(name, i, drop_tol):
+    P = _oracle_matrix(name, i)
     L, R = incomplete_cholesky(P, drop_tol), _reference_ichol(P, drop_tol)
     assert np.array_equal(L.indptr, R.indptr)
     assert np.array_equal(L.indices, R.indices)
