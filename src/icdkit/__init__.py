@@ -17,7 +17,7 @@ The library is organised around a handful of small modules:
     The randomized outer loop: block sampling, inexactness budgets and
     the driver producing per-iteration records.
 ``bounds``
-    Iteration-complexity bound calculators and feasibility checks.
+    Iteration-complexity bounds, feasibility checks and the theorem report.
 ``block_angular``
     Block-angular matrix generation, the C^T C preconditioners and the
     spectrum verification reports.

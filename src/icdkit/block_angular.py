@@ -189,24 +189,23 @@ def spectrum_report(
     """
     if not 0 <= i < mat.n:
         raise ValueError(f"block {i} outside [0, {mat.n})")
-    C = mat.C_blocks[i].toarray()
-    D = mat.D_blocks[i].toarray()
-    Ni = C.shape[1]
+    if which not in ("PB", "PhatB", "PhatP"):
+        raise ValueError(f"unknown operator selector {which!r}")
+    rows, Ni = mat.C_blocks[i].shape
     if Ni > SPECTRUM_DIM_CAP:
         raise ValueError(
             f"N_i = {Ni} exceeds the dense spectrum cap {SPECTRUM_DIM_CAP}; "
             "use a sampling-based spectrum estimate for blocks this large"
         )
+    if which == "PB" and rows < Ni:
+        raise ValueError("P^{-1} B requires a tall block; use PhatB")
+    C = mat.C_blocks[i].toarray()
+    D = mat.D_blocks[i].toarray()
     P = C.T @ C
     B = P + D.T @ D
-    A_dense = np.vstack([C, D])
-    r = _rank(D)
-    s = _rank(A_dense)
-    rep = SpectrumReport(which=which, rank_D=r, rank_A=s)
+    rep = SpectrumReport(which=which, rank_D=_rank(D), rank_A=_rank(np.vstack([C, D])))
 
     if which == "PB":
-        if C.shape[0] < Ni:
-            raise ValueError("P^{-1} B requires a tall block; use PhatB")
         vals = scipy.linalg.eigh(B, P, eigvals_only=True)
         rep.eigenvalues = vals
         rep.counts = {
@@ -237,33 +236,31 @@ def spectrum_report(
         }
         return rep
 
-    if which == "PhatB":
-        vals = scipy.linalg.eigh(B, Phat, eigvals_only=True)
-        rep.eigenvalues = vals
-        # trace identity via the eigendecomposition of P
-        lam, V = np.linalg.eigh(P)
-        Mi = _rank(C)
-        V1 = V[:, Ni - Mi :]
-        V2 = V[:, : Ni - Mi]
-        lam1 = lam[Ni - Mi :]
-        lhs = float(np.trace(D @ np.linalg.solve(Phat, D.T)))
-        rhs = 0.0
-        for j in range(D.shape[0]):
-            d = D[j]
-            rhs += float(np.sum((V1.T @ d) ** 2 / (lam1 + rho_shift)))
-            rhs += float(np.sum((V2.T @ d) ** 2)) / rho_shift
-        rep.trace_lhs = lhs
-        rep.trace_rhs = rhs
-        upper = 1.0 + lhs
-        rep.trace_bound = upper
-        ztol = UNIT_TOL * max(1.0, float(np.abs(vals).max()) if vals.size else 1.0)
-        rep.counts = {
-            "zero": int(np.sum(np.abs(vals) <= ztol)),
-            "in_zero_one": int(np.sum((vals > ztol) & (vals < 1.0 - UNIT_TOL))),
-            "equal_one": int(np.sum(np.abs(vals - 1.0) <= UNIT_TOL)),
-            "greater_one": int(np.sum(vals > 1.0 + UNIT_TOL)),
-            "above_bound": int(np.sum(vals > upper + UNIT_TOL)),
-        }
-        return rep
-
-    raise ValueError(f"unknown operator selector {which!r}")
+    # which == "PhatB"
+    vals = scipy.linalg.eigh(B, Phat, eigvals_only=True)
+    rep.eigenvalues = vals
+    # trace identity via the eigendecomposition of P
+    lam, V = np.linalg.eigh(P)
+    Mi = _rank(C)
+    V1 = V[:, Ni - Mi :]
+    V2 = V[:, : Ni - Mi]
+    lam1 = lam[Ni - Mi :]
+    lhs = float(np.trace(D @ np.linalg.solve(Phat, D.T)))
+    rhs = 0.0
+    for j in range(D.shape[0]):
+        d = D[j]
+        rhs += float(np.sum((V1.T @ d) ** 2 / (lam1 + rho_shift)))
+        rhs += float(np.sum((V2.T @ d) ** 2)) / rho_shift
+    rep.trace_lhs = lhs
+    rep.trace_rhs = rhs
+    upper = 1.0 + lhs
+    rep.trace_bound = upper
+    ztol = UNIT_TOL * max(1.0, float(np.abs(vals).max()) if vals.size else 1.0)
+    rep.counts = {
+        "zero": int(np.sum(np.abs(vals) <= ztol)),
+        "in_zero_one": int(np.sum((vals > ztol) & (vals < 1.0 - UNIT_TOL))),
+        "equal_one": int(np.sum(np.abs(vals - 1.0) <= UNIT_TOL)),
+        "greater_one": int(np.sum(vals > 1.0 + UNIT_TOL)),
+        "above_bound": int(np.sum(vals > upper + UNIT_TOL)),
+    }
+    return rep

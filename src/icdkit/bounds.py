@@ -2,10 +2,12 @@
 block coordinate descent method.
 
 Two bound shapes are evaluated: the sublinear "case (i)" bound with the
-shifted log/min structure, and the linear-rate "case (ii)" bound.
-Feasibility of (alpha, beta, eps, rho) is always evaluated explicitly;
-an infeasible query returns a flagged result listing the violated
-conditions rather than raising.
+shifted log/min structure, and the linear-rate "case (ii)" bound. Each
+theorem row in THEOREMS pairs a problem-class constant with one shape,
+and ``report`` evaluates a row for ``icdkit bounds``. Feasibility of
+(alpha, beta, eps, rho) is evaluated once, by the shape's own
+conditions; an infeasible query returns a flagged result listing the
+violated conditions rather than raising.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ __all__ = [
     "constants_smooth_convex",
     "constants_smooth_strongly_convex",
     "mu_quadratic",
+    "report",
 ]
 
 # dense generalized eigensolves above this dimension are refused
@@ -127,16 +130,17 @@ def iterations_case_ii(inputs: BoundInputs) -> BoundResult:
     c2, a, b = inputs.c, inputs.alpha, inputs.beta
     eps, rho, xi0 = inputs.eps, inputs.rho, inputs.xi0
     violated = []
-    if not a * c2 < 1:
+    contracts = a * c2 < 1
+    if not contracts:
         violated.append("alpha c2 < 1")
     if not (1 + a) * c2 >= 1:
         violated.append("(1 + alpha) c2 >= 1")
-    shift = b * c2 / (1 - a * c2) if a * c2 < 1 else math.inf
-    if not shift / rho < eps:
+    shift = b * c2 / (1 - a * c2) if contracts else None
+    if contracts and not shift / rho < eps:
         violated.append("eps > beta c2 / (rho (1 - alpha c2))")
     if not eps < xi0:
         violated.append("eps < xi0")
-    derived = {"shift": shift, "rate": 1 - (1 - a * c2) / c2 if a * c2 < 1 else None}
+    derived = {"shift": shift, "rate": 1 - (1 - a * c2) / c2 if contracts else None}
     if violated:
         return BoundResult(None, False, violated, derived)
     K = c2 / (1 - a * c2) * math.log((xi0 - shift) / (eps * rho - shift))
@@ -193,23 +197,58 @@ def constants_smooth_strongly_convex(mu_f: float) -> float:
     return 1.0 / mu_f
 
 
-# bound shape -> (exact-method closed form, inexact iteration bound)
-CASES = {"i": (exact_case_i, iterations_case_i), "ii": (exact_case_ii, iterations_case_ii)}
-
-# theorem -> (bound shape, inputs its constant needs, the constant as
-# (c, alpha_max) from keyword inputs); alpha_max is inf where the theorem
-# puts no upper bound on alpha
+# theorem -> (inputs its constant needs, exact-method closed form, inexact
+# iteration bound, the constant c1 or c2 from keyword inputs)
 THEOREMS = {
-    "composite_convex_i": ("i", ("n", "R2"), lambda n, R2, xi0, eps, **_: (
-        constants_composite_convex(n, R2, xi0, eps)[0], math.inf)),
-    "composite_convex_ii": ("ii", ("n", "R2"), lambda n, R2, xi0, eps, **_: (
-        constants_composite_convex(n, R2, xi0, eps)[1], math.inf)),
-    "strongly_convex": ("ii", ("n", "mu_f"), lambda n, mu_f, mu_psi, **_: (
-        constants_strongly_convex(n, mu_f, mu_psi)[1:])),
-    "smooth_convex": ("i", ("R2",), lambda R2, **_: (constants_smooth_convex(R2), math.inf)),
-    "smooth_strongly_convex": ("ii", ("mu_f",), lambda mu_f, **_: (
-        constants_smooth_strongly_convex(mu_f), math.inf)),
+    "composite_convex_i": (("n", "R2"), exact_case_i, iterations_case_i,
+        lambda n, R2, xi0, eps, **_: constants_composite_convex(n, R2, xi0, eps)[0]),
+    "composite_convex_ii": (("n", "R2"), exact_case_ii, iterations_case_ii,
+        lambda n, R2, xi0, eps, **_: constants_composite_convex(n, R2, xi0, eps)[1]),
+    "strongly_convex": (("n", "mu_f"), exact_case_ii, iterations_case_ii,
+        lambda n, mu_f, mu_psi, **_: constants_strongly_convex(n, mu_f, mu_psi)[1]),
+    "smooth_convex": (("R2",), exact_case_i, iterations_case_i,
+        lambda R2, **_: constants_smooth_convex(R2)),
+    "smooth_strongly_convex": (("mu_f",), exact_case_ii, iterations_case_ii,
+        lambda mu_f, **_: constants_smooth_strongly_convex(mu_f)),
 }
+
+
+def report(
+    theorem: str,
+    eps: float,
+    rho: float,
+    alpha: float = 0.0,
+    beta: float = 0.0,
+    xi0: float = 1.0,
+    n: int | None = None,
+    R2: float | None = None,
+    mu_f: float | None = None,
+    mu_psi: float = 0.0,
+) -> dict:
+    """Side-by-side exact/inexact iteration counts for one theorem row.
+
+    An infeasible row has K_inexact None and lists what it violates; the
+    strongly convex theorem's alpha < mu/n is its case (ii) alpha c2 < 1.
+    Raises ValueError for an unknown theorem or one whose inputs are missing.
+    """
+    if theorem not in THEOREMS:
+        raise ValueError(f"unknown theorem selector {theorem!r}")
+    needs, exact_of, iterations_of, constant_of = THEOREMS[theorem]
+    inputs = dict(n=n, R2=R2, mu_f=mu_f, mu_psi=mu_psi, xi0=xi0, eps=eps)
+    missing = [key for key in needs if inputs[key] is None]
+    if missing:
+        raise ValueError(f"theorem {theorem} needs {', '.join(missing)}")
+    constant = constant_of(**inputs)
+    res = iterations_of(BoundInputs(constant, alpha, beta, eps, rho, xi0))
+    return {
+        "theorem": theorem,
+        "constant": constant,
+        "K_exact": max(0, int(np.ceil(exact_of(constant, eps, rho, xi0)))),
+        "K_inexact": res.K,
+        "feasible": res.feasible,
+        "violated": res.violated,
+        "derived": res.derived,
+    }
 
 
 def mu_quadratic(objective: CompositeObjective, weights: WeightVector) -> float:

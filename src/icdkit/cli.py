@@ -110,7 +110,7 @@ def _dispatch(args):
                 print(f"  failure: {fail}")
 
     elif args.command == "bounds":
-        row = harness.bounds_report(
+        row = bounds.report(
             args.theorem, args.eps, args.rho, args.alpha, args.beta,
             args.xi0, n=args.n, R2=args.R2, mu_f=args.mu_f, mu_psi=args.mu_psi,
         )

@@ -7,9 +7,9 @@ event is logged in the iteration record.
 
 The per-update path does only the update's arithmetic: block indices are
 drawn in batches from the law's CDF (the same indices, from the same
-stream, as one ``rng.choice(n, p=p)`` per update), the budget is computed
-once per run when it cannot depend on F, and every run ends with a
-``stop_reason``.
+stream, as one ``rng.choice(n, p=p)`` per update), the budget is checked
+once, before the first update, and computed once per run when it cannot
+depend on F, and every run ends with a ``stop_reason``.
 """
 
 from __future__ import annotations
@@ -60,8 +60,11 @@ class DeltaRule(Enum):
 class InexactnessPolicy:
     """Per-iteration inexactness budgets delta_k^(i).
 
-    The expected budget delta_bar = sum_i p_i delta^(i) must stay below
-    alpha*(F(x_k) - F*) + beta whenever F* is known.
+    The theorems assume delta_bar = sum_i p_i delta^(i) <= alpha*(F(x_k)
+    - F*) + beta at every update; every rule meets that by construction
+    once check has passed. Only the multiplicative rule takes alpha > 0:
+    a fixed budget cannot shrink with F, so its alpha would only hide a
+    failure.
     """
 
     alpha: float = 0.0
@@ -76,14 +79,29 @@ class InexactnessPolicy:
             raise ValueError("per-block rule requires explicit deltas")
         if self.per_block is not None and any(d < 0 for d in self.per_block):
             raise ValueError(f"per-block budgets must be nonnegative, got {self.per_block}")
-        if self.rule is DeltaRule.UNIFORM_BETA and self.alpha > 0:
+        if self.rule is not DeltaRule.MULTIPLICATIVE_PLUS_ADDITIVE and self.alpha > 0:
             raise ValueError(
-                f"uniform-beta rule carries no multiplicative term, got alpha = {self.alpha}"
+                f"{self.rule.value} rule carries no multiplicative term, got alpha = {self.alpha}"
             )
 
     @classmethod
     def uniform(cls, beta: float):
         return cls(0.0, beta)
+
+    def check(self, p, F_star: float | None):
+        """Raise ValueError unless the budget is admissible under sampling
+        probabilities p and optimal value F_star (None when unknown): the
+        multiplicative rule needs F*, a per-block list one entry per block
+        and delta_bar <= beta. icd_run calls this before its first update."""
+        if self.rule is DeltaRule.MULTIPLICATIVE_PLUS_ADDITIVE and F_star is None:
+            raise ValueError("multiplicative error requires a known F*")
+        if self.rule is DeltaRule.PER_BLOCK_LIST:
+            deltas, n = np.asarray(self.per_block, dtype=float), len(p)
+            if len(deltas) != n:
+                raise ValueError(f"per-block delta list has {len(deltas)} entries for {n} blocks")
+            delta_bar = float(np.asarray(p, dtype=float) @ deltas)
+            if delta_bar > self.beta + 1e-12 * (1.0 + self.beta):
+                raise ValueError(f"per-block delta_bar {delta_bar!r} exceeds beta {self.beta!r}")
 
 
 @dataclass(frozen=True)
@@ -156,30 +174,15 @@ def _draws(law: SamplingLaw, rng: np.random.Generator):
 
 
 def delta_budget(
-    policy: InexactnessPolicy,
-    F_k: float,
-    F_star: float | None,
-    p,
-) -> tuple[np.ndarray, float]:
-    """Per-block deltas and their expectation delta_bar = sum p_i delta^(i)."""
-    p = np.asarray(p, dtype=float)
-    n = p.shape[0]
+    policy: InexactnessPolicy, F_k: float, F_star: float | None, n: int
+) -> np.ndarray:
+    """Per-block deltas at objective value F_k, for a policy that passed
+    InexactnessPolicy.check."""
     if policy.rule is DeltaRule.UNIFORM_BETA:
-        deltas = np.full(n, policy.beta)
-    elif policy.rule is DeltaRule.MULTIPLICATIVE_PLUS_ADDITIVE:
-        if F_star is None:
-            raise ValueError("multiplicative error requires a known F*")
-        deltas = np.full(n, policy.alpha * (F_k - F_star) + policy.beta)
-    else:
-        deltas = np.asarray(policy.per_block, dtype=float)
-        if deltas.shape[0] != n:
-            raise ValueError("per-block delta list has wrong length")
-    delta_bar = float(p @ deltas)
-    if F_star is not None:
-        bound = policy.alpha * (F_k - F_star) + policy.beta
-        if delta_bar > bound + 1e-12 * (1.0 + abs(bound)):
-            raise ValueError("delta_bar exceeds the alpha/beta budget")
-    return deltas, delta_bar
+        return np.full(n, policy.beta)
+    if policy.rule is DeltaRule.MULTIPLICATIVE_PLUS_ADDITIVE:
+        return np.full(n, policy.alpha * (F_k - F_star) + policy.beta)
+    return np.asarray(policy.per_block, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -367,16 +370,15 @@ def icd_run(
         per_block = getattr(solver, name)
         if per_block is not None and len(per_block) != n:
             raise ValueError(f"solver has {len(per_block)} {name} but the partition has {n} blocks")
+    policy.check(law.p, objective.F_star)
     state = objective.start(x0)
     records: list[IterationRecord] = []
     F = state.F_value()
     F_star = objective.F_star
     window = stagnation_window if stagnation_window is not None else 10 * n
-    # only these budgets, or their delta_bar check, change with F; any other
-    # is computed (and checked) once, at the first update
-    budget_tracks_F = policy.rule is DeltaRule.MULTIPLICATIVE_PLUS_ADDITIVE or (
-        policy.alpha > 0 and F_star is not None
-    )
+    # only the multiplicative budget changes with F; any other is computed
+    # once, at the first update
+    budget_tracks_F = policy.rule is DeltaRule.MULTIPLICATIVE_PLUS_ADDITIVE
     deltas = None
     stop_reason = "eps" if eps is not None and F - F_star < eps else None
     rng = np.random.default_rng(law.seed)
@@ -386,7 +388,7 @@ def icd_run(
     stagnant = 0
     for k, i in enumerate(blocks):
         if deltas is None or budget_tracks_F:
-            deltas, _ = delta_budget(policy, F, F_star, law.p)
+            deltas = delta_budget(policy, F, F_star, n)
         delta = float(deltas[i])
         t, stats, fallback = compute_update(objective, state, i, delta, solver)
         state.apply_update(i, t)

@@ -4,11 +4,13 @@ Configs are flat ``section.key = value`` text (diff-friendly, no schema
 dependency) that ``parse_config`` parses; the caller reads the file.
 Every output file starts with the echoed config so a run can be
 reproduced from its own artifacts. A bad problem, regularizer or policy
-key, a bad sampling.p or sampling.fixed_order_path, or a value that does
-not parse raises ValueError before any solver runs; a solver's setup or
-run error is recorded as its failure. One sampling law serves the whole
-experiment, re-seeded per repetition, and each solver's RunSummary keeps
-its (repetition, RunResult) pairs, which both CSVs are written from.
+key, a policy the sampling law or an unknown F* does not admit
+(InexactnessPolicy.check), a bad sampling.p or sampling.fixed_order_path,
+or a value that does not parse raises ValueError before any solver runs;
+a solver's setup or run error is recorded as its failure. One sampling
+law serves the whole experiment, re-seeded per repetition, and each
+solver's RunSummary keeps its (repetition, RunResult) pairs, which both
+CSVs are written from.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from icdkit import block_angular, bounds, mmio
+from icdkit import block_angular, mmio
 from icdkit.blocks import BlockPartition
 from icdkit.core import (
     STOP_REASONS,
@@ -43,7 +45,6 @@ __all__ = [
     "parse_config",
     "build_problem",
     "run_experiment",
-    "bounds_report",
 ]
 
 RECORD_COLUMNS = [
@@ -248,6 +249,7 @@ def run_experiment(cfg: ExperimentConfig, write_files: bool = True) -> dict[str,
         law = SamplingLaw.uniform(n, base_seed) if p is None else SamplingLaw(tuple(p), base_seed)
     except ValueError as e:
         raise ValueError(f"sampling.p: {e}") from None
+    policy.check(law.p, objective.F_star)
     order_path = cfg.get("sampling.fixed_order_path")
     if order_path:
         try:
@@ -320,48 +322,3 @@ def _write_summary_csv(path, cfg, summaries):
                 f"{s.mean('inner_iterations')!r},{s.mean('wall_time_s'):.6f},{counts},"
                 f"{';'.join(s.failures)}\n"
             )
-
-
-def bounds_report(
-    theorem: str,
-    eps: float,
-    rho: float,
-    alpha: float = 0.0,
-    beta: float = 0.0,
-    xi0: float = 1.0,
-    n: int | None = None,
-    R2: float | None = None,
-    mu_f: float | None = None,
-    mu_psi: float = 0.0,
-) -> dict:
-    """Side-by-side exact/inexact iteration counts for one theorem row.
-
-    Raises ValueError for an unknown theorem or one whose inputs are missing.
-    """
-    if theorem not in bounds.THEOREMS:
-        raise ValueError(f"unknown theorem selector {theorem!r}")
-    case, needs, constant_of = bounds.THEOREMS[theorem]
-    inputs = dict(n=n, R2=R2, mu_f=mu_f, mu_psi=mu_psi, xi0=xi0, eps=eps)
-    missing = [key for key in needs if inputs[key] is None]
-    if missing:
-        raise ValueError(f"theorem {theorem} needs {', '.join(missing)}")
-    constant, alpha_max = constant_of(**inputs)
-    if alpha >= alpha_max:
-        return {
-            "theorem": theorem,
-            "feasible": False,
-            "violated": [f"0 <= alpha < mu/n = {alpha_max!r}"],
-            "constant": constant,
-        }
-    exact_of, iterations_of = bounds.CASES[case]
-    exact = exact_of(constant, eps, rho, xi0)
-    res = iterations_of(bounds.BoundInputs(constant, alpha, beta, eps, rho, xi0))
-    return {
-        "theorem": theorem,
-        "constant": constant,
-        "K_exact": max(0, int(np.ceil(exact))),
-        "K_inexact": res.K,
-        "feasible": res.feasible,
-        "violated": res.violated,
-        "derived": res.derived,
-    }

@@ -22,6 +22,8 @@ from icdkit.objective import (
 
 __all__ = ["lasso_instance"]
 
+SUPPORT_FRACTION = 0.2  # share of the coordinates of x* that are nonzero (at least one)
+
 
 def lasso_instance(
     M: int,
@@ -29,7 +31,6 @@ def lasso_instance(
     sizes: tuple[int, ...],
     lam: float,
     seed: int = 0,
-    support_fraction: float = 0.2,
 ) -> CompositeObjective:
     """Random dense lasso problem min 1/2||Ax-b||^2 + lam||x||_1 with a
     known optimum x* and optimal value F*.
@@ -46,7 +47,7 @@ def lasso_instance(
     A = rng.standard_normal((M, N)) / np.sqrt(M)
 
     x_star = np.zeros(N)
-    support = rng.choice(N, size=max(1, int(support_fraction * N)), replace=False)
+    support = rng.choice(N, size=max(1, int(SUPPORT_FRACTION * N)), replace=False)
     x_star[support] = rng.standard_normal(support.size)
 
     # subgradient of ||.||_1 at x*: signs on the support, interior values off it

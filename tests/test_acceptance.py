@@ -326,7 +326,7 @@ def test_criterion_8_certificate_soundness():
         state = obj.start(x0)
         F = state.F_value()
         for i in sample_block(law, rng, 0, steps):
-            deltas, _ = delta_budget(policy, F, obj.F_star, law.p)
+            deltas = delta_budget(policy, F, obj.F_star, law.n)
             grad = obj.block_gradient(state, i)
             t, stats, fallback = compute_update(obj, state, i, float(deltas[i]), solver)
             v_t = obj.model_value(state, i, t, grad)

@@ -252,6 +252,25 @@ def test_spectrum_rejects_oversized_block():
         spectrum_report(mat, 0, "PB")
 
 
+@pytest.mark.parametrize(
+    "mat, which, error",
+    [
+        (_toy_tall(), "BP", "unknown operator selector 'BP'"),
+        (BlockAngularMatrix([sp.eye(600, format="csc")], [sp.csc_matrix((1, 600))]), "PhatP",
+         "exceeds the dense spectrum cap"),
+        (_toy_wide(), "PB", "requires a tall block"),
+    ],
+    ids=["unknown-selector", "oversized", "PB-on-wide"],
+)
+def test_spectrum_checks_its_inputs_before_densifying(monkeypatch, mat, which, error):
+    def densify(self, *args, **kwargs):
+        raise AssertionError("a block was densified before the input checks")
+
+    monkeypatch.setattr(sp.csc_matrix, "toarray", densify)
+    with pytest.raises(ValueError, match=error):
+        spectrum_report(mat, 0, which)
+
+
 @pytest.mark.parametrize("i", [1, -1])
 def test_spectrum_rejects_block_outside_the_instance(i):
     # the toy instance has one block; -1 must not wrap round to it

@@ -18,6 +18,7 @@ from icdkit.bounds import (
     iterations_case_i,
     iterations_case_ii,
     mu_quadratic,
+    report,
     sigma_u,
 )
 from icdkit.objective import (
@@ -209,6 +210,24 @@ def test_constants_smooth():
     assert constants_smooth_strongly_convex(0.999) > 1.0
     with pytest.raises(ValueError):
         constants_smooth_strongly_convex(1.0)
+
+
+def test_report_rows():
+    row = report("composite_convex_i", eps=1.0, rho=float(np.exp(-1)), xi0=3.0, n=10, R2=4.0)
+    assert row["K_inexact"] == 136
+    assert abs(row["K_exact"] - row["K_inexact"]) <= 1
+    row = report("composite_convex_ii", eps=0.3, rho=0.1, alpha=0.05, beta=0.001,
+                 xi0=1.0, n=1, R2=1.5)
+    assert row["constant"] == pytest.approx(10.0)
+    assert row["K_inexact"] == 92
+    # strongly convex, mu = 0.5 and c2 = n/mu = 8: alpha < mu/n is alpha c2 < 1
+    row = report("strongly_convex", eps=0.1, rho=0.2, alpha=0.1, xi0=1.0, n=4, mu_f=0.5)
+    assert row["feasible"] and row["K_inexact"] == math.ceil(8 / 0.2 * math.log(1 / 0.02))
+    row = report("strongly_convex", eps=0.1, rho=0.2, alpha=0.125, xi0=1.0, n=4, mu_f=0.5)
+    assert row["feasible"] is False and row["K_inexact"] is None  # the boundary is excluded
+    assert row["violated"] == ["alpha c2 < 1"]
+    assert row["derived"] == {"shift": None, "rate": None}  # no Infinity in the CLI's JSON
+    assert row["K_exact"] == math.ceil(exact_case_ii(8.0, 0.1, 0.2, 1.0))
 
 
 # ------------------------------------------------------------------ mu

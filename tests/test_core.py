@@ -111,30 +111,26 @@ def test_run_rejects_a_negative_update_budget():
 
 def test_delta_budget_uniform_beta():
     policy = InexactnessPolicy.uniform(0.1)
-    deltas, bar = delta_budget(policy, F_k=5.0, F_star=None, p=(0.5, 0.5))
+    deltas = delta_budget(policy, F_k=5.0, F_star=None, n=2)
     assert np.allclose(deltas, 0.1)
-    assert bar == pytest.approx(0.1)
 
 
 def test_delta_budget_exact_case():
-    deltas, bar = delta_budget(InexactnessPolicy(), 5.0, 0.0, (0.5, 0.5))
+    deltas = delta_budget(InexactnessPolicy(), 5.0, 0.0, 2)
     assert np.allclose(deltas, 0.0)
-    assert bar == 0.0
 
 
 def test_delta_budget_multiplicative():
-    policy = InexactnessPolicy(alpha=0.5, beta=0.0, rule=__import__("icdkit.core", fromlist=["DeltaRule"]).DeltaRule.MULTIPLICATIVE_PLUS_ADDITIVE)
-    deltas, bar = delta_budget(policy, F_k=2.0, F_star=0.0, p=(1.0,))
-    assert deltas[0] == pytest.approx(1.0)
-    assert bar <= 0.5 * 2.0 + 1e-12
-
-
-def test_delta_budget_multiplicative_requires_Fstar():
-    from icdkit.core import DeltaRule
-
     policy = InexactnessPolicy(alpha=0.5, beta=0.0, rule=DeltaRule.MULTIPLICATIVE_PLUS_ADDITIVE)
-    with pytest.raises(ValueError):
-        delta_budget(policy, F_k=2.0, F_star=None, p=(1.0,))
+    deltas = delta_budget(policy, F_k=2.0, F_star=0.0, n=1)
+    assert deltas[0] == pytest.approx(1.0)
+
+
+def test_policy_check_requires_Fstar_for_the_multiplicative_rule():
+    policy = InexactnessPolicy(alpha=0.5, beta=0.0, rule=DeltaRule.MULTIPLICATIVE_PLUS_ADDITIVE)
+    policy.check((1.0,), 0.0)
+    with pytest.raises(ValueError, match="multiplicative error requires a known F"):
+        policy.check((1.0,), None)
 
 
 def test_policy_rejects_negative_parameters():
@@ -147,7 +143,7 @@ def test_policy_rejects_negative_parameters():
 
 
 def test_uniform_beta_policy_rejects_a_multiplicative_term():
-    with pytest.raises(ValueError, match="uniform-beta rule carries no multiplicative term"):
+    with pytest.raises(ValueError, match="uniform_beta rule carries no multiplicative term"):
         InexactnessPolicy(alpha=0.1, beta=1e-6)
 
 
@@ -627,7 +623,6 @@ def test_run_stops_when_the_fixed_order_runs_out(length, budget, eps_on_last, re
         (InexactnessPolicy.uniform(1e-6), 1),
         (InexactnessPolicy(0.0, 1e-5, DeltaRule.PER_BLOCK_LIST, (1e-6, 1e-5)), 1),
         (InexactnessPolicy(0.1, 1e-6, DeltaRule.MULTIPLICATIVE_PLUS_ADDITIVE), 40),
-        (InexactnessPolicy(0.1, 1e-5, DeltaRule.PER_BLOCK_LIST, (1e-6, 1e-5)), 40),
     ],
 )
 def test_run_calls_delta_budget_once_unless_it_tracks_F(monkeypatch, policy, calls):
@@ -646,23 +641,52 @@ def test_run_calls_delta_budget_once_unless_it_tracks_F(monkeypatch, policy, cal
     assert len(seen) == calls
 
 
-def test_per_block_budget_with_alpha_raises_once_F_nears_F_star(monkeypatch):
-    # alpha*(F - F*) + beta shrinks as F falls, so the check runs every update
-    # and fails once it drops below delta_bar = 5.8e-6, after 130 updates
+def test_per_block_budget_is_checked_before_the_first_update(monkeypatch):
+    # a fixed list cannot shrink with F, so it takes no alpha, and its
+    # delta_bar = 5.8e-6 must not exceed beta, whether or not F* is known
+    with pytest.raises(ValueError, match="per_block_list rule carries no multiplicative term"):
+        InexactnessPolicy(0.1, 1e-9, DeltaRule.PER_BLOCK_LIST, (1e-6, 1e-5, 2e-6))
     rng = np.random.default_rng(1)
     p = BlockPartition((10, 10, 10))
     A = rng.standard_normal((60, 30))
     x_star = rng.standard_normal(30)
-    obj = CompositeObjective(QuadraticSmooth(sp.csc_matrix(A), A @ x_star, p),
-                             F_star=0.0, x_star=x_star)
+    smooth = QuadraticSmooth(sp.csc_matrix(A), A @ x_star, p)
+    law = SamplingLaw((0.2, 0.5, 0.3), seed=4)
     updates = []
     update = core.compute_update
     monkeypatch.setattr(core, "compute_update", lambda *a: updates.append(1) or update(*a))
-    policy = InexactnessPolicy(0.1, 1e-9, DeltaRule.PER_BLOCK_LIST, (1e-6, 1e-5, 2e-6))
-    with pytest.raises(ValueError, match="delta_bar exceeds the alpha/beta budget"):
-        icd_run(obj, np.ones(30), policy, SamplingLaw((0.2, 0.5, 0.3), seed=4),
-                SolverConfig(method="cg"), eps=1e-10)
-    assert len(updates) == 130
+    for F_star in (0.0, None):
+        obj = CompositeObjective(smooth, F_star=F_star)
+        for per_block, error in [((1e-6, 1e-5, 2e-6), r"delta_bar 5\.8.*e-06 exceeds beta 1e-09"),
+                                 ((1e-6, 1e-5), "has 2 entries for 3 blocks")]:
+            policy = InexactnessPolicy(0.0, 1e-9, DeltaRule.PER_BLOCK_LIST, per_block)
+            with pytest.raises(ValueError, match=error):
+                icd_run(obj, np.ones(30), policy, law, SolverConfig(method="cg"))
+    assert updates == []
+    obj = CompositeObjective(smooth, F_star=0.0, x_star=x_star)
+    policy = InexactnessPolicy(0.0, 5.8e-6, DeltaRule.PER_BLOCK_LIST, (1e-6, 1e-5, 2e-6))
+    res = icd_run(obj, np.ones(30), policy, law, SolverConfig(method="cg"), eps=1e-6)
+    assert res.stop_reason == "eps" and len(updates) == res.block_updates > 0
+
+
+def test_vacuous_guard_keeps_x_when_the_step_overshoots(monkeypatch):
+    # on a quadratic model V(c t*) = (c^2/2 - c) <g, B^{-1} g> > 0 = V(0)
+    # for any c > 2 times the exact step t*
+    rng = np.random.default_rng(3)
+    obj = _consistent_objective(rng, 20, (4, 3))
+    x0 = rng.standard_normal(7)
+
+    def overshoot(prob, tol, max_iters):
+        t, stats = inner.solve_exact_cholesky(prob)
+        return 2.5 * t, stats
+
+    monkeypatch.setattr(core, "solve_cg", overshoot)
+    res = icd_run(obj, x0, InexactnessPolicy.uniform(1e-6), SamplingLaw.uniform(2, seed=0),
+                  SolverConfig(method="cg"), max_block_updates=1)
+    [rec] = res.records
+    assert rec.vacuous_fallback
+    assert np.array_equal(res.x, x0)
+    assert rec.F == res.F_final == obj.start(x0).F_value()
 
 
 def test_exact_limit_cg_matches_cholesky():

@@ -343,24 +343,6 @@ def test_run_experiment_defaults_to_prox_for_l1():
     assert [res.block_updates for _, res in summaries["prox"].runs] == [30]
 
 
-def test_bounds_report_rows():
-    row = harness.bounds_report(
-        "composite_convex_i", eps=1.0, rho=float(np.exp(-1)), xi0=3.0, n=10, R2=4.0
-    )
-    assert row["K_inexact"] == 136
-    assert abs(row["K_exact"] - row["K_inexact"]) <= 1
-    row = harness.bounds_report(
-        "composite_convex_ii", eps=0.3, rho=0.1, alpha=0.05, beta=0.001,
-        xi0=1.0, n=1, R2=1.5,
-    )
-    assert row["constant"] == pytest.approx(10.0)
-    assert row["K_inexact"] == 92
-    row = harness.bounds_report(
-        "strongly_convex", eps=0.1, rho=0.2, alpha=0.125, xi0=1.0, n=4, mu_f=0.5
-    )
-    assert row["feasible"] is False  # alpha = mu/n boundary is excluded
-
-
 # ------------------------------------------------------------------ CLI
 
 
@@ -413,7 +395,7 @@ def test_cli_bounds_names_missing_inputs(theorem, capsys):
     with pytest.raises(SystemExit) as exit_info:
         cli.main(["bounds", "--theorem", theorem, "--eps", "0.5", "--rho", "0.5"])
     assert exit_info.value.code == 2
-    _, needs, _ = bounds.THEOREMS[theorem]
+    needs = bounds.THEOREMS[theorem][0]
     assert f"theorem {theorem} needs {', '.join(needs)}" in capsys.readouterr().err
 
 
@@ -431,7 +413,28 @@ def test_cli_bounds_names_missing_inputs(theorem, capsys):
         (["run", "CFG"], "run.repetitions = two\n", "run.repetitions: expected int, got 'two'"),
         (["run", "CFG"], "sampling.p = 0.5,0.5\n", "sampling.p has 2 probabilities"),
         (["run", "CFG"], "sampling.p = 0.5,0.5,0.5\n", "sampling.p: probabilities must sum to 1"),
-        (["run", "CFG"], "policy.alpha = 0.1\n", "uniform-beta rule carries no multiplicative"),
+        (["run", "CFG"], "policy.alpha = 0.1\n", "uniform_beta rule carries no multiplicative"),
+        (
+            ["run", "CFG"],
+            "policy.rule = per_block_list\npolicy.per_block = 0.1,0.1\n",
+            "per-block delta list has 2 entries for 3 blocks",
+        ),
+        (
+            ["run", "CFG"],
+            "policy.rule = per_block_list\npolicy.per_block = 0.1,0.2,0.1\n",
+            "per-block delta_bar 0.133",
+        ),
+        (
+            ["run", "CFG"],
+            "policy.rule = per_block_list\npolicy.per_block = 0.1,0.1,0.1\npolicy.alpha = 0.1\n",
+            "per_block_list rule carries no multiplicative term",
+        ),
+        (
+            ["run", "CFG"],
+            "reg.kind = l1\nreg.lam = 0.1\ninner.solver = prox\n"
+            "policy.rule = multiplicative_plus_additive\npolicy.alpha = 0.5\n",
+            "multiplicative error requires a known F*",
+        ),
         (
             ["run", "CFG"],
             "sampling.fixed_order_path = TMP/no_order.txt\n",
@@ -470,6 +473,7 @@ def test_cli_bounds_names_missing_inputs(theorem, capsys):
     ids=[
         "missing-config", "unknown-reg", "group-weights", "negative-budget",
         "repetitions-not-int", "probability-count", "probability-sum", "uniform-beta-alpha",
+        "per-block-length", "per-block-over-beta", "per-block-alpha", "multiplicative-no-Fstar",
         "order-missing", "order-not-int", "order-index-3", "order-index-minus-1",
         "generate-shape", "generate-rank", "block-9", "block-minus-1", "PB-on-wide",
     ],

@@ -1,7 +1,9 @@
-"""Every exported name has a caller outside the tests, and every imported
-name has a use.
+"""Every exported name is bound in its own module and has a caller outside
+the tests, and every imported name has a use.
 
-A name in an icdkit module's ``__all__`` must be referenced somewhere in
+A name in an icdkit module's ``__all__`` must be defined or imported at
+the top level of that module, so a name moved to another module cannot
+stay listed where it was. It must also be referenced somewhere in
 ``src/``, ``bench/`` or ``demos/`` besides its own definition and its
 ``__all__`` entry. Re-exports in ``icdkit/__init__.py`` do not count as
 callers, and neither do the tests, so API that only its own tests call
@@ -38,6 +40,28 @@ def _referenced(tree):
         elif isinstance(node, ast.alias):
             names.update(node.name.split("."))
     return names
+
+
+def _bound(tree):
+    """Names a module's top level defines, assigns or imports."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+    return names
+
+
+def test_every_exported_name_is_bound_in_its_module():
+    unbound = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        bound = _bound(tree)
+        unbound += [f"{path.stem}.{name}" for name in _exported(tree) if name not in bound]
+    assert unbound == []
 
 
 def test_every_exported_name_has_a_caller_outside_the_tests():
