@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
 from icdkit.blocks import WeightVector
 from icdkit.objective import CompositeObjective
@@ -255,15 +254,15 @@ def mu_quadratic(objective: CompositeObjective, weights: WeightVector) -> float:
     """Strong convexity parameter of the quadratic smooth part relative to
     the weighted block norm: the smallest generalized eigenvalue of
     A^T A v = mu * blockdiag(w_i B_i) v, by a dense eigensolve for that
-    eigenvalue alone."""
+    eigenvalue alone. A^T A is QuadraticSmooth.gram, so dense data held as
+    CSC gives the same H, bit for bit, as the sparse product."""
     p = objective.partition
     if p.N > EIGENSOLVE_DIM_CAP:
         raise ValueError(
             f"dimension {p.N} exceeds the dense eigensolve cap "
             f"{EIGENSOLVE_DIM_CAP}; supply mu_f directly"
         )
-    A = objective.smooth.A
-    H = (A.T @ A).toarray() if sp.issparse(A) else A.T @ A
+    H = objective.smooth.gram()
     Bw = np.zeros((p.N, p.N))
     for i, B in enumerate(objective.metric.operators):
         sl = p.range(i)

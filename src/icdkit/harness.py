@@ -5,12 +5,12 @@ dependency) that ``parse_config`` parses; the caller reads the file.
 Every output file starts with the echoed config so a run can be
 reproduced from its own artifacts. A bad problem, regularizer or policy
 key, a policy the sampling law or an unknown F* does not admit
-(InexactnessPolicy.check), a bad sampling.p or sampling.fixed_order_path,
-or a value that does not parse raises ValueError before any solver runs;
-a solver's setup or run error is recorded as its failure. One sampling
-law serves the whole experiment, re-seeded per repetition, and each
-solver's RunSummary keeps its (repetition, RunResult) pairs, which both
-CSVs are written from.
+(InexactnessPolicy.check), stop.eps with an unknown F*, a bad sampling.p
+or sampling.fixed_order_path, or a value that does not parse raises
+ValueError before any solver runs; a solver's setup or run error is
+recorded as its failure. One sampling law serves the whole experiment,
+re-seeded per repetition, and each solver's RunSummary keeps its
+(repetition, RunResult) pairs, which both CSVs are written from.
 """
 
 from __future__ import annotations
@@ -250,6 +250,8 @@ def run_experiment(cfg: ExperimentConfig, write_files: bool = True) -> dict[str,
     except ValueError as e:
         raise ValueError(f"sampling.p: {e}") from None
     policy.check(law.p, objective.F_star)
+    if eps is not None and objective.F_star is None:
+        raise ValueError("stop.eps needs a known F* (a planted x* with reg.kind = zero)")
     order_path = cfg.get("sampling.fixed_order_path")
     if order_path:
         try:

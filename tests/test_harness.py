@@ -437,6 +437,11 @@ def test_cli_bounds_names_missing_inputs(theorem, capsys):
         ),
         (
             ["run", "CFG"],
+            "reg.kind = l1\nreg.lam = 0.1\ninner.solver = prox\n",
+            "stop.eps needs a known F*",
+        ),
+        (
+            ["run", "CFG"],
             "sampling.fixed_order_path = TMP/no_order.txt\n",
             "sampling.fixed_order_path: [Errno 2] No such file or directory",
         ),
@@ -474,6 +479,7 @@ def test_cli_bounds_names_missing_inputs(theorem, capsys):
         "missing-config", "unknown-reg", "group-weights", "negative-budget",
         "repetitions-not-int", "probability-count", "probability-sum", "uniform-beta-alpha",
         "per-block-length", "per-block-over-beta", "per-block-alpha", "multiplicative-no-Fstar",
+        "eps-no-Fstar",
         "order-missing", "order-not-int", "order-index-3", "order-index-minus-1",
         "generate-shape", "generate-rank", "block-9", "block-minus-1", "PB-on-wide",
     ],

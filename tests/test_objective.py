@@ -9,6 +9,7 @@ from scipy.linalg.blas import dtrmv
 
 from icdkit import block_angular, objective, synthetic
 from icdkit.blocks import BlockPartition, block_view
+from icdkit.inner import estimate_operator_norm_sq
 from icdkit.objective import (
     CompositeObjective,
     QuadraticSmooth,
@@ -297,13 +298,15 @@ def test_metric_keeps_one_factor_per_block(monkeypatch):
     assert not metric.operators[3].any()
 
 
-def _unshifted(Ai) -> bool:
-    B = (Ai.T @ Ai).toarray()
+def _unshifted(D) -> bool:
+    """Whether the metric's Cholesky rank check passes on block D, given
+    as an ndarray: the smooth may hold the block dense, where it has no
+    sparse product to form B_i with."""
     try:
-        np.linalg.cholesky(B)
+        np.linalg.cholesky(D.T @ D)
     except np.linalg.LinAlgError:
         return False
-    return Ai.shape[0] >= Ai.shape[1]
+    return D.shape[0] >= D.shape[1]
 
 
 def test_metric_applies_cheap_sparse_blocks_as_a_product_with_their_nonzero_rows():
@@ -321,10 +324,11 @@ def test_metric_applies_cheap_sparse_blocks_as_a_product_with_their_nonzero_rows
         smooth = QuadraticSmooth(A, rhs, partition)
         metric = quadratic_metric(smooth)
         for i, Ai in enumerate(smooth.blocks):
-            cheap = _unshifted(Ai) and 2 * Ai.nnz < Ai.shape[1] ** 2
+            Si = A[:, partition.range(i)]
+            cheap = _unshifted(Si.toarray()) and 2 * Si.nnz < Si.shape[1] ** 2
             assert (metric.sparse[i] is not None) == cheap
             taken.append(cheap)
-            t = rng.standard_normal(Ai.shape[1])
+            t = rng.standard_normal(Si.shape[1])
             Bt = metric.operators[i] @ t
             out = metric.apply(i, t)
             np.testing.assert_allclose(out, Bt, rtol=0.0, atol=1e-12 * np.abs(Bt).max())
@@ -379,6 +383,59 @@ def test_dense_data_held_as_csc_applies_its_factor_bit_for_bit(smooth):
         assert np.array_equal(metric.apply(i, t), dtrmv(U, dtrmv(U, t), trans=1))
 
 
+def _every_entry_stored(rng, M, N):
+    """A canonical CSC matrix that stores all M N entries: about a tenth
+    are zeros, the rest have magnitudes from 1e-3 to 1e3 and random signs."""
+    X = rng.choice([-1.0, 1.0], (M, N)) * 10.0 ** rng.uniform(-3, 3, (M, N))
+    X[rng.random((M, N)) < 0.1] = 0.0
+    rows, cols = np.indices((M, N))
+    S = sp.csc_matrix((X.ravel(), (rows.ravel(), cols.ravel())), shape=(M, N))
+    assert S.nnz == M * N and S.has_canonical_format
+    return S
+
+
+@pytest.mark.parametrize(
+    "shape", [(1, 3), (37, 5), (60, 10), (100, 10), (2000, 100), (1000, 2), (2000, 1)]
+)
+def test_dense_block_products_equal_the_sparse_kernels_bit_for_bit(shape):
+    # a block that stores every entry, as CSC or as an ndarray, is held
+    # dense, and each of its four products (A_i t, A_i^T r, the power
+    # estimate of ||A_i||^2 and the Gram) adds the same terms in the same
+    # order as scipy's sparse product; a block with one row or one column
+    # stays on the sparse kernels. A numpy whose einsum changes its loop
+    # order fails here
+    rng = np.random.default_rng(22)
+    M, N = shape
+    S = _every_entry_stored(rng, M, 2 * N)
+    t, r = (rng.choice([-1.0, 1.0], k) * 10.0 ** rng.uniform(-3, 3, k) for k in (N, M))
+    x, b = rng.standard_normal(2 * N), rng.standard_normal(M)
+    for A in (S, S.toarray()):
+        smooth = QuadraticSmooth(A, b, BlockPartition((N, N)))
+        for i, Ai in enumerate(smooth.blocks):
+            Si = S[:, smooth.partition.range(i)]
+            assert isinstance(Ai, objective._DenseBlock) == (min(M, N) > 1)
+            assert np.array_equal(Ai @ t, Si @ t)
+            assert np.array_equal(smooth.blocks_T[i] @ r, Si.T @ r)
+            assert smooth.block_norm_sq(i) == estimate_operator_norm_sq(Si)
+            assert np.array_equal(objective._gram(Ai), (Si.T @ Si).toarray())
+        assert np.array_equal(smooth.gram(), (S.T @ S).toarray())
+        assert np.array_equal(smooth.residual(x), S @ x - b)
+
+
+def test_a_block_with_duplicate_entries_stays_on_the_sparse_kernels():
+    # nnz = M N_i, but two entries share a place and one place is empty:
+    # the block is not canonical, so it keeps its CSC slice, whose
+    # products multiply each duplicate separately
+    S = sp.csc_matrix(
+        (np.array([1.0, 2.0, 3.0, 4.0]), np.array([0, 0, 0, 1]), np.array([0, 2, 4])), shape=(2, 2)
+    )
+    assert S.nnz == 4 and not S.has_canonical_format
+    smooth = QuadraticSmooth(S, np.zeros(2), BlockPartition((2,)))
+    assert sp.issparse(smooth.blocks[0])
+    t = np.array([0.5, -2.0])
+    assert np.array_equal(smooth.blocks[0] @ t, S @ t)
+
+
 def test_metric_names_the_block_whose_factor_does_not_fit(monkeypatch):
     # running out of memory on one block's factor is an input error that
     # names the block and its width, not a MemoryError from deep inside
@@ -397,19 +454,22 @@ def test_metric_names_the_block_whose_factor_does_not_fit(monkeypatch):
 
 
 def test_metric_build_holds_one_dense_block_at_a_time():
-    # the metric keeps n factors; building it block by block adds at most a
-    # few blocks' worth on top, where forming every B_i first would add n
+    # the metric keeps n factors; building it block by block adds about one
+    # block's B_i on top, where forming every B_i first would add n; dense
+    # data held as CSC forms its Gram as the ndarray does, with no sparse
+    # product beside it (which peaked near 2.8 blocks)
     n, Ni = 8, 200
     A = np.random.default_rng(14).standard_normal((300, n * Ni))
-    smooth = QuadraticSmooth(A, np.zeros(300), BlockPartition((Ni,) * n))
     block = Ni * Ni * 8
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        metric = quadratic_metric(smooth)
-        kept, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(metric.stored) == n
-    assert abs((kept - base) / block - n) <= 0.5
-    assert (peak - kept) / block <= 3.0
+    for held in (A, sp.csc_matrix(A)):
+        smooth = QuadraticSmooth(held, np.zeros(300), BlockPartition((Ni,) * n))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            metric = quadratic_metric(smooth)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(metric.stored) == n
+        assert abs((kept - base) / block - n) <= 0.5
+        assert (peak - kept) / block <= 1.5

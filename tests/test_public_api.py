@@ -9,7 +9,9 @@ stay listed where it was. It must also be referenced somewhere in
 callers, and neither do the tests, so API that only its own tests call
 fails here. A name an icdkit module imports must be read in that module
 or listed in its ``__all__``; no linter is assumed installed, so this
-check stands in for one.
+check stands in for one. No icdkit module imports, or reads through an
+attribute, a numpy or scipy module or name that starts with an
+underscore: those are private, and may change or vanish in any release.
 """
 
 import ast
@@ -96,3 +98,45 @@ def test_every_imported_name_is_used():
                     if name not in used:
                         unused.append(f"{path.stem}: {alias.name}")
     assert unused == []
+
+
+NUMERIC = ("numpy", "scipy")
+
+
+def _private_numeric(tree):
+    """Dotted numpy or scipy paths that the module imports or reads and
+    that have a part starting with an underscore."""
+    modules = {}  # local name -> the numpy or scipy path it is bound to
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            # "import scipy.sparse" binds scipy; "import scipy.sparse as sp" binds sp
+            imports = [(a.name, a.asname, a.name if a.asname else a.name.split(".")[0])
+                       for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imports = [(f"{node.module}.{a.name}", a.asname or a.name, f"{node.module}.{a.name}")
+                       for a in node.names]
+        else:
+            continue
+        for imported, local, bound in imports:
+            if imported.split(".")[0] in NUMERIC:
+                modules[local or bound] = bound
+                if any(part.startswith("_") for part in imported.split(".")):
+                    found.add(imported)
+    for node in ast.walk(tree):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.insert(0, node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and node.id in modules:
+            if any(part.startswith("_") for part in chain):
+                found.add(".".join([modules[node.id], *chain]))
+    return found
+
+
+def test_no_private_numpy_or_scipy_name_is_used():
+    private = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        private += [f"{path.stem}: {name}" for name in sorted(_private_numeric(tree))]
+    assert private == []
