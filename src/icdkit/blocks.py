@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.blas import dtrmv
 
+from icdkit.inner import estimate_operator_norm_sq
+
 __all__ = [
     "BlockPartition",
     "BlockMetric",
@@ -74,6 +76,14 @@ class BlockMetric:
     def __init__(self, stored, sparse=None):
         self.stored = list(stored)
         self.sparse = list(sparse) if sparse is not None else [None] * len(self.stored)
+        self._step = [None] * len(self.stored)
+
+    def step_constant(self, i: int) -> float:
+        """Estimate of ||B_i||_2, the prox step constant: the power iteration
+        on U_i (U_i^T U_i = B_i, 2 N_i^2 flops a step), made on first use."""
+        if self._step[i] is None:
+            self._step[i] = estimate_operator_norm_sq(self.stored[i])
+        return self._step[i]
 
     @property
     def operators(self) -> list:

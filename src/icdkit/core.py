@@ -276,7 +276,7 @@ def compute_update(
             objective.reg.block_weight(i),
             beta=delta,
             max_iters=solver.max_inner_iters,
-            lipschitz=objective.smooth.block_norm_sq(i),
+            lipschitz=objective.metric.step_constant(i),
         )
 
     # vacuous guard: never accept an update worse than t = 0. V_i(x, 0) is
@@ -332,6 +332,12 @@ class RunResult:
     @property
     def inner_iterations(self) -> int:
         return sum(r.inner_iterations for r in self.records)
+
+    @property
+    def unconverged_inner(self) -> int:
+        """Updates whose inner solve ended above its tolerance: at the
+        iteration cap or, for prox, at a fixed point."""
+        return sum(not r.inner_converged for r in self.records)
 
     @property
     def wall_time_s(self) -> float:

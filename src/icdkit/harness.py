@@ -314,13 +314,14 @@ def _write_summary_csv(path, cfg, summaries):
         stops = [f"stop_{reason}" for reason in STOP_REASONS]
         fh.write(
             ",".join(["solver", "runs", "mean_block_updates", "mean_inner_iterations",
-                      "mean_time_s", *stops, "failures"]) + "\n"
+                      "mean_time_s", *stops, "unconverged_inner", "failures"]) + "\n"
         )
         for method, s in summaries.items():
             reasons = [result.stop_reason for _, result in s.runs]
             counts = ",".join(str(reasons.count(reason)) for reason in STOP_REASONS)
+            unconverged = sum(result.unconverged_inner for _, result in s.runs)
             fh.write(
                 f"{method},{len(s.runs)},{s.mean('block_updates')!r},"
                 f"{s.mean('inner_iterations')!r},{s.mean('wall_time_s'):.6f},{counts},"
-                f"{';'.join(s.failures)}\n"
+                f"{unconverged},{';'.join(s.failures)}\n"
             )

@@ -11,7 +11,12 @@ and group-lasso blocks share one proximal-gradient loop on the model
 <grad_i f, t> + 1/2 <B_i t, t> + Psi_i(x^(i) + t), one product with B_i per
 iterate, with a duality-gap stopping test; only the proximal map, the
 penalty norm and its dual norm differ (soft threshold, l1, l-inf; group
-soft threshold, l2, l2).
+soft threshold, l2, l2). A prox solve ends in one of three ways: the gap
+falls to beta, the iteration cap is reached, or an iterate repeats the
+previous one bit for bit (a fixed point, where further steps change
+nothing). The last two leave the solve unconverged, and its iteration
+count is the prox steps actually taken. The step is 1/L_i, with L_i the
+metric's power estimate of ||B_i|| = ||U_i||^2 (BlockMetric.step_constant).
 
 The linear-path certificate is the squared normal-equation residual
 1/2 ||B_i t - g||^2 <= beta. The model gap it must control is
@@ -336,38 +341,62 @@ def estimate_operator_norm_sq(A) -> float:
     return 1.05 * est
 
 
+def _norm_1(v: np.ndarray) -> float:
+    return float(np.add.reduce(np.abs(v)))
+
+
+def _norm_2(v: np.ndarray) -> float:
+    return math.sqrt(v @ v)
+
+
+def _norm_inf(v: np.ndarray) -> float:
+    return float(np.abs(v).max())
+
+
 def _prox_gradient(
-    prob, f_x, x_i, weight, beta, max_iters, lipschitz, prox, order, dual_order
+    prob, f_x, x_i, weight, beta, max_iters, lipschitz, prox, norm, dual_norm
 ) -> tuple[np.ndarray, SolveStats]:
-    """Proximal gradient on V(t) = f_x - <g, t> + 1/2 <B t, t> + weight ||x_i + t||_order,
+    """Proximal gradient on V(t) = f_x - <g, t> + 1/2 <B t, t> + weight norm(x_i + t),
     with B and g = -grad_i f from prob and f_x = f(x) = 1/2||r||^2.
 
     Works in y = x_i + t, one prob.apply per iterate for the gradient
-    B t - g. Stops once the duality gap
-    1/2 (1-s)^2 ||res||^2 + s <y, grad> + weight ||y||_order falls below beta,
+    B t - g. The duality gap
+    1/2 (1-s)^2 ||res||^2 + s <y, grad> + weight norm(y) is the certificate,
     with ||res||^2 = 2 f_x + <t, B t - 2 g> and s <= 1 the largest scale
-    that puts s * grad in the dual_order-norm ball of radius weight. That
-    is the gap of min_y 1/2||A t + r||^2 + weight ||y||_order at the dual
+    that puts s * grad in the dual_norm ball of radius weight. That
+    is the gap of min_y 1/2||A t + r||^2 + weight norm(y) at the dual
     point s * res for any A, r with B = A^T A, A^T r = -g and 1/2||r||^2 = f_x
     ([A_i; sqrt(eps) I] and [r; 0] for a shifted B), so it bounds
-    V(t) - min V. prox(v, s) is the proximal map of s ||.||_order; the step
-    is 1/lipschitz, with lipschitz >= ||B||.
+    V(t) - min V. prox(v, s) is the proximal map of s norm; the step
+    is 1/lipschitz, with lipschitz >= ||B||. norm and dual_norm are the
+    reductions np.linalg.norm runs for a vector, so they give its bits.
+
+    The solve ends in one of three ways: the gap falls to beta or below
+    (converged); max_iters prox steps are taken; or a prox step returns
+    the iterate it started from, bit for bit, a fixed point at which
+    every further step would repeat the same iterate and gap. The last
+    two return converged=False, and iterations counts the prox steps taken.
     """
     if beta <= 0:
         raise ValueError("beta must be positive for the duality-gap test")
     step = 1.0 / lipschitz
     y = np.array(x_i, dtype=float, copy=True)
+    y_prev, gap_prev = None, math.nan
     k = 0
     while True:
         t = y - x_i
         grad = prob.apply(t) - prob.g
         res_sq = 2.0 * f_x + float(t @ (grad - prob.g))
-        grad_dual = float(np.linalg.norm(grad, dual_order))
+        grad_dual = dual_norm(grad)
         s = 1.0 if grad_dual <= weight else weight / grad_dual
         gap = 0.5 * (1.0 - s) ** 2 * res_sq + s * float(y @ grad)
-        gap += weight * float(np.linalg.norm(y, order))
+        gap += weight * norm(y)
         if not gap > beta or k >= max_iters:
             return t, SolveStats(k, gap, StopMode.DUALITY_GAP, gap <= beta)
+        # equal iterates give equal gaps, so one float comparison gates the test
+        if gap == gap_prev and np.array_equal(y, y_prev):
+            return t, SolveStats(k, gap, StopMode.DUALITY_GAP, False)
+        y_prev, gap_prev = y, gap
         y = prox(y - step * grad, weight * step)
         k += 1
 
@@ -382,11 +411,12 @@ def solve_l1_subproblem(
     lipschitz: float,
 ) -> tuple[np.ndarray, SolveStats]:
     """Proximal gradient on V_i(t) = f_x - <g, t> + 1/2 <B t, t> + lam||x_i + t||_1,
-    stopped when the duality gap falls below beta."""
+    stopped when the duality gap falls to beta, at max_iters, or at a
+    fixed point (see _prox_gradient)."""
     if lam <= 0:
         raise ValueError("lam must be positive; use the linear path for lam=0")
     return _prox_gradient(
-        prob, f_x, x_i, lam, beta, max_iters, lipschitz, soft_threshold, 1, np.inf
+        prob, f_x, x_i, lam, beta, max_iters, lipschitz, soft_threshold, _norm_1, _norm_inf
     )
 
 
@@ -407,5 +437,5 @@ def solve_group_subproblem(
     if tau <= 0:
         raise ValueError("tau must be positive; use the linear path otherwise")
     return _prox_gradient(
-        prob, f_x, x_i, tau, beta, max_iters, lipschitz, group_soft_threshold, 2, 2
+        prob, f_x, x_i, tau, beta, max_iters, lipschitz, group_soft_threshold, _norm_2, _norm_2
     )

@@ -15,15 +15,14 @@ gradient A_i^T r builds no matrix object per update.
 Storage rule: a block with two or more rows and columns whose every
 entry is stored (A an ndarray, or a canonical sparse A_i with nnz = M N_i)
 is held dense, once column-major and once row-major, 8 M N_i bytes for each
-layout. Its four products (A_i t, A_i^T r, the power iteration's
-A_i^T (A_i v) and the Gram A_i^T A_i) run np.einsum on the layout on which
-numpy adds each sum's terms one after another, in the order scipy's
-csc_matvec, csr_matvec and csr_matmat add them; so each result is bit-equal
-to the product with the same A_i held as canonical CSC, and a problem
-gives the same records however A is stored. Every other block, and every
-block with one row or one column (numpy merges a length-1 axis away, and
-its sums stop being sequential), is its CSC column slice and uses scipy's
-products.
+layout. Its three products (A_i t, A_i^T r and the Gram A_i^T A_i) run
+np.einsum on the layout on which numpy adds each sum's terms one after
+another, in the order scipy's csc_matvec, csr_matvec and csr_matmat add
+them; so each result is bit-equal to the product with the same A_i held
+as canonical CSC, and a problem gives the same records however A is
+stored. Every other block, and every block with one row or one column
+(numpy merges a length-1 axis away, and its sums stop being sequential),
+is its CSC column slice and uses scipy's products.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from icdkit.blocks import BlockMetric, BlockPartition, block_view
-from icdkit.inner import estimate_operator_norm_sq
 
 __all__ = [
     "QuadraticSmooth",
@@ -73,13 +71,6 @@ class QuadraticSmooth:
         self._cols = np.asfortranarray(self.A) if dense else sp.csc_matrix(self.A)
         self.blocks = [_held(self._cols[:, partition.range(i)]) for i in range(partition.n)]
         self.blocks_T = [Ai.T for Ai in self.blocks]
-        self._norm_sq = [None] * partition.n
-
-    def block_norm_sq(self, i: int) -> float:
-        """Estimate of ||A_i||^2, the prox step constant; computed on first use."""
-        if self._norm_sq[i] is None:
-            self._norm_sq[i] = estimate_operator_norm_sq(self.blocks[i])
-        return self._norm_sq[i]
 
     def residual(self, x: np.ndarray) -> np.ndarray:
         A = self._cols  # csc_matvec's order either way

@@ -426,7 +426,7 @@ def _pcg_solver_problem():
 
 @pytest.mark.parametrize("problem", [_pcg_solver_problem, _prox_problem], ids=["pcg", "prox"])
 def test_run_repetitions_sharing_a_solver_are_identical(problem):
-    # pcg shares the config's preconditioners, prox the data's step constants
+    # pcg shares the config's preconditioners, prox the metric's step constants
     obj, x0, solver = problem()
     law = SamplingLaw.uniform(3, seed=0)
 
@@ -525,6 +525,21 @@ def test_records_carry_inner_convergence():
     full = icd_run(obj, x0, InexactnessPolicy.uniform(1e-12), law,
                    SolverConfig(method="cg"), max_block_updates=6)
     assert all(r.inner_converged for r in full.records)
+
+
+def test_a_stalled_prox_solve_ends_at_its_fixed_point_not_at_the_cap():
+    # the multiplicative rule at beta = 0 drives delta below the prox gap's
+    # rounding floor as F nears F*, and update 69's solve stalls there (the
+    # run raises at update 74, once delta is 0). Up to update 70 the run
+    # stops on its budget, each stalled solve ending at its fixed point
+    obj, x0, solver = _prox_problem()
+    policy = InexactnessPolicy(0.5, 0.0, DeltaRule.MULTIPLICATIVE_PLUS_ADDITIVE)
+    res = icd_run(obj, x0, policy, SamplingLaw.uniform(3, seed=0), solver, max_block_updates=70)
+    assert res.stop_reason == "budget"
+    stalled = [r for r in res.records if not r.inner_converged]
+    assert stalled and res.unconverged_inner == len(stalled)
+    assert all(r.inner_iterations < solver.max_inner_iters for r in stalled)
+    assert res.inner_iterations < 1000
 
 
 def test_run_budget_exhaustion_flagged():

@@ -222,19 +222,25 @@ def test_records_csv_carries_certificate_and_flags(tmp_path):
 
 
 def test_summary_csv_counts_stop_reasons(tmp_path):
+    # one Krylov iteration per update leaves the cg and pcg solves short of
+    # beta; the exact solve always converges
     cfg = harness.parse_config(
-        SMALL_CONFIG + f"stop.max_block_updates = 3\noutput.dir = {tmp_path}\n"
+        SMALL_CONFIG + f"stop.max_block_updates = 3\ninner.max_iters = 1\noutput.dir = {tmp_path}\n"
     )
     summaries = harness.run_experiment(cfg)
     text = (tmp_path / "experiment_summary.csv").read_text()
     rows = list(csv.DictReader(l for l in text.splitlines() if not l.startswith("#")))
     assert [row["solver"] for row in rows] == list(summaries)
     for row in rows:
-        reasons = [res.stop_reason for _, res in summaries[row["solver"]].runs]
-        assert reasons == ["budget", "budget"]
+        runs = [res for _, res in summaries[row["solver"]].runs]
+        assert [res.stop_reason for res in runs] == ["budget", "budget"]
         assert {k: int(row[f"stop_{k}"]) for k in STOP_REASONS} == {
             "eps": 0, "budget": 2, "stagnated": 0, "order_exhausted": 0,
         }
+        unconverged = sum(not r.inner_converged for res in runs for r in res.records)
+        assert int(row["unconverged_inner"]) == unconverged
+        assert sum(res.unconverged_inner for res in runs) == unconverged
+        assert (unconverged > 0) == (row["solver"] != "exact")
 
 
 def test_run_experiment_deterministic_replay(tmp_path):

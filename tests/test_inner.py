@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg import cho_solve, solve_triangular
 
-from icdkit import block_angular
+from icdkit import block_angular, inner
 from icdkit.blocks import BlockMetric, BlockPartition
 from icdkit.inner import (
     LinearSubproblem,
@@ -479,6 +479,62 @@ def test_l1_iteration_cap_flags_not_converged():
     L = estimate_operator_norm_sq(Ai)
     t, stats = solve_l1_subproblem(prob, f_x, np.zeros(10), 0.01, 1e-16, 2, L)
     assert not stats.converged
+
+
+def _l1_stall_problem():
+    # the problem of test_l1_gap_nonnegative_along_iterates
+    rng = np.random.default_rng(11)
+    Ai = rng.standard_normal((15, 6))
+    prob, f_x = _prox_args(Ai, rng.standard_normal(15))
+    return prob, f_x, 0.2, np.linalg.norm(Ai, 2) ** 2
+
+
+def _group_stall_problem():
+    # B = I: the first step lands on group_soft_threshold(-r, tau), whose
+    # gap rounds to a positive value that the next step repeats
+    prob, f_x = _prox_args(np.eye(6), np.random.default_rng(2).standard_normal(6))
+    return prob, f_x, 0.3, 1.0
+
+
+@pytest.mark.parametrize(
+    "solve, prox, problem",
+    [
+        (solve_l1_subproblem, soft_threshold, _l1_stall_problem),
+        (solve_group_subproblem, group_soft_threshold, _group_stall_problem),
+    ],
+    ids=["l1", "group"],
+)
+def test_prox_stops_at_a_bit_exact_fixed_point(solve, prox, problem):
+    # at beta = 1e-300 the gap stalls above beta at its rounding floor; the
+    # solve ends below the cap, unconverged, at an iterate that one more
+    # prox step returns bit for bit, with the certificate of a solve capped
+    # at the reported count
+    prob, f_x, weight, L = problem()
+    x_i = np.zeros(prob.dim)  # so that x_i + t is the loop's iterate y
+    t, stats = solve(prob, f_x, x_i, weight, 1e-300, CAP, L)
+    assert 0 < stats.iterations < CAP
+    assert not stats.converged and stats.certificate > 1e-300
+    y, step = x_i + t, 1.0 / L
+    grad = prob.apply(t) - prob.g
+    assert np.array_equal(prox(y - step * grad, weight * step), y)
+    t_cap, capped = solve(prob, f_x, x_i, weight, 1e-300, stats.iterations, L)
+    assert np.array_equal(t_cap, t)
+    assert capped.certificate == stats.certificate
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 16, 100, 129, 1000, 4099])
+def test_prox_gap_norms_equal_numpy_norm_bit_for_bit(n):
+    # the prox gap's norms are the reductions np.linalg.norm runs on a
+    # vector; a numpy that changes them fails here before a record moves
+    rng = np.random.default_rng(n)
+    vectors = [
+        np.zeros(n),
+        rng.standard_normal(n),
+        rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-8, 8, n),
+    ]
+    for v in vectors:
+        for norm, order in ((inner._norm_1, 1), (inner._norm_2, 2), (inner._norm_inf, np.inf)):
+            assert norm(v) == float(np.linalg.norm(v, order)), (norm.__name__, v[:3])
 
 
 class _CountingSubproblem(LinearSubproblem):

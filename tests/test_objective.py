@@ -7,9 +7,8 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg.blas import dtrmv
 
-from icdkit import block_angular, objective, synthetic
+from icdkit import block_angular, blocks, objective, synthetic
 from icdkit.blocks import BlockPartition, block_view
-from icdkit.inner import estimate_operator_norm_sq
 from icdkit.objective import (
     CompositeObjective,
     QuadraticSmooth,
@@ -136,20 +135,35 @@ def test_smooth_exact_minimizer_value():
         )
 
 
-def test_block_norm_sq_is_estimated_once_per_block(monkeypatch):
+def test_metric_step_constant_is_estimated_once_per_block(monkeypatch):
+    # the prox step constant is the power estimate of ||U_i||^2 = ||B_i||,
+    # made on the block's first use
     rng = np.random.default_rng(7)
     obj = _random_objective(rng, 9, (2, 3))
     calls = []
-    estimate = objective.estimate_operator_norm_sq
+    estimate = blocks.estimate_operator_norm_sq
 
-    def counting(Ai):
-        calls.append(Ai.shape)
-        return estimate(Ai)
+    def counting(U):
+        calls.append(U.shape)
+        return estimate(U)
 
-    monkeypatch.setattr(objective, "estimate_operator_norm_sq", counting)
-    values = [obj.smooth.block_norm_sq(i) for i in (1, 0, 1, 0)]
-    assert calls == [(9, 3), (9, 2)]
-    assert values == [estimate(obj.smooth.blocks[i]) for i in (1, 0, 1, 0)]
+    monkeypatch.setattr(blocks, "estimate_operator_norm_sq", counting)
+    values = [obj.metric.step_constant(i) for i in (1, 0, 1, 0)]
+    assert calls == [(3, 3), (2, 2)]
+    assert values == [estimate(obj.metric.stored[i]) for i in (1, 0, 1, 0)]
+
+
+@pytest.mark.parametrize("shape", [(40, 8), (5, 8)], ids=["duplicate-column", "wide"])
+def test_step_constant_of_a_rank_shifted_block_bounds_the_shifted_operator(shape):
+    # a rank-deficient block keeps B_i = A_i^T A_i + eps I, and the step
+    # constant, read from that B_i's factor, is at least ||B_i||_2
+    rng = np.random.default_rng(1)
+    A = rng.standard_normal(shape)
+    A[:, 1] = A[:, 0]
+    metric = quadratic_metric(QuadraticSmooth(A, np.zeros(shape[0]), BlockPartition((8,))))
+    B = metric.operators[0]
+    assert B[0, 0] > A[:, 0] @ A[:, 0]  # shifted
+    assert metric.step_constant(0) >= np.linalg.norm(B, 2)
 
 
 def test_eval_H_exact_update_sandwich():
@@ -399,11 +413,10 @@ def _every_entry_stored(rng, M, N):
 )
 def test_dense_block_products_equal_the_sparse_kernels_bit_for_bit(shape):
     # a block that stores every entry, as CSC or as an ndarray, is held
-    # dense, and each of its four products (A_i t, A_i^T r, the power
-    # estimate of ||A_i||^2 and the Gram) adds the same terms in the same
-    # order as scipy's sparse product; a block with one row or one column
-    # stays on the sparse kernels. A numpy whose einsum changes its loop
-    # order fails here
+    # dense, and each of its three products (A_i t, A_i^T r and the Gram)
+    # adds the same terms in the same order as scipy's sparse product; a
+    # block with one row or one column stays on the sparse kernels. A numpy
+    # whose einsum changes its loop order fails here
     rng = np.random.default_rng(22)
     M, N = shape
     S = _every_entry_stored(rng, M, 2 * N)
@@ -416,7 +429,6 @@ def test_dense_block_products_equal_the_sparse_kernels_bit_for_bit(shape):
             assert isinstance(Ai, objective._DenseBlock) == (min(M, N) > 1)
             assert np.array_equal(Ai @ t, Si @ t)
             assert np.array_equal(smooth.blocks_T[i] @ r, Si.T @ r)
-            assert smooth.block_norm_sq(i) == estimate_operator_norm_sq(Si)
             assert np.array_equal(objective._gram(Ai), (Si.T @ Si).toarray())
         assert np.array_equal(smooth.gram(), (S.T @ S).toarray())
         assert np.array_equal(smooth.residual(x), S @ x - b)
