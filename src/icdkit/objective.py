@@ -12,17 +12,14 @@ The residual r = A x - b is maintained incrementally so a block update
 costs O(nnz(A_i)). Each block keeps A_i^T next to A_i, made once, so the
 gradient A_i^T r builds no matrix object per update.
 
-Storage rule: a block with two or more rows and columns whose every
-entry is stored (A an ndarray, or a canonical sparse A_i with nnz = M N_i)
-is held dense, once column-major and once row-major, 8 M N_i bytes for each
-layout. Its three products (A_i t, A_i^T r and the Gram A_i^T A_i) run
-np.einsum on the layout on which numpy adds each sum's terms one after
-another, in the order scipy's csc_matvec, csr_matvec and csr_matmat add
-them; so each result is bit-equal to the product with the same A_i held
-as canonical CSC, and a problem gives the same records however A is
-stored. Every other block, and every block with one row or one column
-(numpy merges a length-1 axis away, and its sums stop being sequential),
-is its CSC column slice and uses scipy's products.
+Storage rule: a block whose every entry is stored (A an ndarray, or a
+canonical sparse A_i with nnz = M N_i, as the lasso and small-block
+instances hold Gaussian data in CSC) is held once, as a column-major
+ndarray of 8 M N_i bytes, and its products A_i t, A_i^T r and the Gram
+A_i^T A_i are BLAS calls. An ndarray A that is column-major is held as
+itself, its blocks being views of it. Every other block is its CSC column
+slice and uses scipy's products: a sparse one, and one whose storage is
+not canonical, so that duplicate entries are still multiplied one by one.
 """
 
 from __future__ import annotations
@@ -49,11 +46,11 @@ class QuadraticSmooth:
     """f(x) = 1/2 ||A x - b||^2 with cached per-block column submatrices.
 
     smooth.A is the caller's matrix (as CSC if sparse). blocks[i] holds
-    A_i by the module's storage rule: where A_i has two or more rows and
-    columns and stores every entry, dense in two layouts, 8 M N_i bytes
-    each, with products summed in scipy's sparse order; else as its CSC
-    column slice. blocks_T[i] is its transpose. An ndarray A that is not
-    column-major also costs one column-major copy, which the residual reads.
+    A_i by the module's storage rule: where A_i stores every entry, as a
+    column-major ndarray, 8 M N_i bytes; else as its CSC column slice.
+    blocks_T[i] is its transpose, a view. An ndarray A that is not
+    column-major costs one column-major copy, which its blocks view and
+    the residual reads; the residual of a sparse A is scipy's product.
     """
 
     def __init__(self, A, b: np.ndarray, partition: BlockPartition):
@@ -64,67 +61,36 @@ class QuadraticSmooth:
         self.A = sp.csc_matrix(A, dtype=float) if sp.issparse(A) else np.asarray(A, dtype=float)
         self.b = np.asarray(b, dtype=float)
         self.partition = partition
-        # the residual's operand; column slices of CSC or of a column-major
-        # array are cheap, and the latter are the dense blocks' column-major
-        # layouts
-        dense = not sp.issparse(self.A) and min(self.A.shape) >= 2
-        self._cols = np.asfortranarray(self.A) if dense else sp.csc_matrix(self.A)
+        # column slices of CSC or of a column-major array are cheap
+        self._cols = self.A if sp.issparse(self.A) else np.asfortranarray(self.A)
         self.blocks = [_held(self._cols[:, partition.range(i)]) for i in range(partition.n)]
         self.blocks_T = [Ai.T for Ai in self.blocks]
 
     def residual(self, x: np.ndarray) -> np.ndarray:
-        A = self._cols  # csc_matvec's order either way
-        return (A @ x if sp.issparse(A) else np.einsum("ij,j->i", A, x)) - self.b
+        return self._cols @ x - self.b
 
     def value_from_residual(self, r: np.ndarray) -> float:
         return 0.5 * float(r @ r)
 
     def gram(self) -> np.ndarray:
-        """A^T A as a dense array, summed as a block's Gram is."""
+        """A^T A as a dense array, formed as a block's Gram is."""
         return _gram(_held(self._cols))
 
 
-class _DenseBlock:
-    """A matrix with every entry stored, held column-major (cols) and
-    row-major (rows). A @ x runs einsum on cols, which adds each row's
-    terms in column order, as csc_matvec does; .T swaps the two layouts,
-    so A.T @ y adds each column's terms in row order on rows, as
-    csr_matvec does on a CSC matrix's transpose. Each is bit-equal to the
-    product with the same matrix held as canonical CSC."""
-
-    def __init__(self, cols: np.ndarray, rows: np.ndarray | None = None):
-        self.cols = cols
-        self.rows = np.ascontiguousarray(cols) if rows is None else rows
-        self.shape = cols.shape
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return np.einsum("ij,j->i", self.cols, x)
-
-    @property
-    def T(self) -> "_DenseBlock":
-        return _DenseBlock(self.rows.T, self.cols.T)
-
-
 def _held(Ai):
-    """Ai as the module's storage rule holds it: a _DenseBlock, or CSC."""
-    if min(Ai.shape) < 2:
-        return sp.csc_matrix(Ai)
-    if not sp.issparse(Ai):
-        return _DenseBlock(Ai)
-    if Ai.nnz == Ai.shape[0] * Ai.shape[1] and Ai.has_canonical_format:
-        return _DenseBlock(Ai.toarray(order="F"))
+    """Ai as the module's storage rule holds it: a column-major ndarray
+    (Ai itself, if it is one), or CSC."""
+    if sp.issparse(Ai) and Ai.nnz == Ai.shape[0] * Ai.shape[1] and Ai.has_canonical_format:
+        return Ai.toarray(order="F")
     # truly sparse, or not canonical: toarray would add duplicate entries
     # together, where the sparse kernels multiply each one separately
     return Ai
 
 
 def _gram(Ai) -> np.ndarray:
-    """Ai^T Ai as a dense array, for Ai as _held holds it. On a dense
-    block, einsum on the row-major layout adds each entry's terms in row
-    order, as csr_matmat does, so both paths give the same bits."""
-    if isinstance(Ai, _DenseBlock):
-        return np.einsum("ji,jk->ik", Ai.rows, Ai.rows)
-    return (Ai.T @ Ai).toarray()
+    """Ai^T Ai as a dense array, for Ai as _held holds it: one BLAS
+    product on a dense block, scipy's sparse product on a CSC one."""
+    return (Ai.T @ Ai).toarray() if sp.issparse(Ai) else Ai.T @ Ai
 
 
 class RegularizerKind(Enum):

@@ -58,7 +58,11 @@ def lasso_instance(
     b = A @ x_star - r_star
     F_star = 0.5 * float(r_star @ r_star) + lam * float(np.abs(x_star).sum())
 
-    smooth = QuadraticSmooth(sp.csc_matrix(A), b, partition)
+    # A in CSC, every entry stored column by column: sp.csc_matrix(A)'s
+    # arrays, since a Gaussian draw has no zero, without its coordinate pass
+    rows = np.tile(np.arange(M, dtype=np.int32), N)
+    A = sp.csc_matrix((A.ravel(order="F"), rows, np.arange(0, M * N + 1, M)), shape=(M, N))
+    smooth = QuadraticSmooth(A, b, partition)
     return CompositeObjective(
         smooth,
         SeparableRegularizer.l1(lam),

@@ -333,23 +333,25 @@ def test_run_determinism():
 
 @pytest.mark.parametrize("method", ["exact", "cg", "prox"])
 def test_run_dense_A_matches_its_csc_copy(method):
-    # an ndarray and a CSC copy of dense data are held alike: every block of
-    # two or more columns dense, the one-column block as CSC, with the same
-    # summation order, so the two runs are identical to the bit
+    # an ndarray and a CSC copy of dense data are held alike: every block,
+    # the one-column block too, as the same column-major array, multiplied
+    # by the same BLAS calls, so the two runs are identical to the bit
     rng = np.random.default_rng(12)
     p = BlockPartition((3, 4, 2, 1))
     A = rng.standard_normal((16, 10))
     b = rng.standard_normal(16)
     reg = SeparableRegularizer.l1(0.1) if method == "prox" else SeparableRegularizer.zero()
-    runs = []
+    runs, held = [], []
     for data in (A, sp.csc_matrix(A)):
         obj = CompositeObjective(QuadraticSmooth(data, b, p), reg)
         assert sp.issparse(obj.smooth.A) == sp.issparse(data)
+        held.append([type(Ai) for Ai in obj.smooth.blocks])
         runs.append(icd_run(
             obj, np.zeros(10), InexactnessPolicy.uniform(1e-6),
             SamplingLaw.uniform(4, seed=2), SolverConfig(method=method),
             max_block_updates=60,
         ))
+    assert held[0] == held[1] == [np.ndarray] * 4
     assert len(runs[0].records) == 60 and {r.block for r in runs[0].records} == {0, 1, 2, 3}
     dense, csc = (
         ([repr(dataclasses.replace(r, wall_time_s=0.0)) for r in res.records],

@@ -408,30 +408,80 @@ def _every_entry_stored(rng, M, N):
     return S
 
 
+def _within_rounding(got, want, scale, terms):
+    """got and want are two sums of the same terms added in different
+    orders: each differs from the exact sum by at most terms * eps times
+    the sum of the terms' magnitudes, scale."""
+    assert np.all(np.abs(got - want) <= 2 * terms * np.finfo(float).eps * scale)
+
+
 @pytest.mark.parametrize(
     "shape", [(1, 3), (37, 5), (60, 10), (100, 10), (2000, 100), (1000, 2), (2000, 1)]
 )
-def test_dense_block_products_equal_the_sparse_kernels_bit_for_bit(shape):
-    # a block that stores every entry, as CSC or as an ndarray, is held
-    # dense, and each of its three products (A_i t, A_i^T r and the Gram)
-    # adds the same terms in the same order as scipy's sparse product; a
-    # block with one row or one column stays on the sparse kernels. A numpy
-    # whose einsum changes its loop order fails here
+def test_dense_data_is_held_as_one_array_however_it_comes(shape):
+    # a block that stores every entry, as CSC or as an ndarray, one-row and
+    # one-column blocks too, is held as the same column-major array, so both
+    # inputs give the same A_i t, A_i^T r and Gram to the bit; BLAS adds the
+    # terms in its own order, so each matches scipy's sparse product to
+    # rounding. The residual of a CSC input stays on scipy's csc_matvec
     rng = np.random.default_rng(22)
     M, N = shape
     S = _every_entry_stored(rng, M, 2 * N)
     t, r = (rng.choice([-1.0, 1.0], k) * 10.0 ** rng.uniform(-3, 3, k) for k in (N, M))
     x, b = rng.standard_normal(2 * N), rng.standard_normal(M)
-    for A in (S, S.toarray()):
-        smooth = QuadraticSmooth(A, b, BlockPartition((N, N)))
+    held = [QuadraticSmooth(A, b, BlockPartition((N, N))) for A in (S, S.toarray())]
+    for i in range(2):
+        Si = S[:, held[0].partition.range(i)]
+        for smooth in held:
+            Ai = smooth.blocks[i]
+            assert isinstance(Ai, np.ndarray) and Ai.flags.f_contiguous
+            assert np.array_equal(Ai, Si.toarray())
+        products = [
+            (smooth.blocks[i] @ t, smooth.blocks_T[i] @ r, objective._gram(smooth.blocks[i]))
+            for smooth in held
+        ]
+        for got, want in zip(*products):
+            assert np.array_equal(got, want)
+        absS = abs(Si)
+        _within_rounding(products[0][0], Si @ t, absS @ abs(t), N)
+        _within_rounding(products[0][1], Si.T @ r, absS.T @ abs(r), M)
+        _within_rounding(products[0][2], (Si.T @ Si).toarray(), (absS.T @ absS).toarray(), M)
+    absS = abs(S)
+    assert np.array_equal(held[0].gram(), held[1].gram())
+    _within_rounding(held[0].gram(), (S.T @ S).toarray(), (absS.T @ absS).toarray(), M)
+    assert np.array_equal(held[0].residual(x), S @ x - b)
+    _within_rounding(held[1].residual(x), S @ x - b, absS @ abs(x) + abs(b), 2 * N + 1)
+
+
+def test_dense_data_is_held_in_one_layout():
+    # an F-ordered ndarray is held as itself, each block a view of the
+    # caller's data and each transpose a view of its block; dense data
+    # given as CSC is copied into that layout once, 8 M N bytes in all
+    M, sizes = 300, (40, 60, 1)
+    A = np.asfortranarray(np.random.default_rng(23).standard_normal((M, sum(sizes))))
+    for data in (A, sp.csc_matrix(A)):
+        tracemalloc.start()
+        try:
+            smooth = QuadraticSmooth(data, np.zeros(M), BlockPartition(sizes))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
         for i, Ai in enumerate(smooth.blocks):
-            Si = S[:, smooth.partition.range(i)]
-            assert isinstance(Ai, objective._DenseBlock) == (min(M, N) > 1)
-            assert np.array_equal(Ai @ t, Si @ t)
-            assert np.array_equal(smooth.blocks_T[i] @ r, Si.T @ r)
-            assert np.array_equal(objective._gram(Ai), (Si.T @ Si).toarray())
-        assert np.array_equal(smooth.gram(), (S.T @ S).toarray())
-        assert np.array_equal(smooth.residual(x), S @ x - b)
+            assert isinstance(Ai, np.ndarray) and Ai.flags.f_contiguous
+            assert np.shares_memory(Ai, A) == (data is A)
+            assert np.shares_memory(smooth.blocks_T[i], Ai)
+        assert held <= (0.05 if data is A else 1.05) * A.nbytes
+
+
+def test_lasso_instance_builds_the_csc_form_of_its_data():
+    # the CSC arrays are built from the column-major entries, without
+    # sp.csc_matrix's coordinate pass, and equal the ones it gives
+    A = synthetic.lasso_instance(50, 20, (10, 10), lam=0.1, seed=4).smooth.A
+    want = sp.csc_matrix(A.toarray())
+    assert A.has_canonical_format
+    for name in ("indptr", "indices", "data"):
+        got, ref = getattr(A, name), getattr(want, name)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
 
 def test_a_block_with_duplicate_entries_stays_on_the_sparse_kernels():
