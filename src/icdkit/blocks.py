@@ -63,14 +63,11 @@ class BlockMetric:
     """Per-block SPD operators B_i of the block models (L_i B_i in the
     paper; only the product enters the model, and it is stored here).
 
-    objective.quadratic_metric builds it and keeps each block as the solver
-    reads it: the F-ordered upper Cholesky factor U_i of B_i = U_i^T U_i,
-    for the exact solve, and, in sparse[i], the pair (A_i, A_i^T) cut down
-    to A_i's nonzero rows where A_i is sparse, B_i needed no rank shift and
-    2 nnz(A_i) < N_i^2, so that A_i^T (A_i t) costs fewer flops than the
-    two triangular products with U_i. The pair shares A_i's values and
-    costs about 4 nnz(A_i) bytes of row indices; sparse[i] is None for
-    every other block. apply reads the pair where a block has one.
+    objective.quadratic_metric builds it by the objective module's storage
+    rule: stored[i] is the F-ordered upper Cholesky factor U_i of
+    B_i = U_i^T U_i, and sparse[i] the pair (A_i, A_i^T) cut down to A_i's
+    nonzero rows where the rule keeps one, else None. apply reads the pair
+    where a block has one.
     """
 
     def __init__(self, stored, sparse=None):

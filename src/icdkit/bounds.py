@@ -254,8 +254,8 @@ def mu_quadratic(objective: CompositeObjective, weights: WeightVector) -> float:
     """Strong convexity parameter of the quadratic smooth part relative to
     the weighted block norm: the smallest generalized eigenvalue of
     A^T A v = mu * blockdiag(w_i B_i) v, by a dense eigensolve for that
-    eigenvalue alone. A^T A is QuadraticSmooth.gram: one BLAS product when
-    A stores every entry, as an ndarray or as CSC, else the sparse product."""
+    eigenvalue alone. A^T A is QuadraticSmooth.gram, formed as the
+    objective module's storage rule forms a block's Gram."""
     p = objective.partition
     if p.N > EIGENSOLVE_DIM_CAP:
         raise ValueError(

@@ -192,6 +192,7 @@ class SolverConfig:
     method: "exact" (Cholesky), "cg" or "pcg" for a zero regularizer;
     "prox", the only method for l1 and group lasso. A zero budget routes
     the smooth path to the exact solve whatever the method.
+    max_inner_iters, at least 1, caps each inner solve.
     pcg takes one lower-triangular factor per block (incomplete Cholesky
     of C_i^T C_i or its shifted variant); each is wrapped into its
     preconditioner here, once, and every run with this config shares it.
@@ -209,6 +210,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in ("exact", "cg", "pcg", "prox"):
             raise ValueError(f"unknown inner solver {self.method!r}")
+        if self.max_inner_iters < 1:
+            raise ValueError(f"max_inner_iters must be at least 1, got {self.max_inner_iters}")
         if self.method == "pcg":
             if self.precond_factors is None:
                 raise ValueError("pcg requires preconditioner factors")
@@ -358,14 +361,16 @@ def icd_run(
 
     Each update takes the next block the law draws (_DRAW_BATCH indices
     per sample_block call), budgets its delta, solves its subproblem and
-    applies the step. The run stops when F - F* < eps (requires a known
-    F*), on stagnation (relative F decrease below 1e-12 over 10*n
+    applies the step. The run stops when F - F* < eps (eps a positive
+    finite number; requires a known F*), on stagnation (relative F decrease below 1e-12 over 10*n
     consecutive updates when no eps target is available), after
     max_block_updates updates, or when a fixed block order runs out;
     RunResult.stop_reason says which.
     """
     solver = solver if solver is not None else SolverConfig()
     n = objective.partition.n
+    if eps is not None and not 0 < eps < np.inf:
+        raise ValueError(f"eps must be a positive finite number, got {eps}")
     if eps is not None and objective.F_star is None:
         raise ValueError("eps-based stopping requires a known F*")
     if law.n != n:

@@ -3,11 +3,12 @@
 Configs are flat ``section.key = value`` text (diff-friendly, no schema
 dependency) that ``parse_config`` parses; the caller reads the file.
 Every output file starts with the echoed config so a run can be
-reproduced from its own artifacts. A bad problem, regularizer or policy
-key, a policy the sampling law or an unknown F* does not admit
-(InexactnessPolicy.check), stop.eps with an unknown F*, a bad sampling.p
-or sampling.fixed_order_path, or a value that does not parse raises
-ValueError before any solver runs; a solver's setup or run error is
+reproduced from its own artifacts. A key outside CONFIG_KEYS, a bad
+problem, regularizer or policy key, a policy the sampling law or an
+unknown F* does not admit (InexactnessPolicy.check), a stop.eps that is
+not a positive finite number or comes with an unknown F*, a bad
+sampling.p or sampling.fixed_order_path, or a value that does not parse
+raises ValueError before any solver runs; a solver's setup or run error is
 recorded as its failure. One sampling law serves the whole experiment,
 re-seeded per repetition, and each solver's RunSummary keeps its
 (repetition, RunResult) pairs, which both CSVs are written from.
@@ -40,12 +41,23 @@ from icdkit.objective import (
 )
 
 __all__ = [
+    "CONFIG_KEYS",
     "ExperimentConfig",
     "RunSummary",
     "parse_config",
     "build_problem",
     "run_experiment",
 ]
+
+# every key the harness reads, and no other; README's key table lists them
+CONFIG_KEYS = frozenset("""
+    problem.source problem.path problem.transpose problem.block_sizes problem.b_path
+    problem.xstar_seed generate.n generate.M_i generate.N_i generate.ell generate.nnz_per_col
+    generate.d_fill generate.shape generate.seed reg.kind reg.lam reg.d policy.rule
+    policy.alpha policy.beta policy.per_block sampling.p sampling.seed sampling.fixed_order_path
+    inner.solver inner.max_iters inner.drop_tol inner.rho_shift stop.eps
+    stop.max_block_updates run.repetitions output.dir output.prefix
+""".split())
 
 RECORD_COLUMNS = [
     "run_id",
@@ -92,7 +104,10 @@ class ExperimentConfig:
         v = self.raw.get(key)
         if v is None:
             return default
-        return str(v).lower() in ("1", "true", "yes")
+        word = str(v).lower()
+        if word not in ("1", "true", "yes", "0", "false", "no"):
+            raise ValueError(f"{key}: expected true, false, yes, no, 1 or 0, got {v!r}")
+        return word in ("1", "true", "yes")
 
     def get_list(self, key, cast=float):
         v = self.raw.get(key)
@@ -233,6 +248,9 @@ def run_experiment(cfg: ExperimentConfig, write_files: bool = True) -> dict[str,
     Returns the RunSummary of each solver, by name; optionally writes the
     raw record CSV and the summary CSV, both headed by the echoed config.
     """
+    unknown = sorted(set(cfg.raw) - CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"unknown config key {', '.join(unknown)}")
     objective, mat = build_problem(cfg)
     policy = _build_policy(cfg)
     default_solver = "cg" if objective.reg.kind.value == "zero" else "prox"
@@ -250,6 +268,8 @@ def run_experiment(cfg: ExperimentConfig, write_files: bool = True) -> dict[str,
     except ValueError as e:
         raise ValueError(f"sampling.p: {e}") from None
     policy.check(law.p, objective.F_star)
+    if eps is not None and not 0 < eps < np.inf:
+        raise ValueError(f"stop.eps must be a positive finite number, got {eps}")
     if eps is not None and objective.F_star is None:
         raise ValueError("stop.eps needs a known F* (a planted x* with reg.kind = zero)")
     order_path = cfg.get("sampling.fixed_order_path")

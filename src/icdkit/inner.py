@@ -1,10 +1,8 @@
 """Inner solvers for the per-block update subproblem.
 
 Every solver reads block i through one LinearSubproblem: B_i, applied as
-the metric keeps it, and g = -grad_i f. The metric applies B_i with two
-triangular products with its Cholesky factor U_i, O(N_i^2), or, for an
-unshifted sparse block with 2 nnz(A_i) < N_i^2, as A_i^T (A_i t) on A_i's
-nonzero rows, O(nnz(A_i)) (see objective.quadratic_metric). Smooth blocks
+the metric keeps it (the objective module's storage rule), and
+g = -grad_i f. Smooth blocks
 solve B_i t = g, by CG or by two triangular solves with U_i. CG
 and preconditioned CG share one Krylov loop: CG is PCG with M = I. The l1
 and group-lasso blocks share one proximal-gradient loop on the model
@@ -292,10 +290,9 @@ def solve_exact_cholesky(prob: LinearSubproblem) -> tuple[np.ndarray, SolveStats
     Cholesky factor U_i, by LAPACK's potrs, as cho_solve calls it.
 
     The certificate 1/2 ||B_i t - g||^2 reads B_i t from the metric's apply,
-    so on a block that applies B_i as A_i^T (A_i t) (unshifted sparse blocks
-    with 2 nnz(A_i) < N_i^2, at about 4 nnz(A_i) bytes of row indices; see
-    objective.quadratic_metric) it measures the solve against A_i^T A_i
-    rather than U_i^T U_i."""
+    so on a block that applies B_i as A_i^T (A_i t) (see the objective
+    module's storage rule) it measures the solve against A_i^T A_i rather
+    than U_i^T U_i."""
     t, info = dpotrs(prob.metric.stored[prob.i], prob.g, lower=0)
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of potrs")

@@ -2,24 +2,29 @@
 
 f(x) = 1/2 ||A x - b||^2 with A sparse or dense, and Psi block separable
 (zero, l1 or group lasso). The natural metric for the quadratic is
-B_i = A_i^T A_i, which makes the per-block model an exact upper bound;
-each block keeps it as one Cholesky factor, formed once, for the exact
-solve. A product with B_i costs two triangular products with that factor,
-O(N_i^2), except on a sparse block that needed no rank shift and has
-2 nnz(A_i) < N_i^2: that block also keeps A_i cut down to its nonzero
-rows, about 4 nnz(A_i) bytes, and applies B_i as A_i^T (A_i t).
-The residual r = A x - b is maintained incrementally so a block update
-costs O(nnz(A_i)). Each block keeps A_i^T next to A_i, made once, so the
-gradient A_i^T r builds no matrix object per update.
+B_i = A_i^T A_i, which makes the per-block model an exact upper bound.
+The residual r = A x - b is maintained incrementally, so a block update
+costs two products with A_i: the gradient A_i^T r and r += A_i t.
 
-Storage rule: a block whose every entry is stored (A an ndarray, or a
-canonical sparse A_i with nnz = M N_i, as the lasso and small-block
-instances hold Gaussian data in CSC) is held once, as a column-major
-ndarray of 8 M N_i bytes, and its products A_i t, A_i^T r and the Gram
-A_i^T A_i are BLAS calls. An ndarray A that is column-major is held as
-itself, its blocks being views of it. Every other block is its CSC column
-slice and uses scipy's products: a sparse one, and one whose storage is
-not canonical, so that duplicate entries are still multiplied one by one.
+Storage rule. How A_i and B_i are held follows from the input alone.
+- A is held once, as QuadraticSmooth.A: a sparse A as CSC, an ndarray as
+  a column-major array (copied only if it is not one already). The full
+  residual A x - b is A's own product, scipy's csc_matvec for a CSC A.
+- No block holds an entry of its own. Of an ndarray, A_i is a view of its
+  columns. Of a canonical CSC A, a block that stores all its M N_i
+  entries (as the lasso and small-block instances hold Gaussian data) is
+  their run of A.data read column-major, an ndarray view. Any other block
+  of a CSC A, sparse or of a non-canonical A whose duplicate entries must
+  be multiplied one by one, is its CSC column slice, a copy.
+- A dense block's products A_i t, A_i^T r and Gram A_i^T A_i are BLAS
+  calls; a CSC slice's are scipy's. blocks_T[i] is A_i's transpose view,
+  so the gradient builds no matrix object per update.
+- The metric keeps each block's upper Cholesky factor U_i of
+  B_i = U_i^T U_i, 8 N_i^2 bytes, formed once, and applies B_i as two
+  triangular products with it, O(N_i^2). A sparse block that needed no
+  rank shift and has 2 nnz(A_i) < N_i^2 also keeps A_i cut down to its
+  nonzero rows (about 4 nnz(A_i) bytes of row indices; the values are
+  A_i's) and applies B_i as A_i^T (A_i t), O(nnz(A_i)).
 """
 
 from __future__ import annotations
@@ -43,53 +48,45 @@ __all__ = [
 
 
 class QuadraticSmooth:
-    """f(x) = 1/2 ||A x - b||^2 with cached per-block column submatrices.
-
-    smooth.A is the caller's matrix (as CSC if sparse). blocks[i] holds
-    A_i by the module's storage rule: where A_i stores every entry, as a
-    column-major ndarray, 8 M N_i bytes; else as its CSC column slice.
-    blocks_T[i] is its transpose, a view. An ndarray A that is not
-    column-major costs one column-major copy, which its blocks view and
-    the residual reads; the residual of a sparse A is scipy's product.
-    """
+    """f(x) = 1/2 ||A x - b||^2 with per-block column submatrices, held by
+    the module's storage rule: A once, blocks[i] and blocks_T[i] sharing it."""
 
     def __init__(self, A, b: np.ndarray, partition: BlockPartition):
         if A.shape[1] != partition.N:
             raise ValueError("A has wrong number of columns for the partition")
         if A.shape[0] != b.shape[0]:
             raise ValueError("A and b have incompatible shapes")
-        self.A = sp.csc_matrix(A, dtype=float) if sp.issparse(A) else np.asarray(A, dtype=float)
+        self.A = sp.csc_matrix(A, dtype=float) if sp.issparse(A) else np.asfortranarray(A, float)
         self.b = np.asarray(b, dtype=float)
         self.partition = partition
-        # column slices of CSC or of a column-major array are cheap
-        self._cols = self.A if sp.issparse(self.A) else np.asfortranarray(self.A)
-        self.blocks = [_held(self._cols[:, partition.range(i)]) for i in range(partition.n)]
+        self.blocks = [_columns(self.A, partition.range(i)) for i in range(partition.n)]
         self.blocks_T = [Ai.T for Ai in self.blocks]
 
     def residual(self, x: np.ndarray) -> np.ndarray:
-        return self._cols @ x - self.b
+        return self.A @ x - self.b
 
     def value_from_residual(self, r: np.ndarray) -> float:
         return 0.5 * float(r @ r)
 
     def gram(self) -> np.ndarray:
         """A^T A as a dense array, formed as a block's Gram is."""
-        return _gram(_held(self._cols))
+        return _gram(_columns(self.A, slice(0, self.partition.N)))
 
 
-def _held(Ai):
-    """Ai as the module's storage rule holds it: a column-major ndarray
-    (Ai itself, if it is one), or CSC."""
-    if sp.issparse(Ai) and Ai.nnz == Ai.shape[0] * Ai.shape[1] and Ai.has_canonical_format:
-        return Ai.toarray(order="F")
-    # truly sparse, or not canonical: toarray would add duplicate entries
-    # together, where the sparse kernels multiply each one separately
-    return Ai
+def _columns(A, sl):
+    """Columns sl of the held A by the module's storage rule, copying no
+    entry except into a CSC slice."""
+    if not sp.issparse(A):
+        return A[:, sl]
+    a, b, Ni = A.indptr[sl.start], A.indptr[sl.stop], sl.stop - sl.start
+    if b - a == A.shape[0] * Ni and A.has_canonical_format:
+        return A.data[a:b].reshape((A.shape[0], Ni), order="F")
+    # a CSC slice copies, even one of every column
+    return A if Ni == A.shape[1] else A[:, sl]
 
 
 def _gram(Ai) -> np.ndarray:
-    """Ai^T Ai as a dense array, for Ai as _held holds it: one BLAS
-    product on a dense block, scipy's sparse product on a CSC one."""
+    """Ai^T Ai as a dense array, for a block held by the module's storage rule."""
     return (Ai.T @ Ai).toarray() if sp.issparse(Ai) else Ai.T @ Ai
 
 
@@ -141,22 +138,14 @@ class SeparableRegularizer:
 
 
 def quadratic_metric(smooth: QuadraticSmooth) -> BlockMetric:
-    """Build the exact metric B_i = A_i^T A_i for a quadratic.
+    """Build the exact metric B_i = A_i^T A_i for a quadratic, kept as the
+    module's storage rule says.
 
-    Each block keeps its Cholesky factor U_i, 8 * N_i^2 bytes, which the
-    exact solve reads; a block whose factor does not fit in memory is a
-    ValueError that names it. A rank-deficient block gets
-    B_i = A_i^T A_i + eps*I with eps = 1e-8 * trace(A_i^T A_i) / N_i, which
-    keeps B_i SPD at the cost of a strict (rather than exact)
-    overapproximation.
-
-    A product with B_i is two triangular products with U_i, 2 * N_i^2
-    flops, except on a block that is sparse, needed no shift, and has
-    2 * nnz(A_i) < N_i^2: that block also keeps A_i cut down to its
-    nonzero rows, with the transpose view of the cut, and BlockMetric.apply
-    returns A_i^T (A_i t), 4 * nnz(A_i) flops. The cut shares A_i's values
-    and column pointers, so it costs about 4 * nnz(A_i) bytes of row
-    indices; its products round as the full-height A_i^T (A_i t) does.
+    A block whose factor does not fit in memory is a ValueError that names
+    it. A rank-deficient block gets B_i = A_i^T A_i + eps*I with
+    eps = 1e-8 * trace(A_i^T A_i) / N_i, which keeps B_i SPD at the cost of
+    a strict (rather than exact) overapproximation, and always applies its
+    factor, so the shift is never lost.
     """
     stored, sparse = [], []
     for i, Ai in enumerate(smooth.blocks):
@@ -174,7 +163,7 @@ def quadratic_metric(smooth: QuadraticSmooth) -> BlockMetric:
 
 def _block_metric(Ai):
     """Block i's kept metric: the factor U_i its Cholesky rank check gives,
-    and the row-cut pair (A_i, A_i^T) where quadratic_metric's rule takes it.
+    and the row-cut pair (A_i, A_i^T) where the storage rule keeps one.
     One block per call: one dense B_i at a time."""
     Ni = Ai.shape[1]
     B = _gram(Ai)

@@ -454,6 +454,10 @@ def test_solver_config_checks_its_choices_when_built():
         SolverConfig(method="cg", rigorous=True)
     with pytest.raises(ValueError, match=r"all positive; got \[1.0, 0.0\]"):
         SolverConfig(method="cg", rigorous=True, lambda_min_estimates=[1.0, 0.0])
+    # a cap below one would end every inner solve at t = 0, unconverged
+    for method, cap in (("cg", 0), ("prox", -5)):
+        with pytest.raises(ValueError, match=f"max_inner_iters must be at least 1, got {cap}"):
+            SolverConfig(method=method, max_inner_iters=cap)
 
 
 def test_run_rejects_per_block_solver_lists_of_another_length():
@@ -564,6 +568,16 @@ def test_run_eps_requires_Fstar():
     obj = CompositeObjective(smooth, SeparableRegularizer.zero(), quadratic_metric(smooth))
     with pytest.raises(ValueError):
         icd_run(obj, np.zeros(4), InexactnessPolicy(), SamplingLaw.uniform(2), eps=0.1)
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, float("nan"), float("inf")])
+def test_run_refuses_an_eps_that_is_not_positive_and_finite(eps, monkeypatch):
+    # refused before the first update, not run to the end of its budget
+    obj = lasso_instance(60, 30, (10, 10, 10), lam=0.05)
+    monkeypatch.setattr(core, "compute_update", lambda *a: pytest.fail("an update ran"))
+    with pytest.raises(ValueError, match="eps must be a positive finite number"):
+        icd_run(obj, np.zeros(30), InexactnessPolicy.uniform(1e-6), SamplingLaw.uniform(3),
+                SolverConfig(method="prox"), eps=eps, max_block_updates=300)
 
 
 def test_run_stagnation_stop_without_eps():

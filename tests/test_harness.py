@@ -141,6 +141,17 @@ def test_parse_config_rejects_bad_line():
         harness.parse_config("a = 1\nnot a pair\n")
 
 
+def test_config_bool_reads_six_words_and_refuses_any_other():
+    words = {"true": True, "Yes": True, "1": True, "false": False, "NO": False, "0": False}
+    for word, flag in words.items():
+        assert harness.parse_config(f"k = {word}").get_bool("k") is flag
+    assert harness.parse_config("").get_bool("k", True) is True
+    for word in ("ture", "on", "2", ""):
+        refused = f"k: expected true, false, yes, no, 1 or 0, got '{word}'"
+        with pytest.raises(ValueError, match=refused):
+            harness.parse_config(f"k = {word}").get_bool("k")
+
+
 def test_config_echo_round_trip():
     cfg = harness.parse_config("b = 2\na = 1\n")
     echoed = harness.parse_config("\n".join(cfg.echo_lines()))
@@ -448,6 +459,20 @@ def test_cli_bounds_names_missing_inputs(theorem, capsys):
         ),
         (
             ["run", "CFG"],
+            "stop.epss = 1e-3\ninner.solvr = exact\n",
+            "unknown config key inner.solvr, stop.epss",
+        ),
+        (
+            ["run", "CFG"],
+            "problem.source = matrix_market\nproblem.path = TMP/none.mtx\n"
+            "problem.block_sizes = 4\nproblem.transpose = ture\n",
+            "problem.transpose: expected true, false, yes, no, 1 or 0, got 'ture'",
+        ),
+        (["run", "CFG"], "stop.eps = 0\n", "stop.eps must be a positive finite number, got 0.0"),
+        (["run", "CFG"], "stop.eps = -1\n", "stop.eps must be a positive finite number, got -1.0"),
+        (["run", "CFG"], "stop.eps = nan\n", "stop.eps must be a positive finite number, got nan"),
+        (
+            ["run", "CFG"],
             "sampling.fixed_order_path = TMP/no_order.txt\n",
             "sampling.fixed_order_path: [Errno 2] No such file or directory",
         ),
@@ -485,7 +510,7 @@ def test_cli_bounds_names_missing_inputs(theorem, capsys):
         "missing-config", "unknown-reg", "group-weights", "negative-budget",
         "repetitions-not-int", "probability-count", "probability-sum", "uniform-beta-alpha",
         "per-block-length", "per-block-over-beta", "per-block-alpha", "multiplicative-no-Fstar",
-        "eps-no-Fstar",
+        "eps-no-Fstar", "unknown-key", "bool-not-a-word", "eps-zero", "eps-negative", "eps-nan",
         "order-missing", "order-not-int", "order-index-3", "order-index-minus-1",
         "generate-shape", "generate-rank", "block-9", "block-minus-1", "PB-on-wide",
     ],
@@ -522,6 +547,8 @@ def test_cli_spectrum():
 
 
 def test_readme_config_table_lists_the_keys_harness_reads():
+    # run_experiment refuses every key outside CONFIG_KEYS, so the table, the
+    # keys the harness reads and CONFIG_KEYS must agree
     root = os.path.join(os.path.dirname(__file__), os.pardir)
     with open(os.path.join(root, "src", "icdkit", "harness.py")) as fh:
         read = set(re.findall(r'cfg\.get\w*\(\s*"([^"]+)"', fh.read()))
@@ -530,4 +557,4 @@ def test_readme_config_table_lists_the_keys_harness_reads():
     table = readme.split("### Config keys for `icdkit run`", 1)[1].split("\n## ", 1)[0]
     rows = [line.split("|")[1] for line in table.splitlines() if line.startswith("| `")]
     listed = {key for cell in rows for key in re.findall(r"`([^`]+)`", cell)}
-    assert listed == read
+    assert listed == read == harness.CONFIG_KEYS

@@ -454,23 +454,25 @@ def test_dense_data_is_held_as_one_array_however_it_comes(shape):
 
 
 def test_dense_data_is_held_in_one_layout():
-    # an F-ordered ndarray is held as itself, each block a view of the
-    # caller's data and each transpose a view of its block; dense data
-    # given as CSC is copied into that layout once, 8 M N bytes in all
+    # A is held once: an F-ordered ndarray as itself, a C-ordered one as one
+    # column-major copy, a CSC matrix that stores every entry as itself; each
+    # block is a view of the held entries and each transpose a view of its block
     M, sizes = 300, (40, 60, 1)
     A = np.asfortranarray(np.random.default_rng(23).standard_normal((M, sum(sizes))))
-    for data in (A, sp.csc_matrix(A)):
+    for data, copies in ((A, 0), (np.ascontiguousarray(A), 1), (sp.csc_matrix(A), 0)):
         tracemalloc.start()
         try:
             smooth = QuadraticSmooth(data, np.zeros(M), BlockPartition(sizes))
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
+        entries = smooth.A.data if sp.issparse(data) else smooth.A
+        assert entries.flags.f_contiguous and np.array_equal(smooth.A @ np.eye(A.shape[1]), A)
         for i, Ai in enumerate(smooth.blocks):
             assert isinstance(Ai, np.ndarray) and Ai.flags.f_contiguous
-            assert np.shares_memory(Ai, A) == (data is A)
+            assert np.shares_memory(Ai, entries)
             assert np.shares_memory(smooth.blocks_T[i], Ai)
-        assert held <= (0.05 if data is A else 1.05) * A.nbytes
+        assert held <= (copies + 0.05) * A.nbytes
 
 
 def test_lasso_instance_builds_the_csc_form_of_its_data():
@@ -494,6 +496,7 @@ def test_a_block_with_duplicate_entries_stays_on_the_sparse_kernels():
     assert S.nnz == 4 and not S.has_canonical_format
     smooth = QuadraticSmooth(S, np.zeros(2), BlockPartition((2,)))
     assert sp.issparse(smooth.blocks[0])
+    assert smooth.blocks[0] is smooth.A  # a full-width slice would copy A
     t = np.array([0.5, -2.0])
     assert np.array_equal(smooth.blocks[0] @ t, S @ t)
 
