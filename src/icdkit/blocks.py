@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.blas import dtrmv
 
-from icdkit.inner import estimate_operator_norm_sq
+from icdkit.inner import estimate_lambda_min, estimate_operator_norm_sq
 
 __all__ = [
     "BlockPartition",
@@ -73,14 +73,22 @@ class BlockMetric:
     def __init__(self, stored, sparse=None):
         self.stored = list(stored)
         self.sparse = list(sparse) if sparse is not None else [None] * len(self.stored)
-        self._step = [None] * len(self.stored)
+        self._prox = [None] * len(self.stored)
+
+    def prox_constants(self, i: int) -> tuple[float, float]:
+        """(mu_i, L_i), the prox step's estimates of lambda_min(B_i) and
+        ||B_i||_2, both made from U_i (U_i^T U_i = B_i) on first use:
+        L_i by the power iteration on U_i (2 N_i^2 flops a step), mu_i by
+        the inverse power iteration with U_i, at most L_i."""
+        if self._prox[i] is None:
+            U = self.stored[i]
+            L = estimate_operator_norm_sq(U)
+            self._prox[i] = (estimate_lambda_min(U, L), L)
+        return self._prox[i]
 
     def step_constant(self, i: int) -> float:
-        """Estimate of ||B_i||_2, the prox step constant: the power iteration
-        on U_i (U_i^T U_i = B_i, 2 N_i^2 flops a step), made on first use."""
-        if self._step[i] is None:
-            self._step[i] = estimate_operator_norm_sq(self.stored[i])
-        return self._step[i]
+        """Estimate of ||B_i||_2, the prox step constant L_i (see prox_constants)."""
+        return self.prox_constants(i)[1]
 
     @property
     def operators(self) -> list:

@@ -272,6 +272,7 @@ def compute_update(
     else:
         # looked up at call time, so a wrapper installed on this module sees it
         solve = solve_l1_subproblem if kind is RegularizerKind.L1 else solve_group_subproblem
+        mu, lipschitz = objective.metric.prox_constants(i)
         t, stats = solve(
             prob,
             state.f_value(),
@@ -279,7 +280,8 @@ def compute_update(
             objective.reg.block_weight(i),
             beta=delta,
             max_iters=solver.max_inner_iters,
-            lipschitz=objective.metric.step_constant(i),
+            lipschitz=lipschitz,
+            mu=mu,
         )
 
     # vacuous guard: never accept an update worse than t = 0. V_i(x, 0) is

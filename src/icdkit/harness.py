@@ -208,7 +208,9 @@ def _build_policy(cfg: ExperimentConfig) -> InexactnessPolicy:
     )
 
 
-def _build_solver(cfg: ExperimentConfig, method: str, objective, mat) -> SolverConfig:
+def _build_solver(
+    cfg: ExperimentConfig, method: str, objective, mat, max_iters: int
+) -> SolverConfig:
     check_method_fits(method, objective.reg.kind)
     factors = None
     if method == "pcg":
@@ -222,7 +224,7 @@ def _build_solver(cfg: ExperimentConfig, method: str, objective, mat) -> SolverC
         ]
     return SolverConfig(
         method=method,
-        max_inner_iters=cfg.get_int("inner.max_iters", 10_000),
+        max_inner_iters=max_iters,
         precond_factors=factors,
     )
 
@@ -258,6 +260,14 @@ def run_experiment(cfg: ExperimentConfig, write_files: bool = True) -> dict[str,
     reps = cfg.get_int("run.repetitions", 1)
     eps = cfg.get_float("stop.eps")
     max_updates = cfg.get_int("stop.max_block_updates", 100_000)
+    max_iters = cfg.get_int("inner.max_iters", 10_000)
+    for key, value, least in (
+        ("run.repetitions", reps, 1),
+        ("stop.max_block_updates", max_updates, 0),
+        ("inner.max_iters", max_iters, 1),
+    ):
+        if value < least:
+            raise ValueError(f"{key} must be at least {least}, got {value}")
     base_seed = cfg.get_int("sampling.seed", 0)
     n = objective.partition.n
     p = cfg.get_list("sampling.p")
@@ -285,7 +295,7 @@ def run_experiment(cfg: ExperimentConfig, write_files: bool = True) -> dict[str,
     for method in methods:
         summary = summaries[method] = RunSummary(solver=method)
         try:
-            solver = _build_solver(cfg, method, objective, mat)
+            solver = _build_solver(cfg, method, objective, mat, max_iters)
         except (ValueError, OSError, RuntimeError) as e:
             summary.failures.append(f"setup: {e}")
             continue

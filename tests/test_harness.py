@@ -471,6 +471,13 @@ def test_cli_bounds_names_missing_inputs(theorem, capsys):
         (["run", "CFG"], "stop.eps = 0\n", "stop.eps must be a positive finite number, got 0.0"),
         (["run", "CFG"], "stop.eps = -1\n", "stop.eps must be a positive finite number, got -1.0"),
         (["run", "CFG"], "stop.eps = nan\n", "stop.eps must be a positive finite number, got nan"),
+        (["run", "CFG"], "run.repetitions = 0\n", "run.repetitions must be at least 1, got 0"),
+        (
+            ["run", "CFG"],
+            "stop.max_block_updates = -1\n",
+            "stop.max_block_updates must be at least 0, got -1",
+        ),
+        (["run", "CFG"], "inner.max_iters = 0\n", "inner.max_iters must be at least 1, got 0"),
         (
             ["run", "CFG"],
             "sampling.fixed_order_path = TMP/no_order.txt\n",
@@ -511,6 +518,7 @@ def test_cli_bounds_names_missing_inputs(theorem, capsys):
         "repetitions-not-int", "probability-count", "probability-sum", "uniform-beta-alpha",
         "per-block-length", "per-block-over-beta", "per-block-alpha", "multiplicative-no-Fstar",
         "eps-no-Fstar", "unknown-key", "bool-not-a-word", "eps-zero", "eps-negative", "eps-nan",
+        "repetitions-zero", "budget-negative", "inner-cap-zero",
         "order-missing", "order-not-int", "order-index-3", "order-index-minus-1",
         "generate-shape", "generate-rank", "block-9", "block-minus-1", "PB-on-wide",
     ],

@@ -25,6 +25,7 @@ from icdkit.inner import (
     solve_pcg,
 )
 from icdkit.objective import QuadraticSmooth, quadratic_metric
+from icdkit.synthetic import lasso_instance
 
 
 CAP = 10_000  # SolverConfig's default inner iteration cap
@@ -418,6 +419,18 @@ def test_operator_norm_estimate_upper_bounds():
     assert true <= est <= 1.2 * true
 
 
+def test_lambda_min_estimate_errs_high_and_is_capped():
+    rng = np.random.default_rng(9)
+    B = _random_spd(rng, 12)
+    U = np.asfortranarray(np.linalg.cholesky(B).T)
+    lam = np.linalg.eigvalsh(B)
+    mu = inner.estimate_lambda_min(U, np.inf)
+    assert lam[0] * (1 - 1e-10) <= mu <= 1.01 * lam[0]
+    assert inner.estimate_lambda_min(U, 0.5 * lam[0]) == 0.5 * lam[0]
+    # a zero on U's diagonal is a singular factor
+    assert inner.estimate_lambda_min(np.zeros((3, 3), order="F"), 1.0) == 0.0
+
+
 # ----------------------------------------------------- l1 subproblem
 
 
@@ -562,6 +575,37 @@ def test_prox_makes_one_product_pair_per_iterate(solve):
     assert k > 1
     assert counting.calls == k + 1
     assert np.array_equal(t, solve(prob, f_x, x_i, 0.1, 1e-10, CAP, L)[0])
+
+
+@pytest.mark.parametrize("solve", [solve_l1_subproblem, solve_group_subproblem])
+def test_prox_without_mu_steps_at_one_over_lipschitz_to_the_bit(solve):
+    # mu defaults to lipschitz, and 2/(L + L) is 1/L exactly: the iterate
+    # and gap after every number of steps equal those of mu = lipschitz
+    rng = np.random.default_rng(15)
+    A = rng.standard_normal((20, 8))
+    r, x_i = rng.standard_normal(20), rng.standard_normal(8)
+    L = estimate_operator_norm_sq(A)
+    prob, f_x = _prox_args(A, r)
+    for cap in range(40):
+        t, stats = solve(prob, f_x, x_i, 0.1, 1e-12, cap, L)
+        t_mu, stats_mu = solve(prob, f_x, x_i, 0.1, 1e-12, cap, L, mu=L)
+        assert np.array_equal(t, t_mu)
+        assert (stats.iterations, stats.certificate) == (stats_mu.iterations, stats_mu.certificate)
+
+
+def test_l1_step_with_mu_reaches_the_gap_in_fewer_steps_on_a_lasso_block():
+    # lasso_instance's Gaussian blocks at 20 rows per column have
+    # kappa(B_i) near 2.3: 2/(mu_i + L_i) contracts by about 0.4 a step,
+    # 1/L_i by about 0.6
+    obj = lasso_instance(400, 100, (20,) * 5, 0.01, seed=1)
+    state = obj.start(np.zeros(100))
+    prob = LinearSubproblem(obj.metric, 0, -obj.block_gradient(state, 0))
+    mu, L = obj.metric.prox_constants(0)
+    x_i = np.zeros(20)
+    _, plain = solve_l1_subproblem(prob, state.f_value(), x_i, 0.01, 1e-8, CAP, L)
+    _, fast = solve_l1_subproblem(prob, state.f_value(), x_i, 0.01, 1e-8, CAP, L, mu=mu)
+    assert plain.converged and fast.converged
+    assert fast.iterations < plain.iterations
 
 
 def _residual_form_gap(A, r, x_i, t, weight, order, dual_order):

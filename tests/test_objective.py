@@ -166,6 +166,74 @@ def test_step_constant_of_a_rank_shifted_block_bounds_the_shifted_operator(shape
     assert metric.step_constant(0) >= np.linalg.norm(B, 2)
 
 
+def test_metric_prox_constants_are_estimated_once_per_block(monkeypatch):
+    # mu_i and L_i are made together from U_i on the block's first use,
+    # whichever of prox_constants and step_constant asks first
+    rng = np.random.default_rng(7)
+    obj = _random_objective(rng, 9, (2, 3))
+    calls = []
+    norm_sq, lam_min = blocks.estimate_operator_norm_sq, blocks.estimate_lambda_min
+
+    def counting(name, estimate):
+        def wrapped(U, *args):
+            calls.append((name, U.shape))
+            return estimate(U, *args)
+
+        return wrapped
+
+    monkeypatch.setattr(blocks, "estimate_operator_norm_sq", counting("L", norm_sq))
+    monkeypatch.setattr(blocks, "estimate_lambda_min", counting("mu", lam_min))
+    metric = obj.metric
+    values = [metric.prox_constants(1), metric.step_constant(0), metric.prox_constants(0)]
+    values += [metric.step_constant(1), metric.prox_constants(1)]
+    assert calls == [("L", (3, 3)), ("mu", (3, 3)), ("L", (2, 2)), ("mu", (2, 2))]
+    expected = [(lam_min(U, norm_sq(U)), norm_sq(U)) for U in metric.stored]
+    assert values == [expected[1], expected[0][1], expected[0], expected[1][1], expected[1]]
+
+
+def _sparse_block():
+    rng = np.random.default_rng(2)
+    S = sp.random(60, 20, density=0.05, random_state=rng) + sp.eye(60, 20)
+    return sp.csc_matrix(S)
+
+
+def _duplicate_column_block():
+    A = np.random.default_rng(1).standard_normal((40, 8))
+    A[:, 1] = A[:, 0]
+    return A
+
+
+@pytest.mark.parametrize(
+    "make_block",
+    [
+        lambda: np.random.default_rng(1).standard_normal((30, 12)),
+        _sparse_block,
+        _duplicate_column_block,
+        lambda: np.random.default_rng(1).standard_normal((5, 8)),
+        lambda: np.random.default_rng(1).standard_normal((400, 20)) / 20.0,
+    ],
+    ids=["dense", "sparse", "duplicate-column", "wide", "lasso-shaped"],
+)
+def test_prox_constants_bracket_the_spectrum_and_keep_the_step_below_two_over_norm(make_block):
+    # mu_i errs high, but never above L_i = step_constant(i) >= ||B_i||_2, so
+    # the step 2/(mu_i + L_i) lies in [1/L_i, 2/||B_i||_2). lambda_min(B_i)
+    # is sigma_min(U_i)^2: the SVD of U_i finds it to relative accuracy,
+    # where eigvalsh of the rebuilt U_i^T U_i is off by 8e-9 of it on the
+    # duplicate-column block (its rounding is eps ||B_i||). The wide and
+    # duplicate-column blocks are rank-shifted (B_i = A_i^T A_i + eps I)
+    A = make_block()
+    smooth = QuadraticSmooth(A, np.zeros(A.shape[0]), BlockPartition((A.shape[1],)))
+    metric = quadratic_metric(smooth)
+    U, B = metric.stored[0], metric.operators[0]
+    assert (metric.sparse[0] is not None) == sp.issparse(A)
+    lam_min = np.linalg.svd(U, compute_uv=False)[-1] ** 2
+    norm = np.linalg.eigvalsh(B)[-1]
+    mu, L = metric.prox_constants(0)
+    assert lam_min * (1 - 1e-10) <= mu <= L == metric.step_constant(0)
+    assert norm <= L
+    assert 2.0 / (mu + L) * norm < 2.0
+
+
 def test_eval_H_exact_update_sandwich():
     # H(x, T_0) <= H(x, T_delta) <= H(x, T_0) + sum_i delta_i
     rng = np.random.default_rng(6)
