@@ -15,8 +15,9 @@ previous one bit for bit (a fixed point, where further steps change
 nothing). The last two leave the solve unconverged, and its iteration
 count is the prox steps actually taken. The step is 2/(mu_i + L_i), with
 L_i the metric's power estimate of ||B_i|| = ||U_i||^2 and mu_i its
-inverse-power estimate of lambda_min(B_i) (BlockMetric.prox_constants);
-without mu_i it is 1/L_i.
+inverse-power estimate of lambda_min(B_i) (BlockMetric.prox_constants),
+floored at L_i/3 so the step is at most 1.5/L_i (prox_step); without
+mu_i it is 1/L_i.
 
 The linear-path certificate is the squared normal-equation residual
 1/2 ||B_i t - g||^2 <= beta. The model gap it must control is
@@ -323,6 +324,7 @@ def group_soft_threshold(v: np.ndarray, tau: float) -> np.ndarray:
 
 POWER_ITERS = 30  # iterations of estimate_operator_norm_sq and estimate_lambda_min
 POWER_SEED = 0  # seed of their random start vector
+STEP_MU_FLOOR = 1.0 / 3.0  # prox_step's least mu, as a share of lipschitz
 
 
 def _power_start(n: int) -> np.ndarray:
@@ -370,6 +372,20 @@ def estimate_lambda_min(U: np.ndarray, cap: float) -> float:
     return min(est, cap)
 
 
+def prox_step(lipschitz: float, mu: float | None = None) -> float:
+    """The prox step 2/(max(mu, lipschitz/3) + lipschitz); 1/lipschitz,
+    to the bit, without mu.
+
+    The floor on mu keeps the step at most 1.5/lipschitz, below 2/||B||
+    while lipschitz >= 0.75 ||B||: a power estimate of ||B|| up to 28%
+    low still converges. Without it, a rank-shifted block (mu near 0)
+    steps at 2/lipschitz, which diverges once lipschitz < ||B||.
+    """
+    if mu is None:
+        return 1.0 / lipschitz
+    return 2.0 / (max(mu, STEP_MU_FLOOR * lipschitz) + lipschitz)
+
+
 def _norm_1(v: np.ndarray) -> float:
     return float(np.add.reduce(np.abs(v)))
 
@@ -397,13 +413,13 @@ def _prox_gradient(
     point s * res for any A, r with B = A^T A, A^T r = -g and 1/2||r||^2 = f_x
     ([A_i; sqrt(eps) I] and [r; 0] for a shifted B), so it bounds
     V(t) - min V. prox(v, s) is the proximal map of s norm; the step
-    is 2/(mu + lipschitz), with lipschitz >= ||B|| and mu >= lambda_min(B)
-    (mu = None takes mu = lipschitz: the step is then 1/lipschitz to the
-    bit). On a model with condition number kappa the iterates contract by
-    (kappa-1)/(kappa+1) per step at mu = lambda_min, against 1 - 1/kappa
-    at 1/lipschitz; any mu > ||B|| - lipschitz keeps the step below
-    2/||B||, where the iteration converges. norm and dual_norm are the
-    reductions np.linalg.norm runs for a vector, so they give its bits.
+    is prox_step(lipschitz, mu), 2/(mu + lipschitz) with mu floored at
+    lipschitz/3, for lipschitz >= ||B|| and mu >= lambda_min(B) (1/lipschitz
+    without mu). Where kappa = lipschitz/lambda_min(B) <= 3 the iterates
+    contract by (kappa-1)/(kappa+1) per step at mu = lambda_min, against
+    1 - 1/kappa at 1/lipschitz; past 3 the step is 1.5/lipschitz. norm
+    and dual_norm are the reductions np.linalg.norm runs for a vector, so
+    they give its bits.
 
     The solve ends in one of three ways: the gap falls to beta or below
     (converged); max_iters prox steps are taken; or a prox step returns
@@ -413,7 +429,7 @@ def _prox_gradient(
     """
     if beta <= 0:
         raise ValueError("beta must be positive for the duality-gap test")
-    step = 2.0 / ((lipschitz if mu is None else mu) + lipschitz)
+    step = prox_step(lipschitz, mu)
     y = np.array(x_i, dtype=float, copy=True)
     y_prev, gap_prev = None, math.nan
     k = 0

@@ -593,6 +593,37 @@ def test_prox_without_mu_steps_at_one_over_lipschitz_to_the_bit(solve):
         assert (stats.iterations, stats.certificate) == (stats_mu.iterations, stats_mu.certificate)
 
 
+def test_prox_step_floors_mu_at_a_third_of_lipschitz():
+    assert inner.prox_step(3.0) == 1.0 / 3.0
+    assert inner.prox_step(3.0, 3.0) == 1.0 / 3.0
+    assert inner.prox_step(3.0, 1.5) == 2.0 / 4.5
+    # below lipschitz/3 the step stays at 1.5/lipschitz
+    assert inner.prox_step(3.0, 1.0) == inner.prox_step(3.0, 1e-8) == inner.prox_step(3.0, 0.0)
+    assert inner.prox_step(3.0, 0.0) == pytest.approx(0.5, rel=1e-15)
+
+
+@pytest.mark.parametrize("solve", [solve_l1_subproblem, solve_group_subproblem])
+def test_prox_converges_on_a_rank_shifted_block_with_lipschitz_five_percent_low(solve):
+    # a wide block keeps B = A^T A + eps I, so its mu is near 0: an unfloored
+    # step 2/(mu + L) would be near 2/L, past 2/||B|| with L = 0.95 ||B||,
+    # and diverge. The floored step, 1.5/L, still converges
+    rng = np.random.default_rng(16)
+    A = rng.standard_normal((6, 10))
+    smooth = QuadraticSmooth(A, np.zeros(6), BlockPartition((10,)))
+    metric = quadratic_metric(smooth)
+    mu, _ = metric.prox_constants(0)
+    B = metric.operators[0]
+    norm = np.linalg.eigvalsh(B)[-1]
+    assert mu < 1e-6 * norm
+    L = 0.95 * norm
+    assert 2.0 / (mu + L) * norm > 2.0
+    r = rng.standard_normal(6)
+    prob = LinearSubproblem(metric, 0, -(A.T @ r))
+    t, stats = solve(prob, 0.5 * float(r @ r), np.zeros(10), 0.5, 1e-10, CAP, L, mu=mu)
+    assert stats.converged and stats.certificate <= 1e-10
+    assert np.all(np.isfinite(t))
+
+
 def test_l1_step_with_mu_reaches_the_gap_in_fewer_steps_on_a_lasso_block():
     # lasso_instance's Gaussian blocks at 20 rows per column have
     # kappa(B_i) near 2.3: 2/(mu_i + L_i) contracts by about 0.4 a step,

@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg.blas import dtrmv
 
-from icdkit import block_angular, blocks, objective, synthetic
+from icdkit import block_angular, blocks, inner, objective, synthetic
 from icdkit.blocks import BlockPartition, block_view
 from icdkit.objective import (
     CompositeObjective,
@@ -216,7 +216,7 @@ def _duplicate_column_block():
 )
 def test_prox_constants_bracket_the_spectrum_and_keep_the_step_below_two_over_norm(make_block):
     # mu_i errs high, but never above L_i = step_constant(i) >= ||B_i||_2, so
-    # the step 2/(mu_i + L_i) lies in [1/L_i, 2/||B_i||_2). lambda_min(B_i)
+    # the step lies in [1/L_i, 1.5/L_i], below 2/||B_i||_2. lambda_min(B_i)
     # is sigma_min(U_i)^2: the SVD of U_i finds it to relative accuracy,
     # where eigvalsh of the rebuilt U_i^T U_i is off by 8e-9 of it on the
     # duplicate-column block (its rounding is eps ||B_i||). The wide and
@@ -231,7 +231,9 @@ def test_prox_constants_bracket_the_spectrum_and_keep_the_step_below_two_over_no
     mu, L = metric.prox_constants(0)
     assert lam_min * (1 - 1e-10) <= mu <= L == metric.step_constant(0)
     assert norm <= L
-    assert 2.0 / (mu + L) * norm < 2.0
+    assert 1.0 / L <= inner.prox_step(L, mu) <= inner.prox_step(L, 0.0)
+    assert inner.prox_step(L, 0.0) == pytest.approx(1.5 / L, rel=1e-15)
+    assert inner.prox_step(L, mu) * norm < 2.0
 
 
 def test_eval_H_exact_update_sandwich():
