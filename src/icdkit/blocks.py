@@ -86,10 +86,6 @@ class BlockMetric:
             self._prox[i] = (estimate_lambda_min(U, L), L)
         return self._prox[i]
 
-    def step_constant(self, i: int) -> float:
-        """Estimate of ||B_i||_2, the prox step constant L_i (see prox_constants)."""
-        return self.prox_constants(i)[1]
-
     @property
     def operators(self) -> list:
         """Every B_i, rebuilt from its factor; for readers off the hot path."""

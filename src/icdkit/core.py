@@ -5,7 +5,9 @@ Every accepted update is checked against the vacuous guard
 V_i(x, t) <= V_i(x, 0); a violating update is replaced by t = 0 and the
 event is logged in the iteration record.
 
-The per-update path does only the update's arithmetic: block indices are
+The per-update path does only the update's arithmetic: a null update
+(no inner iteration) skips the guard, the residual update and F, and
+the guard reuses the solver's B_i t where it has one. Block indices are
 drawn in batches from the law's CDF (the same indices, from the same
 stream, as one ``rng.choice(n, p=p)`` per update), the budget is checked
 once, before the first update, and computed once per run when it cannot
@@ -244,7 +246,10 @@ def compute_update(
     """Inexact update for block i with budget delta.
 
     Returns (t, stats, vacuous_fallback). delta = 0 routes the smooth
-    path to the exact Cholesky solve.
+    path to the exact Cholesky solve. A null update, whose solve took no
+    inner iteration (a zero gradient, a Krylov residual or a prox gap at
+    t = 0 already within budget), returns t = 0 without the guard. The
+    guard reuses the B_i t that the exact and prox solvers hand back.
     """
     if delta < 0:
         raise ValueError("delta must be nonnegative")
@@ -284,9 +289,11 @@ def compute_update(
             mu=mu,
         )
 
+    if stats.iterations == 0:
+        return t, stats, False
     # vacuous guard: never accept an update worse than t = 0. V_i(x, 0) is
     # Psi_i(x^(i)), and V_i(x, t) reuses the gradient computed above.
-    v_t = objective.model_value(state, i, t, grad)
+    v_t = objective.model_value(state, i, t, grad, stats.product_at(t))
     v_0 = objective.reg.block_value(i, state.x[objective.partition.range(i)])
     if v_t > v_0 + 1e-12 * (1.0 + abs(v_0)):
         return np.zeros(Ni), stats, True
@@ -337,6 +344,16 @@ class RunResult:
     @property
     def inner_iterations(self) -> int:
         return sum(r.inner_iterations for r in self.records)
+
+    @property
+    def null_updates(self) -> int:
+        """Updates whose solve took no inner iteration, so x stayed put."""
+        return sum(r.inner_iterations == 0 for r in self.records)
+
+    @property
+    def vacuous_fallbacks(self) -> int:
+        """Updates the vacuous guard replaced by t = 0."""
+        return sum(r.vacuous_fallback for r in self.records)
 
     @property
     def unconverged_inner(self) -> int:
@@ -404,8 +421,11 @@ def icd_run(
             deltas = delta_budget(policy, F, F_star, n)
         delta = float(deltas[i])
         t, stats, fallback = compute_update(objective, state, i, delta, solver)
-        state.apply_update(i, t)
-        F_new = state.F_value()
+        if stats.iterations == 0:
+            F_new = F  # a null update leaves x, r and Psi as they are
+        else:
+            state.apply_update(i, t)
+            F_new = state.F_value()
         cum_inner += stats.iterations
         records.append(
             IterationRecord(

@@ -337,6 +337,10 @@ def _write_records_csv(path, cfg, summaries):
                     )
 
 
+# RunResult counts the summary CSV sums over each solver's runs
+UPDATE_COUNTS = ("unconverged_inner", "null_updates", "vacuous_fallbacks")
+
+
 def _write_summary_csv(path, cfg, summaries):
     with open(path, "w") as fh:
         for line in cfg.echo_lines():
@@ -344,14 +348,14 @@ def _write_summary_csv(path, cfg, summaries):
         stops = [f"stop_{reason}" for reason in STOP_REASONS]
         fh.write(
             ",".join(["solver", "runs", "mean_block_updates", "mean_inner_iterations",
-                      "mean_time_s", *stops, "unconverged_inner", "failures"]) + "\n"
+                      "mean_time_s", *stops, *UPDATE_COUNTS, "failures"]) + "\n"
         )
         for method, s in summaries.items():
             reasons = [result.stop_reason for _, result in s.runs]
-            counts = ",".join(str(reasons.count(reason)) for reason in STOP_REASONS)
-            unconverged = sum(result.unconverged_inner for _, result in s.runs)
+            counts = [reasons.count(reason) for reason in STOP_REASONS]
+            counts += [sum(getattr(result, c) for _, result in s.runs) for c in UPDATE_COUNTS]
             fh.write(
                 f"{method},{len(s.runs)},{s.mean('block_updates')!r},"
-                f"{s.mean('inner_iterations')!r},{s.mean('wall_time_s'):.6f},{counts},"
-                f"{unconverged},{';'.join(s.failures)}\n"
+                f"{s.mean('inner_iterations')!r},{s.mean('wall_time_s'):.6f},"
+                f"{','.join(map(str, counts))},{';'.join(s.failures)}\n"
             )

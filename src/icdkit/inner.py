@@ -2,10 +2,10 @@
 
 Every solver reads block i through one LinearSubproblem: B_i, applied as
 the metric keeps it (the objective module's storage rule), and
-g = -grad_i f. Smooth blocks
-solve B_i t = g, by CG or by two triangular solves with U_i. CG
-and preconditioned CG share one Krylov loop: CG is PCG with M = I. The l1
-and group-lasso blocks share one proximal-gradient loop on the model
+g = -grad_i f. Smooth blocks solve B_i t = g, by CG or by two BLAS
+triangular solves (trsv) with U_i. CG and preconditioned CG share one
+Krylov loop: CG is PCG with M = I. The l1 and group-lasso blocks share
+one proximal-gradient loop on the model
 <grad_i f, t> + 1/2 <B_i t, t> + Psi_i(x^(i) + t), one product with B_i per
 iterate, with a duality-gap stopping test; only the proximal map, the
 penalty norm and its dual norm differ (soft threshold, l1, l-inf; group
@@ -18,6 +18,11 @@ L_i the metric's power estimate of ||B_i|| = ||U_i||^2 and mu_i its
 inverse-power estimate of lambda_min(B_i) (BlockMetric.prox_constants),
 floored at L_i/3 so the step is at most 1.5/L_i (prox_step); without
 mu_i it is 1/L_i.
+
+The exact and prox solvers hand back B_i t at the t they return
+(SolveStats.product_at), so the caller's vacuous guard takes no product
+of its own. The Krylov loop hands back none: a capped solve returns its
+best iterate, not its last, whose product it never formed.
 
 The linear-path certificate is the squared normal-equation residual
 1/2 ||B_i t - g||^2 <= beta. The model gap it must control is
@@ -34,7 +39,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
 
@@ -42,7 +47,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.blas import dtrsv
-from scipy.linalg.lapack import dpotrs
 
 __all__ = [
     "LinearSubproblem",
@@ -89,6 +93,14 @@ class SolveStats:
     certificate: float  # final 1/2||B t - g||^2 or duality gap
     mode: StopMode
     converged: bool = True
+    # (t, B_i t) where the solver formed B_i t at the very t it returned
+    product: tuple | None = field(default=None, compare=False, repr=False)
+
+    def product_at(self, t: np.ndarray) -> np.ndarray | None:
+        """B_i t if the solver formed it at this very array t, else None."""
+        if self.product is not None and self.product[0] is t:
+            return self.product[1]
+        return None
 
 
 def _half_sq(v: np.ndarray) -> float:
@@ -107,14 +119,16 @@ def _krylov(
     from r itself (M = I), which is plain CG. A capped solve returns the
     iterate with the smallest residual seen.
     """
+    # t and r are rebound, never written in place, so best_t needs no copy
     t = np.zeros(prob.dim)
     r = prob.g
-    best_t, best_res = t.copy(), _half_sq(r)
+    rr = float(r @ r)
+    best_t, best_res = t, 0.5 * rr
     if best_res <= tol:
         return best_t, SolveStats(0, best_res, StopMode.RESIDUAL_SQUARED)
     z = r if precond is None else precond(r)
-    p = z.copy()
-    rz = float(r @ z)
+    p = z
+    rz = rr if precond is None else float(r @ z)
     k = 0
     max_iters = min(max_iters, 10 * prob.dim + 10)
     while k < max_iters:
@@ -126,13 +140,14 @@ def _krylov(
         t = t + alpha * p
         r = r - alpha * Bp
         k += 1
-        res = _half_sq(r)
+        rr = float(r @ r)
+        res = 0.5 * rr
         if res < best_res:
-            best_t, best_res = t.copy(), res
+            best_t, best_res = t, res
         if res <= tol:
             return t, SolveStats(k, res, StopMode.RESIDUAL_SQUARED)
         z = r if precond is None else precond(r)
-        rz_new = float(r @ z)
+        rz_new = rr if precond is None else float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
     return best_t, SolveStats(k, best_res, StopMode.RESIDUAL_SQUARED, False)
@@ -290,18 +305,18 @@ def solve_pcg(
 
 
 def solve_exact_cholesky(prob: LinearSubproblem) -> tuple[np.ndarray, SolveStats]:
-    """Exact solve of B_i t = g: two triangular solves with block i's kept
-    Cholesky factor U_i, by LAPACK's potrs, as cho_solve calls it.
+    """Exact solve of B_i t = g: two BLAS triangular solves (trsv) with
+    block i's kept Cholesky factor U_i, U_i^T y = g and then U_i t = y.
 
     The certificate 1/2 ||B_i t - g||^2 reads B_i t from the metric's apply,
     so on a block that applies B_i as A_i^T (A_i t) (see the objective
     module's storage rule) it measures the solve against A_i^T A_i rather
-    than U_i^T U_i."""
-    t, info = dpotrs(prob.metric.stored[prob.i], prob.g, lower=0)
-    if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of potrs")
-    res = _half_sq(prob.apply(t) - prob.g)
-    return t, SolveStats(1, res, StopMode.RESIDUAL_SQUARED)
+    than U_i^T U_i. That product is handed back in the stats."""
+    U = prob.metric.stored[prob.i]
+    t = dtrsv(U, dtrsv(U, prob.g, trans=1))
+    Bt = prob.apply(t)
+    res = _half_sq(Bt - prob.g)
+    return t, SolveStats(1, res, StopMode.RESIDUAL_SQUARED, product=(t, Bt))
 
 
 def soft_threshold(v, tau: float):
@@ -435,17 +450,18 @@ def _prox_gradient(
     k = 0
     while True:
         t = y - x_i
-        grad = prob.apply(t) - prob.g
+        Bt = prob.apply(t)
+        grad = Bt - prob.g
         res_sq = 2.0 * f_x + float(t @ (grad - prob.g))
         grad_dual = dual_norm(grad)
         s = 1.0 if grad_dual <= weight else weight / grad_dual
         gap = 0.5 * (1.0 - s) ** 2 * res_sq + s * float(y @ grad)
         gap += weight * norm(y)
         if not gap > beta or k >= max_iters:
-            return t, SolveStats(k, gap, StopMode.DUALITY_GAP, gap <= beta)
+            return t, SolveStats(k, gap, StopMode.DUALITY_GAP, gap <= beta, product=(t, Bt))
         # equal iterates give equal gaps, so one float comparison gates the test
         if gap == gap_prev and np.array_equal(y, y_prev):
-            return t, SolveStats(k, gap, StopMode.DUALITY_GAP, False)
+            return t, SolveStats(k, gap, StopMode.DUALITY_GAP, False, product=(t, Bt))
         y_prev, gap_prev = y, gap
         y = prox(y - step * grad, weight * step)
         k += 1

@@ -4,7 +4,8 @@ f(x) = 1/2 ||A x - b||^2 with A sparse or dense, and Psi block separable
 (zero, l1 or group lasso). The natural metric for the quadratic is
 B_i = A_i^T A_i, which makes the per-block model an exact upper bound.
 The residual r = A x - b is maintained incrementally, so a block update
-costs two products with A_i: the gradient A_i^T r and r += A_i t.
+costs two products with A_i: the gradient A_i^T r and r += A_i t (a null
+update, one whose solve takes no inner iteration, leaves r alone).
 
 Storage rule. How A_i and B_i are held follows from the input alone.
 - A is held once, as QuadraticSmooth.A: a sparse A as CSC, an ndarray as
@@ -220,11 +221,17 @@ class CompositeObjective:
         """grad_i f = A_i^T r for the quadratic."""
         return self.smooth.blocks_T[i] @ state.r
 
-    def model_value(self, state: "ResidualState", i: int, t: np.ndarray, grad: np.ndarray) -> float:
+    def model_value(
+        self, state: "ResidualState", i: int, t: np.ndarray, grad: np.ndarray,
+        Bt: np.ndarray | None = None,
+    ) -> float:
         """V_i(x, t) = <grad_i f, t> + 1/2 <B_i t, t> + Psi_i(x^(i) + t),
-        with grad = grad_i f(x), which the caller already holds."""
+        with grad = grad_i f(x), which the caller already holds, and Bt,
+        when given, B_i t; otherwise the metric applies B_i to t."""
         xi = state.x[self.partition.range(i)]
-        quad = 0.5 * float(t @ self.metric.apply(i, t))
+        if Bt is None:
+            Bt = self.metric.apply(i, t)
+        quad = 0.5 * float(t @ Bt)
         return float(grad @ t) + quad + self.reg.block_value(i, xi + t)
 
 
@@ -246,6 +253,8 @@ class ResidualState:
         return self.objective.smooth.value_from_residual(self.r)
 
     def psi_value(self) -> float:
+        if self.objective.reg.kind is RegularizerKind.ZERO:
+            return 0.0
         return float(self._psi_blocks.sum())
 
     def F_value(self) -> float:

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 
 from icdkit import core, inner
 from icdkit.block_angular import GeneratorSpec, build_preconditioner, generate
-from icdkit.blocks import BlockPartition
+from icdkit.blocks import BlockMetric, BlockPartition
 from icdkit.core import (
     DeltaRule,
     InexactnessPolicy,
@@ -23,6 +23,7 @@ from icdkit.core import (
 from icdkit.objective import (
     CompositeObjective,
     QuadraticSmooth,
+    ResidualState,
     SeparableRegularizer,
     quadratic_metric,
 )
@@ -500,7 +501,8 @@ def test_run_exact_factors_no_block(monkeypatch):
 
 
 def test_run_evaluates_one_gradient_and_one_model_value_per_update(monkeypatch):
-    # the vacuous guard goes through model_value with the update's gradient
+    # the vacuous guard goes through model_value with the update's gradient;
+    # a null update (no inner iteration) skips the guard
     obj, x0, _ = _pcg_problem()
     calls = {"grad": 0, "model": 0}
     block_gradient, model_value = CompositeObjective.block_gradient, CompositeObjective.model_value
@@ -509,17 +511,100 @@ def test_run_evaluates_one_gradient_and_one_model_value_per_update(monkeypatch):
         calls["grad"] += 1
         return block_gradient(self, state, i)
 
-    def counting_model(self, state, i, t, grad=None):
+    def counting_model(self, state, i, t, grad=None, Bt=None):
         assert grad is not None
         calls["model"] += 1
-        return model_value(self, state, i, t, grad)
+        return model_value(self, state, i, t, grad, Bt)
 
     monkeypatch.setattr(CompositeObjective, "block_gradient", counting_gradient)
     monkeypatch.setattr(CompositeObjective, "model_value", counting_model)
     res = icd_run(obj, x0, InexactnessPolicy.uniform(1e-6), SamplingLaw.uniform(3, seed=0),
                   SolverConfig(method="cg"), max_block_updates=30)
     assert res.block_updates == 30
-    assert calls == {"grad": 30, "model": 30}
+    solved = sum(r.inner_iterations > 0 for r in res.records)
+    assert calls == {"grad": 30, "model": solved}
+
+
+def _count_update_calls(monkeypatch, states):
+    """Count the per-update calls into objective and metric; keep each run's
+    state in states, with a copy of its starting x and r."""
+    targets = [(ResidualState, "apply_update"), (ResidualState, "F_value"),
+               (CompositeObjective, "model_value"), (BlockMetric, "apply")]
+    calls = dict.fromkeys([name for _, name in targets], 0)
+    for cls, name in targets:
+        def counting(*args, _fn=getattr(cls, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(cls, name, counting)
+    start = CompositeObjective.start
+
+    def keeping_start(self, x0):
+        state = start(self, x0)
+        states.append((state, state.x.copy(), state.r.copy()))
+        return state
+
+    monkeypatch.setattr(CompositeObjective, "start", keeping_start)
+    return calls
+
+
+def _zero_gradient_problem():
+    # b = 0 and x0 = 0 leave r = 0, so every block gradient is exactly zero
+    rng = np.random.default_rng(4)
+    smooth = QuadraticSmooth(rng.standard_normal((20, 7)), np.zeros(20), BlockPartition((4, 3)))
+    return CompositeObjective(smooth, F_star=0.0), np.zeros(7), SolverConfig(method="cg")
+
+
+def _loose_cg_problem(rigorous):
+    # a budget far above 1/2 ||g||^2 at t = 0 ends CG before its first step
+    rng = np.random.default_rng(5)
+    obj = _consistent_objective(rng, 20, (4, 3))
+    solver = SolverConfig(method="cg", rigorous=rigorous,
+                          lambda_min_estimates=[1.0, 1.0] if rigorous else None)
+    return obj, rng.standard_normal(7), solver
+
+
+@pytest.mark.parametrize("problem, mode, solver_applies", [
+    (_zero_gradient_problem, "residual_squared", 0),
+    (lambda: _loose_cg_problem(False), "residual_squared", 0),
+    (lambda: _loose_cg_problem(True), "residual_squared_scaled", 0),
+    # the prox solver's own product at t = 0, for its gap
+    (_prox_problem, "duality_gap", 1),
+], ids=["zero-gradient", "cg", "rigorous-cg", "prox"])
+def test_a_null_update_leaves_the_state_and_skips_guard_residual_and_F(
+    monkeypatch, problem, mode, solver_applies
+):
+    obj, x0, solver = problem()
+    states = []
+    calls = _count_update_calls(monkeypatch, states)
+    res = icd_run(obj, x0, InexactnessPolicy.uniform(1e6), SamplingLaw.uniform(obj.partition.n),
+                  solver, max_block_updates=1)
+    # F_value ran once, for the starting F
+    assert calls == {"apply_update": 0, "F_value": 1, "model_value": 0, "apply": solver_applies}
+    [(state, x_start, r_start)] = states
+    [rec] = res.records
+    assert (rec.inner_iterations, rec.inner_converged, rec.certificate_mode) == (0, True, mode)
+    assert not rec.vacuous_fallback
+    assert np.array_equal(res.x, x_start) and np.array_equal(state.r, r_start)
+    assert rec.F == res.F_final == state.F_value()
+    assert (res.null_updates, res.vacuous_fallbacks) == (1, 0)
+
+
+@pytest.mark.parametrize("method", ["exact", "prox"])
+def test_an_exact_or_prox_update_guards_with_the_solver_product(monkeypatch, method):
+    # the solver's B_i t serves the guard, so an update applies B_i once for
+    # the exact certificate, and once per prox iterate (k + 1 for k steps)
+    if method == "prox":
+        obj, x0, solver = _prox_problem()
+    else:
+        obj, x0, _ = _pcg_problem()
+        solver = SolverConfig(method="exact")
+    calls = _count_update_calls(monkeypatch, [])
+    res = icd_run(obj, x0, InexactnessPolicy.uniform(1e-8), SamplingLaw.uniform(3),
+                  solver, max_block_updates=1)
+    [rec] = res.records
+    assert rec.inner_iterations > 0 and not rec.vacuous_fallback
+    expected = 1 if method == "exact" else rec.inner_iterations + 1
+    assert calls == {"apply_update": 1, "F_value": 2, "model_value": 1, "apply": expected}
 
 
 def test_records_carry_inner_convergence():

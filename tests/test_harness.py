@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from icdkit import block_angular, bounds, cli, harness, mmio
+from icdkit import block_angular, bounds, cli, core, harness, mmio
 from icdkit.core import STOP_REASONS
+from icdkit.inner import solve_exact_cholesky
 
 
 # ------------------------------------------------------- Matrix Market
@@ -252,6 +253,33 @@ def test_summary_csv_counts_stop_reasons(tmp_path):
         assert int(row["unconverged_inner"]) == unconverged
         assert sum(res.unconverged_inner for res in runs) == unconverged
         assert (unconverged > 0) == (row["solver"] != "exact")
+
+
+def test_summary_csv_counts_null_updates_and_vacuous_fallbacks(tmp_path, monkeypatch):
+    # cg overshoots the exact step 2.5 times, so the guard refuses every cg
+    # update; pcg's loose budget leaves some blocks without an inner step
+    def overshoot(prob, tol, max_iters):
+        t, stats = solve_exact_cholesky(prob)
+        return 2.5 * t, stats
+
+    monkeypatch.setattr(core, "solve_cg", overshoot)
+    cfg = harness.parse_config(
+        SMALL_CONFIG + f"stop.max_block_updates = 4\noutput.dir = {tmp_path}\n"
+    )
+    summaries = harness.run_experiment(cfg)
+    text = (tmp_path / "experiment_summary.csv").read_text()
+    rows = {row["solver"]: row for row in
+            csv.DictReader(l for l in text.splitlines() if not l.startswith("#"))}
+    for method, s in summaries.items():
+        records = [r for _, res in s.runs for r in res.records]
+        null = sum(r.inner_iterations == 0 for r in records)
+        fallbacks = sum(r.vacuous_fallback for r in records)
+        assert sum(res.null_updates for _, res in s.runs) == null
+        assert sum(res.vacuous_fallbacks for _, res in s.runs) == fallbacks
+        assert (int(rows[method]["null_updates"]), int(rows[method]["vacuous_fallbacks"])) == (
+            null, fallbacks)
+    assert int(rows["cg"]["vacuous_fallbacks"]) == 8
+    assert int(rows["pcg"]["null_updates"]) > 0
 
 
 def test_run_experiment_deterministic_replay(tmp_path):

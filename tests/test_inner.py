@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg.blas import dtrsv
 
 from icdkit import block_angular, inner
 from icdkit.blocks import BlockMetric, BlockPartition
@@ -391,8 +392,29 @@ def test_exact_cholesky_equals_cho_solve_on_the_kept_factor(kind):
     data = sp.csc_matrix(A) if kind == "sparse" else A
     metric = quadratic_metric(QuadraticSmooth(data, np.zeros(60), BlockPartition((10,))))
     g = rng.standard_normal(10)
+    U = metric.stored[0]
     t, _ = solve_exact_cholesky(LinearSubproblem(metric, 0, g))
-    assert np.array_equal(t, cho_solve((metric.stored[0], False), g))
+    assert np.array_equal(t, dtrsv(U, dtrsv(U, g, trans=1)))
+    ref = cho_solve((U, False), g)
+    assert np.linalg.norm(t - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_exact_and_prox_hand_back_their_product_at_the_returned_t_only():
+    # the product serves the caller's guard only at the very array it was
+    # taken at; CG hands none back (a capped solve returns its best iterate)
+    rng = np.random.default_rng(14)
+    A = rng.standard_normal((20, 8))
+    prob, f_x = _prox_args(A, rng.standard_normal(20))
+    L = np.linalg.norm(A, 2) ** 2
+    solves = [
+        solve_exact_cholesky(prob),
+        solve_l1_subproblem(prob, f_x, rng.standard_normal(8), 0.1, 1e-10, CAP, L),
+    ]
+    for t, stats in solves:
+        assert np.array_equal(stats.product_at(t), prob.apply(t))
+        assert stats.product_at(t.copy()) is None
+    t, stats = solve_cg(prob, 1e-20, CAP)
+    assert stats.product_at(t) is None
 
 
 # ------------------------------------------------------ prox operators

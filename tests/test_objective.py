@@ -148,7 +148,7 @@ def test_metric_step_constant_is_estimated_once_per_block(monkeypatch):
         return estimate(U)
 
     monkeypatch.setattr(blocks, "estimate_operator_norm_sq", counting)
-    values = [obj.metric.step_constant(i) for i in (1, 0, 1, 0)]
+    values = [obj.metric.prox_constants(i)[1] for i in (1, 0, 1, 0)]
     assert calls == [(3, 3), (2, 2)]
     assert values == [estimate(obj.metric.stored[i]) for i in (1, 0, 1, 0)]
 
@@ -163,12 +163,11 @@ def test_step_constant_of_a_rank_shifted_block_bounds_the_shifted_operator(shape
     metric = quadratic_metric(QuadraticSmooth(A, np.zeros(shape[0]), BlockPartition((8,))))
     B = metric.operators[0]
     assert B[0, 0] > A[:, 0] @ A[:, 0]  # shifted
-    assert metric.step_constant(0) >= np.linalg.norm(B, 2)
+    assert metric.prox_constants(0)[1] >= np.linalg.norm(B, 2)
 
 
 def test_metric_prox_constants_are_estimated_once_per_block(monkeypatch):
-    # mu_i and L_i are made together from U_i on the block's first use,
-    # whichever of prox_constants and step_constant asks first
+    # mu_i and L_i are made together from U_i on the block's first use
     rng = np.random.default_rng(7)
     obj = _random_objective(rng, 9, (2, 3))
     calls = []
@@ -184,8 +183,8 @@ def test_metric_prox_constants_are_estimated_once_per_block(monkeypatch):
     monkeypatch.setattr(blocks, "estimate_operator_norm_sq", counting("L", norm_sq))
     monkeypatch.setattr(blocks, "estimate_lambda_min", counting("mu", lam_min))
     metric = obj.metric
-    values = [metric.prox_constants(1), metric.step_constant(0), metric.prox_constants(0)]
-    values += [metric.step_constant(1), metric.prox_constants(1)]
+    values = [metric.prox_constants(1), metric.prox_constants(0)[1], metric.prox_constants(0)]
+    values += [metric.prox_constants(1)[1], metric.prox_constants(1)]
     assert calls == [("L", (3, 3)), ("mu", (3, 3)), ("L", (2, 2)), ("mu", (2, 2))]
     expected = [(lam_min(U, norm_sq(U)), norm_sq(U)) for U in metric.stored]
     assert values == [expected[1], expected[0][1], expected[0], expected[1][1], expected[1]]
@@ -215,7 +214,7 @@ def _duplicate_column_block():
     ids=["dense", "sparse", "duplicate-column", "wide", "lasso-shaped"],
 )
 def test_prox_constants_bracket_the_spectrum_and_keep_the_step_below_two_over_norm(make_block):
-    # mu_i errs high, but never above L_i = step_constant(i) >= ||B_i||_2, so
+    # mu_i errs high, but never above L_i = prox_constants(i)[1] >= ||B_i||_2, so
     # the step lies in [1/L_i, 1.5/L_i], below 2/||B_i||_2. lambda_min(B_i)
     # is sigma_min(U_i)^2: the SVD of U_i finds it to relative accuracy,
     # where eigvalsh of the rebuilt U_i^T U_i is off by 8e-9 of it on the
@@ -229,7 +228,7 @@ def test_prox_constants_bracket_the_spectrum_and_keep_the_step_below_two_over_no
     lam_min = np.linalg.svd(U, compute_uv=False)[-1] ** 2
     norm = np.linalg.eigvalsh(B)[-1]
     mu, L = metric.prox_constants(0)
-    assert lam_min * (1 - 1e-10) <= mu <= L == metric.step_constant(0)
+    assert lam_min * (1 - 1e-10) <= mu <= L == metric.prox_constants(0)[1]
     assert norm <= L
     assert 1.0 / L <= inner.prox_step(L, mu) <= inner.prox_step(L, 0.0)
     assert inner.prox_step(L, 0.0) == pytest.approx(1.5 / L, rel=1e-15)
