@@ -136,7 +136,9 @@ def generate(spec: GeneratorSpec) -> tuple[BlockAngularMatrix, np.ndarray, np.nd
     ]
     mat = BlockAngularMatrix(C_blocks, D_blocks)
     x_star = rng.standard_normal(mat.N)
-    b = mat.assemble() @ x_star
+    # the assembled CSC product's additions, in its order, with no A built
+    top = [C @ x_star[mat.partition.range(i)] for i, C in enumerate(mat.C_blocks)]
+    b = np.concatenate(top + [sp.hstack(mat.D_blocks, format="csc") @ x_star])
     return mat, x_star, b
 
 

@@ -6,18 +6,18 @@ g = -grad_i f. Smooth blocks solve B_i t = g, by CG or by two BLAS
 triangular solves (trsv) with U_i. CG and preconditioned CG share one
 Krylov loop: CG is PCG with M = I. The l1 and group-lasso blocks share
 one proximal-gradient loop on the model
-<grad_i f, t> + 1/2 <B_i t, t> + Psi_i(x^(i) + t), one product with B_i per
-iterate, with a duality-gap stopping test; only the proximal map, the
-penalty norm and its dual norm differ (soft threshold, l1, l-inf; group
-soft threshold, l2, l2). A prox solve ends in one of three ways: the gap
-falls to beta, the iteration cap is reached, or an iterate repeats the
-previous one bit for bit (a fixed point, where further steps change
-nothing). The last two leave the solve unconverged, and its iteration
-count is the prox steps actually taken. The step is 2/(mu_i + L_i), with
-L_i the metric's power estimate of ||B_i|| = ||U_i||^2 and mu_i its
-inverse-power estimate of lambda_min(B_i) (BlockMetric.prox_constants),
-floored at L_i/3 so the step is at most 1.5/L_i (prox_step); without
-mu_i it is 1/L_i.
+<grad_i f, t> + 1/2 <B_i t, t> + Psi_i(x^(i) + t), with one product with
+B_i per iterate but the first (whose t is 0) and a duality-gap stopping
+test; only the proximal map, the penalty norm and its dual norm differ
+(soft threshold, l1, l-inf; group soft threshold, l2, l2). A prox solve
+ends in one of three ways: the gap falls to beta, the iteration cap is
+reached, or an iterate repeats the previous one bit for bit (a fixed
+point, where further steps change nothing). The last two leave the solve
+unconverged, and its iteration count is the prox steps actually taken.
+The step is 2/(mu_i + L_i), with L_i the metric's power estimate of
+||B_i|| = ||U_i||^2 and mu_i its inverse-power estimate of
+lambda_min(B_i) (BlockMetric.prox_constants), floored at L_i/3 so the
+step is at most 1.5/L_i (prox_step); without mu_i it is 1/L_i.
 
 The exact and prox solvers hand back B_i t at the t they return
 (SolveStats.product_at), so the caller's vacuous guard takes no product
@@ -419,8 +419,8 @@ def _prox_gradient(
     """Proximal gradient on V(t) = f_x - <g, t> + 1/2 <B t, t> + weight norm(x_i + t),
     with B and g = -grad_i f from prob and f_x = f(x) = 1/2||r||^2.
 
-    Works in y = x_i + t, one prob.apply per iterate for the gradient
-    B t - g. The duality gap
+    Works in y = x_i + t, one prob.apply per iterate after the first (where
+    t = 0) for the gradient B t - g. The duality gap
     1/2 (1-s)^2 ||res||^2 + s <y, grad> + weight norm(y) is the certificate,
     with ||res||^2 = 2 f_x + <t, B t - 2 g> and s <= 1 the largest scale
     that puts s * grad in the dual_norm ball of radius weight. That
@@ -450,8 +450,11 @@ def _prox_gradient(
     k = 0
     while True:
         t = y - x_i
-        Bt = prob.apply(t)
-        grad = Bt - prob.g
+        if k == 0:  # y is x_i's copy, so t = 0 and B t = 0 exactly
+            Bt, grad = np.zeros_like(t), -prob.g
+        else:
+            Bt = prob.apply(t)
+            grad = Bt - prob.g
         res_sq = 2.0 * f_x + float(t @ (grad - prob.g))
         grad_dual = dual_norm(grad)
         s = 1.0 if grad_dual <= weight else weight / grad_dual

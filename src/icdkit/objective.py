@@ -22,10 +22,12 @@ Storage rule. How A_i and B_i are held follows from the input alone.
   so the gradient builds no matrix object per update.
 - The metric keeps each block's upper Cholesky factor U_i of
   B_i = U_i^T U_i, 8 N_i^2 bytes, formed once, and applies B_i as two
-  triangular products with it, O(N_i^2). A sparse block that needed no
-  rank shift and has 2 nnz(A_i) < N_i^2 also keeps A_i cut down to its
-  nonzero rows (about 4 nnz(A_i) bytes of row indices; the values are
-  A_i's) and applies B_i as A_i^T (A_i t), O(nnz(A_i)).
+  triangular products with it, O(N_i^2). U_i comes from one in-place
+  LAPACK dpotrf of the block's Gram, then one transposing copy into the
+  column-major layout the triangular kernels read. A sparse block that
+  needed no rank shift and has 2 nnz(A_i) < N_i^2 also keeps A_i cut down
+  to its nonzero rows (about 4 nnz(A_i) bytes of row indices; the values
+  are A_i's) and applies B_i as A_i^T (A_i t), O(nnz(A_i)).
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from enum import Enum
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpotrf
 
 from icdkit.blocks import BlockMetric, BlockPartition, block_view
 
@@ -59,6 +62,10 @@ class QuadraticSmooth:
             raise ValueError("A and b have incompatible shapes")
         self.A = sp.csc_matrix(A, dtype=float) if sp.issparse(A) else np.asfortranarray(A, float)
         self.b = np.asarray(b, dtype=float)
+        # a NaN or inf would pass every factorization silently, as a NaN factor
+        for name, values in (("A", self.A.data if sp.issparse(self.A) else self.A), ("b", self.b)):
+            if not _finite(values.ravel(order="K")):
+                raise ValueError(f"{name} has a non-finite entry (NaN or inf)")
         self.partition = partition
         self.blocks = [_columns(self.A, partition.range(i)) for i in range(partition.n)]
         self.blocks_T = [Ai.T for Ai in self.blocks]
@@ -72,6 +79,14 @@ class QuadraticSmooth:
     def gram(self) -> np.ndarray:
         """A^T A as a dense array, formed as a block's Gram is."""
         return _gram(_columns(self.A, slice(0, self.partition.N)))
+
+
+def _finite(v: np.ndarray) -> bool:
+    """Whether every entry of the vector v is finite. v @ v is one BLAS pass
+    with no temporary, finite exactly when every entry is, unless a square
+    overflows; only then does the entrywise test run."""
+    with np.errstate(over="ignore"):
+        return bool(np.isfinite(v @ v) or np.isfinite(v).all())
 
 
 def _columns(A, sl):
@@ -146,7 +161,8 @@ def quadratic_metric(smooth: QuadraticSmooth) -> BlockMetric:
     it. A rank-deficient block gets B_i = A_i^T A_i + eps*I with
     eps = 1e-8 * trace(A_i^T A_i) / N_i, which keeps B_i SPD at the cost of
     a strict (rather than exact) overapproximation, and always applies its
-    factor, so the shift is never lost.
+    factor, so the shift is never lost. A shifted B_i that still does not
+    factor is a ValueError that names the block.
     """
     stored, sparse = [], []
     for i, Ai in enumerate(smooth.blocks):
@@ -157,6 +173,8 @@ def quadratic_metric(smooth: QuadraticSmooth) -> BlockMetric:
                 f"out of memory forming the Cholesky factor of block {i} "
                 f"({Ai.shape[1]} columns)"
             ) from e
+        except np.linalg.LinAlgError as e:
+            raise ValueError(f"block {i} ({Ai.shape[1]} columns): {e}") from e
         stored.append(U)
         sparse.append(pair)
     return BlockMetric(stored, sparse)
@@ -167,19 +185,33 @@ def _block_metric(Ai):
     and the row-cut pair (A_i, A_i^T) where the storage rule keeps one.
     One block per call: one dense B_i at a time."""
     Ni = Ai.shape[1]
-    B = _gram(Ai)
     if Ai.shape[0] >= Ni:
-        try:
-            U = np.linalg.cholesky(B).T  # L is C-ordered, so U_i = L^T is F-ordered
-        except np.linalg.LinAlgError:
-            pass
-        else:
+        U = _upper_factor(_gram(Ai))
+        if U is not None:
             cheaper = sp.issparse(Ai) and 2 * Ai.nnz < Ni * Ni
             return U, _nonzero_rows(Ai) if cheaper else None
+    # a failed factorization has overwritten its Gram, so the shift starts afresh
+    B = _gram(Ai)
     eps = 1e-8 * float(np.trace(B)) / Ni
+    if eps == 0:  # an all-zero block, whose B_i = 0 is its own factor
+        return B.T, None
     B[np.diag_indices(Ni)] += eps
-    # eps = 0 only for an all-zero block, whose B_i = 0 is its own factor
-    return (np.linalg.cholesky(B).T if eps > 0 else B.T), None
+    U = _upper_factor(B)
+    if U is None:
+        raise np.linalg.LinAlgError("the rank-shifted Gram is not positive definite")
+    return U, None
+
+
+def _upper_factor(B):
+    """The F-ordered upper Cholesky factor U of the C-ordered Gram B, or None
+    where B is not positive definite; B's buffer is overwritten either way.
+    B is symmetric to the bit, so B.T is B held column-major, and LAPACK's
+    lower-triangular dpotrf factors it in place as numpy's cholesky would
+    factor a copy; one transposing copy of L gives U = L^T."""
+    L, info = dpotrf(B.T, lower=1, clean=1, overwrite_a=1)
+    if info < 0:
+        raise ValueError(f"dpotrf rejected argument {-info}")
+    return np.ascontiguousarray(L).T if info == 0 else None
 
 
 def _nonzero_rows(Ai):

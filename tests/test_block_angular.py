@@ -68,6 +68,18 @@ def test_generate_consistent_rhs():
     assert 0.5 * np.sum((A @ x_star - b) ** 2) == pytest.approx(0.0, abs=1e-18)
 
 
+@pytest.mark.parametrize("spec", [
+    GeneratorSpec(n=10, M_i=2000, N_i=500, ell=1, seed=3),
+    GeneratorSpec(n=4, M_i=30, N_i=60, ell=2, shape="wide", seed=5),
+    GeneratorSpec(n=3, M_i=40, N_i=12, ell=2, seed=1),
+    GeneratorSpec(n=3, M_i=40, N_i=12, ell=0, seed=1),
+], ids=["bench", "wide", "ell-2", "ell-0"])
+def test_generate_forms_b_as_the_assembled_product_to_the_bit(spec):
+    # b is formed block by block, with the assembled CSC product's additions
+    mat, x_star, b = generate(spec)
+    assert np.array_equal(b, mat.assemble() @ x_star)
+
+
 def test_generate_nnz_per_column_near_target():
     mat, _, _ = generate(GeneratorSpec(n=4, M_i=60, N_i=20, ell=5, nnz_per_col=20, seed=7))
     for C in mat.C_blocks:

@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from icdkit import core, inner
+from icdkit import core, inner, objective
 from icdkit.block_angular import GeneratorSpec, build_preconditioner, generate
 from icdkit.blocks import BlockMetric, BlockPartition
 from icdkit.core import (
@@ -486,10 +486,12 @@ def test_run_exact_factors_no_block(monkeypatch):
         return wrapper
 
     # scipy's cholesky and cho_factor both factor through _cholesky, under
-    # whatever name a caller imported them
+    # whatever name a caller imported them; the metric calls LAPACK's dpotrf
     cholesky_module = scipy.linalg._decomp_cholesky
     monkeypatch.setattr(np.linalg, "cholesky", counting(np.linalg.cholesky))
     monkeypatch.setattr(cholesky_module, "_cholesky", counting(cholesky_module._cholesky))
+    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", counting(scipy.linalg.lapack.dpotrf))
+    monkeypatch.setattr(objective, "dpotrf", counting(objective.dpotrf))
     for obj, x0 in problems:
         n = obj.partition.n
         res = icd_run(obj, x0, InexactnessPolicy(), SamplingLaw.uniform(n, seed=0),
@@ -567,8 +569,7 @@ def _loose_cg_problem(rigorous):
     (_zero_gradient_problem, "residual_squared", 0),
     (lambda: _loose_cg_problem(False), "residual_squared", 0),
     (lambda: _loose_cg_problem(True), "residual_squared_scaled", 0),
-    # the prox solver's own product at t = 0, for its gap
-    (_prox_problem, "duality_gap", 1),
+    (_prox_problem, "duality_gap", 0),
 ], ids=["zero-gradient", "cg", "rigorous-cg", "prox"])
 def test_a_null_update_leaves_the_state_and_skips_guard_residual_and_F(
     monkeypatch, problem, mode, solver_applies
@@ -592,7 +593,7 @@ def test_a_null_update_leaves_the_state_and_skips_guard_residual_and_F(
 @pytest.mark.parametrize("method", ["exact", "prox"])
 def test_an_exact_or_prox_update_guards_with_the_solver_product(monkeypatch, method):
     # the solver's B_i t serves the guard, so an update applies B_i once for
-    # the exact certificate, and once per prox iterate (k + 1 for k steps)
+    # the exact certificate, and once per prox iterate after t = 0 (k for k steps)
     if method == "prox":
         obj, x0, solver = _prox_problem()
     else:
@@ -603,7 +604,7 @@ def test_an_exact_or_prox_update_guards_with_the_solver_product(monkeypatch, met
                   solver, max_block_updates=1)
     [rec] = res.records
     assert rec.inner_iterations > 0 and not rec.vacuous_fallback
-    expected = 1 if method == "exact" else rec.inner_iterations + 1
+    expected = 1 if method == "exact" else rec.inner_iterations
     assert calls == {"apply_update": 1, "F_value": 2, "model_value": 1, "apply": expected}
 
 

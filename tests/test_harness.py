@@ -496,6 +496,12 @@ def test_cli_bounds_names_missing_inputs(theorem, capsys):
             "problem.block_sizes = 4\nproblem.transpose = ture\n",
             "problem.transpose: expected true, false, yes, no, 1 or 0, got 'ture'",
         ),
+        (
+            ["run", "CFG"],
+            "problem.source = matrix_market\nproblem.path = TMP/nan_A.mtx\n"
+            "problem.block_sizes = 2\n",
+            "A has a non-finite entry (NaN or inf)",
+        ),
         (["run", "CFG"], "stop.eps = 0\n", "stop.eps must be a positive finite number, got 0.0"),
         (["run", "CFG"], "stop.eps = -1\n", "stop.eps must be a positive finite number, got -1.0"),
         (["run", "CFG"], "stop.eps = nan\n", "stop.eps must be a positive finite number, got nan"),
@@ -545,7 +551,7 @@ def test_cli_bounds_names_missing_inputs(theorem, capsys):
         "missing-config", "unknown-reg", "group-weights", "negative-budget",
         "repetitions-not-int", "probability-count", "probability-sum", "uniform-beta-alpha",
         "per-block-length", "per-block-over-beta", "per-block-alpha", "multiplicative-no-Fstar",
-        "eps-no-Fstar", "unknown-key", "bool-not-a-word", "eps-zero", "eps-negative", "eps-nan",
+        "eps-no-Fstar", "unknown-key", "bool-not-a-word", "nan-in-A", "eps-zero", "eps-negative", "eps-nan",
         "repetitions-zero", "budget-negative", "inner-cap-zero",
         "order-missing", "order-not-int", "order-index-3", "order-index-minus-1",
         "generate-shape", "generate-rank", "block-9", "block-minus-1", "PB-on-wide",
@@ -553,10 +559,13 @@ def test_cli_bounds_names_missing_inputs(theorem, capsys):
 )
 def test_cli_input_error_is_one_usage_error_line(tmp_path, capsys, argv, config, named):
     # "CFG" stands for a config file, which exists only when config is given;
-    # "TMP" in config stands for the directory that holds these order files
+    # "TMP" in config stands for the directory that holds the files written here
     (tmp_path / "order_x.txt").write_text("0 1 x 2")
     (tmp_path / "order_3.txt").write_text("0 1 3 0")
     (tmp_path / "order_minus_1.txt").write_text("0 1 2 -1 0")
+    (tmp_path / "nan_A.mtx").write_text(
+        "%%MatrixMarket matrix coordinate real general\n3 2 3\n1 1 1.0\n2 2 nan\n3 1 2.0\n"
+    )
     cfg = tmp_path / "exp.cfg"
     if config is not None:
         config = config.replace("TMP", str(tmp_path))

@@ -55,6 +55,24 @@ def test_consistent_system_has_zero_f():
     assert obj.start(x_star).f_value() == pytest.approx(0.0, abs=1e-24)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["dense-A", "csc-A", "b"])
+def test_smooth_refuses_a_non_finite_input_and_names_it(where, bad):
+    # a NaN or inf would otherwise become a NaN factor without an error
+    A, b = np.random.default_rng(2).standard_normal((6, 5)), np.ones(6)
+    (b if where == "b" else A)[3] = bad
+    held = sp.csc_matrix(A) if where == "csc-A" else A
+    with pytest.raises(ValueError, match=rf"^{where[-1]} has a non-finite entry"):
+        QuadraticSmooth(held, b, BlockPartition((3, 2)))
+
+
+@pytest.mark.parametrize("held", [np.asarray, sp.csc_matrix], ids=["dense", "csc"])
+def test_smooth_takes_finite_entries_whose_squares_overflow(held):
+    A = np.full((4, 2), 1e200)
+    smooth = QuadraticSmooth(held(A), np.full(4, -1e200), BlockPartition((1, 1)))
+    assert np.array_equal(smooth.b, np.full(4, -1e200))
+
+
 def test_block_gradient_identity():
     obj = _identity_objective()
     state = obj.start(np.array([1.0, 1.0]))
@@ -365,8 +383,8 @@ def test_metric_keeps_one_factor_per_block(monkeypatch):
     A[:, 16:] = 0.0  # block 3: all zero
     smooth = QuadraticSmooth(sp.csc_matrix(A), np.zeros(8), BlockPartition((3, 3, 10, 2)))
     calls = []
-    cholesky = np.linalg.cholesky
-    monkeypatch.setattr(np.linalg, "cholesky", lambda B: calls.append(B.shape) or cholesky(B))
+    dpotrf = objective.dpotrf
+    monkeypatch.setattr(objective, "dpotrf", lambda B, **kw: calls.append(B.shape) or dpotrf(B, **kw))
     metric = quadratic_metric(smooth)
     assert calls == [(3, 3), (3, 3), (3, 3), (10, 10), (2, 2)]
     shifted = [False, True, True, False]
@@ -575,16 +593,60 @@ def test_metric_names_the_block_whose_factor_does_not_fit(monkeypatch):
     # names the block and its width, not a MemoryError from deep inside
     A = np.random.default_rng(15).standard_normal((12, 9))
     smooth = QuadraticSmooth(sp.csc_matrix(A), np.zeros(12), BlockPartition((3, 4, 2)))
-    cholesky = np.linalg.cholesky
+    dpotrf = objective.dpotrf
 
-    def no_room_for_block_1(B):
+    def no_room_for_block_1(B, **kwargs):
         if B.shape == (4, 4):
             raise MemoryError
-        return cholesky(B)
+        return dpotrf(B, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "cholesky", no_room_for_block_1)
+    monkeypatch.setattr(objective, "dpotrf", no_room_for_block_1)
     with pytest.raises(ValueError, match=r"block 1 \(4 columns\)"):
         quadratic_metric(smooth)
+
+
+def test_metric_names_the_block_whose_shifted_factor_fails(monkeypatch):
+    # block 1's Gram fails its rank check and then its shifted factorization
+    # (dpotrf's info > 0 both times): an input error that names the block
+    A = np.random.default_rng(15).standard_normal((12, 9))
+    smooth = QuadraticSmooth(sp.csc_matrix(A), np.zeros(12), BlockPartition((3, 4, 2)))
+    dpotrf = objective.dpotrf
+    calls = []
+
+    def block_1_never_factors(B, **kwargs):
+        calls.append(B.shape)
+        L, info = dpotrf(B, **kwargs)
+        return L, 2 if B.shape == (4, 4) else info
+
+    monkeypatch.setattr(objective, "dpotrf", block_1_never_factors)
+    with pytest.raises(ValueError, match=r"block 1 \(4 columns\): the rank-shifted Gram"):
+        quadratic_metric(smooth)
+    assert calls == [(3, 3), (4, 4), (4, 4)]
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse-pair", "shifted", "all-zero"])
+def test_metric_factor_is_an_f_ordered_upper_triangle_of_B(kind):
+    # U_i as the trsv/trmv kernels read it: F-contiguous, exact zeros below
+    # the diagonal, and U_i^T U_i = B_i (shifted where the block needs it)
+    rng = np.random.default_rng(21)
+    sizes = (4, 8)
+    if kind == "sparse-pair":
+        mat, _, _ = block_angular.generate(block_angular.GeneratorSpec(n=2, M_i=200, N_i=50, ell=1, seed=3))
+        A, sizes = mat.assemble(), mat.partition.sizes
+    elif kind == "shifted":
+        A = rng.standard_normal((3, 12))  # wide blocks: every Gram is singular
+    else:
+        A = rng.standard_normal((40, 12)) if kind == "dense" else np.zeros((40, 12))
+    smooth = QuadraticSmooth(A, np.zeros(A.shape[0]), BlockPartition(sizes))
+    metric = quadratic_metric(smooth)
+    assert all(pair is not None for pair in metric.sparse) == (kind == "sparse-pair")
+    for i, U in enumerate(metric.stored):
+        B = objective._gram(smooth.blocks[i])
+        if kind == "shifted":
+            B = B + 1e-8 * np.trace(B) / B.shape[0] * np.eye(B.shape[0])
+        assert U.flags.f_contiguous
+        assert not np.tril(U, -1).any()
+        np.testing.assert_allclose(U.T @ U, B, rtol=0.0, atol=1e-13 * max(np.abs(B).max(), 1.0))
 
 
 def test_metric_build_holds_one_dense_block_at_a_time():
