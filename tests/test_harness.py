@@ -551,7 +551,8 @@ def test_cli_bounds_names_missing_inputs(theorem, capsys):
         "missing-config", "unknown-reg", "group-weights", "negative-budget",
         "repetitions-not-int", "probability-count", "probability-sum", "uniform-beta-alpha",
         "per-block-length", "per-block-over-beta", "per-block-alpha", "multiplicative-no-Fstar",
-        "eps-no-Fstar", "unknown-key", "bool-not-a-word", "nan-in-A", "eps-zero", "eps-negative", "eps-nan",
+        "eps-no-Fstar", "unknown-key", "bool-not-a-word", "nan-in-A", "eps-zero", "eps-negative",
+        "eps-nan",
         "repetitions-zero", "budget-negative", "inner-cap-zero",
         "order-missing", "order-not-int", "order-index-3", "order-index-minus-1",
         "generate-shape", "generate-rank", "block-9", "block-minus-1", "PB-on-wide",

@@ -384,7 +384,8 @@ def test_metric_keeps_one_factor_per_block(monkeypatch):
     smooth = QuadraticSmooth(sp.csc_matrix(A), np.zeros(8), BlockPartition((3, 3, 10, 2)))
     calls = []
     dpotrf = objective.dpotrf
-    monkeypatch.setattr(objective, "dpotrf", lambda B, **kw: calls.append(B.shape) or dpotrf(B, **kw))
+    monkeypatch.setattr(objective, "dpotrf",
+                        lambda B, **kw: calls.append(B.shape) or dpotrf(B, **kw))
     metric = quadratic_metric(smooth)
     assert calls == [(3, 3), (3, 3), (3, 3), (10, 10), (2, 2)]
     shifted = [False, True, True, False]
@@ -631,7 +632,8 @@ def test_metric_factor_is_an_f_ordered_upper_triangle_of_B(kind):
     rng = np.random.default_rng(21)
     sizes = (4, 8)
     if kind == "sparse-pair":
-        mat, _, _ = block_angular.generate(block_angular.GeneratorSpec(n=2, M_i=200, N_i=50, ell=1, seed=3))
+        spec = block_angular.GeneratorSpec(n=2, M_i=200, N_i=50, ell=1, seed=3)
+        mat, _, _ = block_angular.generate(spec)
         A, sizes = mat.assemble(), mat.partition.sizes
     elif kind == "shifted":
         A = rng.standard_normal((3, 12))  # wide blocks: every Gram is singular
