@@ -64,7 +64,7 @@ class QuadraticSmooth:
         self.b = np.asarray(b, dtype=float)
         # a NaN or inf would pass every factorization silently, as a NaN factor
         for name, values in (("A", self.A.data if sp.issparse(self.A) else self.A), ("b", self.b)):
-            if not _finite(values.ravel(order="K")):
+            if not np.isfinite(values).all():
                 raise ValueError(f"{name} has a non-finite entry (NaN or inf)")
         self.partition = partition
         self.blocks = [_columns(self.A, partition.range(i)) for i in range(partition.n)]
@@ -79,14 +79,6 @@ class QuadraticSmooth:
     def gram(self) -> np.ndarray:
         """A^T A as a dense array, formed as a block's Gram is."""
         return _gram(_columns(self.A, slice(0, self.partition.N)))
-
-
-def _finite(v: np.ndarray) -> bool:
-    """Whether every entry of the vector v is finite. v @ v is one BLAS pass
-    with no temporary, finite exactly when every entry is, unless a square
-    overflows; only then does the entrywise test run."""
-    with np.errstate(over="ignore"):
-        return bool(np.isfinite(v @ v) or np.isfinite(v).all())
 
 
 def _columns(A, sl):
@@ -185,13 +177,18 @@ def _block_metric(Ai):
     and the row-cut pair (A_i, A_i^T) where the storage rule keeps one.
     One block per call: one dense B_i at a time."""
     Ni = Ai.shape[1]
+    B = _gram(Ai)
     if Ai.shape[0] >= Ni:
-        U = _upper_factor(_gram(Ai))
+        d = B.diagonal().copy()
+        U = _upper_factor(B)
         if U is not None:
             cheaper = sp.issparse(Ai) and 2 * Ai.nnz < Ni * Ni
             return U, _nonzero_rows(Ai) if cheaper else None
-    # a failed factorization has overwritten its Gram, so the shift starts afresh
-    B = _gram(Ai)
+        # the failed dpotrf wrote B's upper triangle and diagonal only; B is
+        # symmetric to the bit, so its strict lower triangle and d rebuild it
+        B = np.tril(B, -1)
+        B += B.T
+        B[np.diag_indices(Ni)] = d
     eps = 1e-8 * float(np.trace(B)) / Ni
     if eps == 0:  # an all-zero block, whose B_i = 0 is its own factor
         return B.T, None
@@ -204,14 +201,15 @@ def _block_metric(Ai):
 
 def _upper_factor(B):
     """The F-ordered upper Cholesky factor U of the C-ordered Gram B, or None
-    where B is not positive definite; B's buffer is overwritten either way.
-    B is symmetric to the bit, so B.T is B held column-major, and LAPACK's
-    lower-triangular dpotrf factors it in place as numpy's cholesky would
-    factor a copy; one transposing copy of L gives U = L^T."""
-    L, info = dpotrf(B.T, lower=1, clean=1, overwrite_a=1)
+    where B is not positive definite. B is symmetric to the bit, so B.T is B
+    held column-major, and LAPACK's lower-triangular dpotrf factors it in
+    place as numpy's cholesky would factor a copy. It writes B's upper
+    triangle and diagonal only, leaving B's strict lower triangle as it was.
+    One copy of L's lower triangle, C-ordered, gives U = L^T column-major."""
+    L, info = dpotrf(B.T, lower=1, clean=0, overwrite_a=1)
     if info < 0:
         raise ValueError(f"dpotrf rejected argument {-info}")
-    return np.ascontiguousarray(L).T if info == 0 else None
+    return np.tril(L).T if info == 0 else None
 
 
 def _nonzero_rows(Ai):

@@ -66,13 +66,6 @@ def test_smooth_refuses_a_non_finite_input_and_names_it(where, bad):
         QuadraticSmooth(held, b, BlockPartition((3, 2)))
 
 
-@pytest.mark.parametrize("held", [np.asarray, sp.csc_matrix], ids=["dense", "csc"])
-def test_smooth_takes_finite_entries_whose_squares_overflow(held):
-    A = np.full((4, 2), 1e200)
-    smooth = QuadraticSmooth(held(A), np.full(4, -1e200), BlockPartition((1, 1)))
-    assert np.array_equal(smooth.b, np.full(4, -1e200))
-
-
 def test_block_gradient_identity():
     obj = _identity_objective()
     state = obj.start(np.array([1.0, 1.0]))
@@ -649,6 +642,26 @@ def test_metric_factor_is_an_f_ordered_upper_triangle_of_B(kind):
         assert U.flags.f_contiguous
         assert not np.tril(U, -1).any()
         np.testing.assert_allclose(U.T @ U, B, rtol=0.0, atol=1e-13 * max(np.abs(B).max(), 1.0))
+
+
+@pytest.mark.parametrize("held", [np.asfortranarray, sp.csc_matrix], ids=["dense", "csc"])
+def test_tall_rank_deficient_block_forms_its_gram_once(held, monkeypatch):
+    # the failed dpotrf leaves B's strict lower triangle alone, so the
+    # shifted Gram is rebuilt from it and the saved diagonal, bit for bit,
+    # with no second product A_i^T A_i
+    A = np.random.default_rng(22).standard_normal((300, 100))
+    A[:, 7] = A[:, 3]
+    Ai = held(A)
+    expected = objective._gram(Ai)
+    expected[np.diag_indices(100)] += 1e-8 * float(np.trace(expected)) / 100
+    L, info = objective.dpotrf(expected.T, lower=1, clean=1, overwrite_a=1)
+    assert info == 0
+    grams = []
+    gram = objective._gram
+    monkeypatch.setattr(objective, "_gram", lambda B: grams.append(B.shape) or gram(B))
+    U, pair = objective._block_metric(Ai)
+    assert grams == [(300, 100)] and pair is None
+    assert U.flags.f_contiguous and np.array_equal(U, L.T)
 
 
 def test_metric_build_holds_one_dense_block_at_a_time():
