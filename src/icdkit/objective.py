@@ -23,11 +23,12 @@ Storage rule. How A_i and B_i are held follows from the input alone.
 - The metric keeps each block's upper Cholesky factor U_i of
   B_i = U_i^T U_i, 8 N_i^2 bytes, formed once, and applies B_i as two
   triangular products with it, O(N_i^2). U_i comes from one in-place
-  LAPACK dpotrf of the block's Gram, then one transposing copy into the
-  column-major layout the triangular kernels read. A sparse block that
-  needed no rank shift and has 2 nnz(A_i) < N_i^2 also keeps A_i cut down
-  to its nonzero rows (about 4 nnz(A_i) bytes of row indices; the values
-  are A_i's) and applies B_i as A_i^T (A_i t), O(nnz(A_i)).
+  LAPACK dpotrf of the block's Gram, then one copy of the factor's
+  triangle into the column-major layout the triangular kernels read. A
+  sparse block that needed no rank shift and has 2 nnz(A_i) < N_i^2 also
+  keeps A_i cut down to its nonzero rows (about 4 nnz(A_i) bytes of row
+  indices; the values are A_i's) and applies B_i as A_i^T (A_i t),
+  O(nnz(A_i)).
 """
 
 from __future__ import annotations
