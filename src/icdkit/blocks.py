@@ -11,9 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.blas import dtrmv
+from scipy.linalg.blas import dtpmv
+from scipy.linalg.lapack import dtpttr
 
-from icdkit.inner import estimate_lambda_min, estimate_operator_norm_sq
+from icdkit.inner import estimate_lambda_min, estimate_operator_norm_sq, packed_order
 
 __all__ = [
     "BlockPartition",
@@ -64,40 +65,45 @@ class BlockMetric:
     paper; only the product enters the model, and it is stored here).
 
     objective.quadratic_metric builds it by the objective module's storage
-    rule: stored[i] is the F-ordered upper Cholesky factor U_i of
-    B_i = U_i^T U_i, and sparse[i] the pair (A_i, A_i^T) cut down to A_i's
-    nonzero rows where the rule keeps one, else None. apply reads the pair
-    where a block has one.
+    rule: stored[i] is the lower Cholesky factor R_i of B_i = R_i R_i^T,
+    its triangle packed column by column (LAPACK's packed storage,
+    N_i(N_i+1)/2 doubles; no block holds an N_i x N_i array), and sparse[i]
+    the pair (A_i, A_i^T) cut down to A_i's nonzero rows where the rule
+    keeps one, else None. apply reads the pair where a block has one, else
+    applies B_i as two BLAS packed triangular products (tpmv) with R_i.
     """
 
     def __init__(self, stored, sparse=None):
         self.stored = list(stored)
+        self.dims = [packed_order(R) for R in self.stored]
         self.sparse = list(sparse) if sparse is not None else [None] * len(self.stored)
         self._prox = [None] * len(self.stored)
 
     def prox_constants(self, i: int) -> tuple[float, float]:
         """(mu_i, L_i), the prox step's estimates of lambda_min(B_i) and
-        ||B_i||_2, both made from U_i (U_i^T U_i = B_i) on first use:
-        L_i by the power iteration on U_i (2 N_i^2 flops a step), mu_i by
-        the inverse power iteration with U_i, at most L_i."""
+        ||B_i||_2, both made from R_i (R_i R_i^T = B_i) on first use:
+        L_i by the power iteration on R_i^T (2 N_i^2 flops a step), mu_i by
+        the inverse power iteration with R_i, at most L_i."""
         if self._prox[i] is None:
-            U = self.stored[i]
-            L = estimate_operator_norm_sq(U)
-            self._prox[i] = (estimate_lambda_min(U, L), L)
+            R = self.stored[i]
+            L = estimate_operator_norm_sq(R)
+            self._prox[i] = (estimate_lambda_min(R, L), L)
         return self._prox[i]
 
     @property
     def operators(self) -> list:
-        """Every B_i, rebuilt from its factor; for readers off the hot path."""
-        return [U.T @ U for U in self.stored]
+        """Every B_i, rebuilt from its factor, unpacked by LAPACK tpttr; for
+        readers off the hot path."""
+        factors = (dtpttr(n, R, uplo="L")[0] for n, R in zip(self.dims, self.stored))
+        return [L @ L.T for L in factors]
 
     def apply(self, i: int, t: np.ndarray) -> np.ndarray:
         pair = self.sparse[i]
         if pair is not None:
             Ai, AiT = pair
             return AiT @ (Ai @ t)
-        U = self.stored[i]
-        return dtrmv(U, dtrmv(U, t), trans=1, overwrite_x=1)
+        n, R = self.dims[i], self.stored[i]
+        return dtpmv(n, R, dtpmv(n, R, t, lower=1, trans=1), lower=1, overwrite_x=1)
 
 
 @dataclass(frozen=True)

@@ -258,7 +258,7 @@ def compute_update(
     grad = objective.block_gradient(state, i)
     Ni = objective.partition.sizes[i]
 
-    if kind is RegularizerKind.ZERO and not grad.any():
+    if kind is RegularizerKind.ZERO and not np.count_nonzero(grad):
         return np.zeros(Ni), SolveStats(0, 0.0, StopMode.RESIDUAL_SQUARED, True), False
 
     prob = LinearSubproblem(objective.metric, i, -grad)
@@ -294,13 +294,16 @@ def compute_update(
     # vacuous guard: never accept an update worse than t = 0. V_i(x, 0) is
     # Psi_i(x^(i)), and V_i(x, t) reuses the gradient computed above.
     v_t = objective.model_value(state, i, t, grad, stats.product_at(t))
-    v_0 = objective.reg.block_value(i, state.x[objective.partition.range(i)])
+    if kind is RegularizerKind.ZERO:
+        v_0 = 0.0
+    else:
+        v_0 = objective.reg.block_value(i, state.x[objective.partition.range(i)])
     if v_t > v_0 + 1e-12 * (1.0 + abs(v_0)):
         return np.zeros(Ni), stats, True
     return t, stats, False
 
 
-@dataclass
+@dataclass(slots=True)
 class IterationRecord:
     k: int
     block: int

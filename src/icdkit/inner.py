@@ -2,8 +2,9 @@
 
 Every solver reads block i through one LinearSubproblem: B_i, applied as
 the metric keeps it (the objective module's storage rule), and
-g = -grad_i f. Smooth blocks solve B_i t = g, by CG or by two BLAS
-triangular solves (trsv) with U_i. CG and preconditioned CG share one
+g = -grad_i f. Smooth blocks solve B_i t = g, by CG or by two packed
+triangular solves (LAPACK pptrs) with the metric's lower Cholesky factor
+R_i of B_i = R_i R_i^T. CG and preconditioned CG share one
 Krylov loop: CG is PCG with M = I. The l1 and group-lasso blocks share
 one proximal-gradient loop on the model
 <grad_i f, t> + 1/2 <B_i t, t> + Psi_i(x^(i) + t), with one product with
@@ -15,7 +16,7 @@ reached, or an iterate repeats the previous one bit for bit (a fixed
 point, where further steps change nothing). The last two leave the solve
 unconverged, and its iteration count is the prox steps actually taken.
 The step is 2/(mu_i + L_i), with L_i the metric's power estimate of
-||B_i|| = ||U_i||^2 and mu_i its inverse-power estimate of
+||B_i|| = ||R_i||^2 and mu_i its inverse-power estimate of
 lambda_min(B_i) (BlockMetric.prox_constants), floored at L_i/3 so the
 step is at most 1.5/L_i (prox_step); without mu_i it is 1/L_i.
 
@@ -46,7 +47,8 @@ from itertools import chain
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.blas import dtrsv
+from scipy.linalg.blas import dtpmv
+from scipy.linalg.lapack import dpptrs
 
 __all__ = [
     "LinearSubproblem",
@@ -87,7 +89,7 @@ class StopMode(Enum):
     DUALITY_GAP = "duality_gap"
 
 
-@dataclass
+@dataclass(slots=True)
 class SolveStats:
     iterations: int
     certificate: float  # final 1/2||B t - g||^2 or duality gap
@@ -305,15 +307,15 @@ def solve_pcg(
 
 
 def solve_exact_cholesky(prob: LinearSubproblem) -> tuple[np.ndarray, SolveStats]:
-    """Exact solve of B_i t = g: two BLAS triangular solves (trsv) with
-    block i's kept Cholesky factor U_i, U_i^T y = g and then U_i t = y.
+    """Exact solve of B_i t = g with block i's kept lower Cholesky factor
+    R_i: LAPACK pptrs, two packed triangular solves (BLAS tpsv), R_i y = g
+    and then R_i^T t = y.
 
     The certificate 1/2 ||B_i t - g||^2 reads B_i t from the metric's apply,
     so on a block that applies B_i as A_i^T (A_i t) (see the objective
     module's storage rule) it measures the solve against A_i^T A_i rather
-    than U_i^T U_i. That product is handed back in the stats."""
-    U = prob.metric.stored[prob.i]
-    t = dtrsv(U, dtrsv(U, prob.g, trans=1))
+    than R_i R_i^T. That product is handed back in the stats."""
+    t, _ = dpptrs(prob.dim, prob.metric.stored[prob.i], prob.g, lower=1)
     Bt = prob.apply(t)
     res = _half_sq(Bt - prob.g)
     return t, SolveStats(1, res, StopMode.RESIDUAL_SQUARED, product=(t, Bt))
@@ -348,12 +350,29 @@ def _power_start(n: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def packed_order(R: np.ndarray) -> int:
+    """N of an N x N triangle packed column by column, N(N+1)/2 entries."""
+    n = (math.isqrt(8 * R.size + 1) - 1) // 2
+    if R.ndim != 1 or n * (n + 1) // 2 != R.size:
+        raise ValueError(f"an array of shape {R.shape} is not a packed triangle")
+    return n
+
+
 def estimate_operator_norm_sq(A) -> float:
-    """Power-iteration estimate of ||A||^2 with a 1.05 safety factor."""
-    v = _power_start(A.shape[1])
+    """Power-iteration estimate of ||A||^2 with a 1.05 safety factor.
+
+    A is a matrix, or a lower triangle R packed column by column (1-D, as
+    a BlockMetric keeps a Cholesky factor), read as R^T: its estimate is
+    of ||R R^T||, each step two BLAS packed products (tpmv)."""
+    packed = A.ndim == 1
+    n = packed_order(A) if packed else A.shape[1]
+    v = _power_start(n)
     est = 1.0
     for _ in range(POWER_ITERS):
-        u = A.T @ (A @ v)
+        if packed:
+            u = dtpmv(n, A, dtpmv(n, A, v, lower=1, trans=1), lower=1, overwrite_x=1)
+        else:
+            u = A.T @ (A @ v)
         nrm = float(np.linalg.norm(u))
         if nrm == 0:
             return 1.0
@@ -362,23 +381,23 @@ def estimate_operator_norm_sq(A) -> float:
     return 1.05 * est
 
 
-def estimate_lambda_min(U: np.ndarray, cap: float) -> float:
-    """Inverse-power estimate of lambda_min(U^T U), at most cap, for an
-    F-ordered upper triangular U.
+def estimate_lambda_min(R: np.ndarray, cap: float) -> float:
+    """Inverse-power estimate of lambda_min(R R^T), at most cap, for a
+    lower triangular R packed column by column.
 
-    POWER_ITERS steps v <- (U^T U)^{-1} v / ||(U^T U)^{-1} v|| from the
-    start vector of estimate_operator_norm_sq, each two triangular solves
-    with U by BLAS trsv (potrs, whose trsm is level 3, raised the lasso
-    benchmark's peak RSS by 0.6 MB for the same counts). For a unit v,
-    1/||(U^T U)^{-1} v|| >= lambda_min, so the estimate errs high: a prox
+    POWER_ITERS steps v <- (R R^T)^{-1} v / ||(R R^T)^{-1} v|| from the
+    start vector of estimate_operator_norm_sq, each two packed triangular
+    solves with R by LAPACK pptrs. For a unit v,
+    1/||(R R^T)^{-1} v|| >= lambda_min, so the estimate errs high: a prox
     step taken with it is never longer than the one the exact lambda_min
-    gives. A U with a zero on its diagonal (an all-zero block keeps U = 0)
+    gives. An R with a zero on its diagonal (an all-zero block keeps R = 0)
     gives 0.
     """
-    v = _power_start(U.shape[1])
+    n = packed_order(R)
+    v = _power_start(n)
     est = cap
     for _ in range(POWER_ITERS):
-        u = dtrsv(U, dtrsv(U, v, trans=1))
+        u, _ = dpptrs(n, R, v, lower=1)
         nrm = float(np.linalg.norm(u))
         if not nrm < math.inf:  # inf or nan: a singular factor
             return 0.0

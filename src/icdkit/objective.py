@@ -20,15 +20,16 @@ Storage rule. How A_i and B_i are held follows from the input alone.
 - A dense block's products A_i t, A_i^T r and Gram A_i^T A_i are BLAS
   calls; a CSC slice's are scipy's. blocks_T[i] is A_i's transpose view,
   so the gradient builds no matrix object per update.
-- The metric keeps each block's upper Cholesky factor U_i of
-  B_i = U_i^T U_i, 8 N_i^2 bytes, formed once, and applies B_i as two
-  triangular products with it, O(N_i^2). U_i comes from one in-place
-  LAPACK dpotrf of the block's Gram, then one copy of the factor's
-  triangle into the column-major layout the triangular kernels read. A
-  sparse block that needed no rank shift and has 2 nnz(A_i) < N_i^2 also
-  keeps A_i cut down to its nonzero rows (about 4 nnz(A_i) bytes of row
-  indices; the values are A_i's) and applies B_i as A_i^T (A_i t),
-  O(nnz(A_i)).
+- The metric keeps each block's lower Cholesky factor R_i of
+  B_i = R_i R_i^T, formed once, as its triangle packed column by column:
+  4 N_i (N_i + 1) bytes, half an N_i x N_i array. It applies B_i as two
+  packed triangular products with R_i, O(N_i^2). R_i comes from one
+  in-place LAPACK dpotrf of the block's Gram, then one LAPACK dtrttp
+  copy of the factor's triangle into packed storage; the Gram is then
+  freed, so the metric holds no N_i x N_i array. A sparse block that
+  needed no rank shift and has 2 nnz(A_i) < N_i^2 also keeps A_i cut down
+  to its nonzero rows (about 4 nnz(A_i) bytes of row indices; the values
+  are A_i's) and applies B_i as A_i^T (A_i t), O(nnz(A_i)).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from enum import Enum
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dpotrf, dtrttp
 
 from icdkit.blocks import BlockMetric, BlockPartition, block_view
 
@@ -160,7 +161,7 @@ def quadratic_metric(smooth: QuadraticSmooth) -> BlockMetric:
     stored, sparse = [], []
     for i, Ai in enumerate(smooth.blocks):
         try:
-            U, pair = _block_metric(Ai)
+            R, pair = _block_metric(Ai)
         except MemoryError as e:
             raise ValueError(
                 f"out of memory forming the Cholesky factor of block {i} "
@@ -168,23 +169,23 @@ def quadratic_metric(smooth: QuadraticSmooth) -> BlockMetric:
             ) from e
         except np.linalg.LinAlgError as e:
             raise ValueError(f"block {i} ({Ai.shape[1]} columns): {e}") from e
-        stored.append(U)
+        stored.append(R)
         sparse.append(pair)
     return BlockMetric(stored, sparse)
 
 
 def _block_metric(Ai):
-    """Block i's kept metric: the factor U_i its Cholesky rank check gives,
-    and the row-cut pair (A_i, A_i^T) where the storage rule keeps one.
-    One block per call: one dense B_i at a time."""
+    """Block i's kept metric: the packed factor R_i its Cholesky rank check
+    gives, and the row-cut pair (A_i, A_i^T) where the storage rule keeps
+    one. One block per call: one dense B_i at a time."""
     Ni = Ai.shape[1]
     B = _gram(Ai)
     if Ai.shape[0] >= Ni:
         d = B.diagonal().copy()
-        U = _upper_factor(B)
-        if U is not None:
+        R = _packed_factor(B)
+        if R is not None:
             cheaper = sp.issparse(Ai) and 2 * Ai.nnz < Ni * Ni
-            return U, _nonzero_rows(Ai) if cheaper else None
+            return R, _nonzero_rows(Ai) if cheaper else None
         # the failed dpotrf wrote B's upper triangle and diagonal only; B is
         # symmetric to the bit, so its strict lower triangle and d rebuild it
         B = np.tril(B, -1)
@@ -192,25 +193,26 @@ def _block_metric(Ai):
         B[np.diag_indices(Ni)] = d
     eps = 1e-8 * float(np.trace(B)) / Ni
     if eps == 0:  # an all-zero block, whose B_i = 0 is its own factor
-        return B.T, None
+        return np.zeros(Ni * (Ni + 1) // 2), None
     B[np.diag_indices(Ni)] += eps
-    U = _upper_factor(B)
-    if U is None:
+    R = _packed_factor(B)
+    if R is None:
         raise np.linalg.LinAlgError("the rank-shifted Gram is not positive definite")
-    return U, None
+    return R, None
 
 
-def _upper_factor(B):
-    """The F-ordered upper Cholesky factor U of the C-ordered Gram B, or None
-    where B is not positive definite. B is symmetric to the bit, so B.T is B
-    held column-major, and LAPACK's lower-triangular dpotrf factors it in
-    place as numpy's cholesky would factor a copy. It writes B's upper
-    triangle and diagonal only, leaving B's strict lower triangle as it was.
-    One copy of L's lower triangle, C-ordered, gives U = L^T column-major."""
+def _packed_factor(B):
+    """The lower Cholesky factor R of the C-ordered Gram B, packed column by
+    column, or None where B is not positive definite. B is symmetric to the
+    bit, so B.T is B held column-major, and LAPACK's lower-triangular dpotrf
+    factors it in place as numpy's cholesky would factor a copy. It writes
+    B's upper triangle and diagonal only, leaving B's strict lower triangle
+    as it was. dtrttp copies the factor's lower triangle, column by column,
+    out of that column-major array into N(N+1)/2 doubles."""
     L, info = dpotrf(B.T, lower=1, clean=0, overwrite_a=1)
     if info < 0:
         raise ValueError(f"dpotrf rejected argument {-info}")
-    return np.tril(L).T if info == 0 else None
+    return dtrttp(L, uplo="L")[0] if info == 0 else None
 
 
 def _nonzero_rows(Ai):
@@ -259,11 +261,13 @@ class CompositeObjective:
         """V_i(x, t) = <grad_i f, t> + 1/2 <B_i t, t> + Psi_i(x^(i) + t),
         with grad = grad_i f(x), which the caller already holds, and Bt,
         when given, B_i t; otherwise the metric applies B_i to t."""
-        xi = state.x[self.partition.range(i)]
         if Bt is None:
             Bt = self.metric.apply(i, t)
-        quad = 0.5 * float(t @ Bt)
-        return float(grad @ t) + quad + self.reg.block_value(i, xi + t)
+        value = float(grad @ t) + 0.5 * float(t @ Bt)
+        if self.reg.kind is RegularizerKind.ZERO:
+            return value
+        xi = state.x[self.partition.range(i)]
+        return value + self.reg.block_value(i, xi + t)
 
 
 class ResidualState:
@@ -274,7 +278,9 @@ class ResidualState:
         self.x = np.array(x0, dtype=float, copy=True)
         if self.x.shape[0] != objective.partition.N:
             raise ValueError("x0 has wrong dimension")
-        self.r = objective.smooth.residual(self.x)
+        smooth = objective.smooth
+        # at x = 0, A x - b is 0.0 - b to the bit, with no product with A
+        self.r = smooth.residual(self.x) if np.count_nonzero(self.x) else 0.0 - smooth.b
         p = objective.partition
         self._psi_blocks = np.array(
             [objective.reg.block_value(i, block_view(self.x, i, p)) for i in range(p.n)]
@@ -292,14 +298,17 @@ class ResidualState:
         return self.f_value() + self.psi_value()
 
     def apply_update(self, i: int, t: np.ndarray):
-        """x^(i) += t; r += A_i t; per-block Psi cache refreshed."""
+        """x^(i) += t; r += A_i t; per-block Psi cache refreshed (a zero Psi
+        keeps its cache of zeros)."""
         p = self.objective.partition
         if t.shape[0] != p.sizes[i]:
             raise ValueError(f"update for block {i} must have length {p.sizes[i]}")
         xi = self.x[p.range(i)]
         xi += t
         self.r += self.objective.smooth.blocks[i] @ t
-        self._psi_blocks[i] = self.objective.reg.block_value(i, xi)
+        reg = self.objective.reg
+        if reg.kind is not RegularizerKind.ZERO:
+            self._psi_blocks[i] = reg.block_value(i, xi)
 
     def recompute_residual(self) -> float:
         """Refresh r from scratch; returns the drift that was present."""

@@ -200,11 +200,11 @@ def _wide_sparse_objective():
 
 
 def test_update_on_a_wide_sparse_block_exact_and_tight_cg_agree():
-    # a wide sparse block keeps its factor like any other; the exact path
-    # solves with it and CG applies it
+    # a wide sparse block keeps its packed factor like any other; the exact
+    # path solves with it and CG applies it
     obj = _wide_sparse_objective()
-    U = obj.metric.stored[0]
-    assert isinstance(U, np.ndarray) and U.shape == (700, 700) and U.flags.f_contiguous
+    R = obj.metric.stored[0]
+    assert isinstance(R, np.ndarray) and R.shape == (700 * 701 // 2,)
     state = obj.start(np.zeros(700))
     t_exact, _, _ = compute_update(obj, state, 0, 0.0, SolverConfig(method="exact"))
     t_cg, stats, fallback = compute_update(obj, state, 0, 1e-16, SolverConfig(method="cg"))

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg import cho_solve, solve_triangular
-from scipy.linalg.blas import dtrsv
+from scipy.linalg.blas import dtpsv
+from scipy.linalg.lapack import dtpttr, dtrttp
 
 from icdkit import block_angular, inner
 from icdkit.blocks import BlockMetric, BlockPartition
@@ -38,8 +39,8 @@ def _random_spd(rng, d, shift=0.1):
 
 
 def _metric(B):
-    """A one-block metric for B: its upper Cholesky factor."""
-    return BlockMetric([np.linalg.cholesky(B).T])
+    """A one-block metric for B: its lower Cholesky factor, packed."""
+    return BlockMetric([dtrttp(np.linalg.cholesky(B), uplo="L")[0]])
 
 
 def _system(B, g):
@@ -79,8 +80,10 @@ def test_cg_matches_direct_solve():
 
 
 def test_cg_negative_curvature_raises():
-    # a singular factor: B = diag(1, 0) has zero curvature along e_2
-    metric = BlockMetric([np.asfortranarray(np.diag([1.0, 0.0]))])
+    # a singular factor: B = diag(1, 0) has zero curvature along e_2; its
+    # packed lower factor lists column 1 of diag(1, 0), then column 2 from
+    # the diagonal down
+    metric = BlockMetric([np.array([1.0, 0.0, 0.0])])
     with pytest.raises(ValueError, match="not SPD"):
         solve_cg(LinearSubproblem(metric, 0, np.array([0.0, 1.0])), 1e-30, CAP)
 
@@ -392,10 +395,12 @@ def test_exact_cholesky_equals_cho_solve_on_the_kept_factor(kind):
     data = sp.csc_matrix(A) if kind == "sparse" else A
     metric = quadratic_metric(QuadraticSmooth(data, np.zeros(60), BlockPartition((10,))))
     g = rng.standard_normal(10)
-    U = metric.stored[0]
+    R = metric.stored[0]
+    assert R.shape == (55,)
     t, _ = solve_exact_cholesky(LinearSubproblem(metric, 0, g))
-    assert np.array_equal(t, dtrsv(U, dtrsv(U, g, trans=1)))
-    ref = cho_solve((U, False), g)
+    # the two packed triangular solves, R y = g and then R^T t = y
+    assert np.array_equal(t, dtpsv(10, R, dtpsv(10, R, g, lower=1), lower=1, trans=1))
+    ref = cho_solve((dtpttr(10, R, uplo="L")[0], True), g)
     assert np.linalg.norm(t - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
@@ -441,16 +446,30 @@ def test_operator_norm_estimate_upper_bounds():
     assert true <= est <= 1.2 * true
 
 
+def test_operator_norm_estimate_reads_a_packed_factor_as_its_transpose():
+    # a packed lower R is read as R^T: its estimate of ||R R^T|| matches the
+    # one made from the unpacked R^T to rounding
+    B = _random_spd(np.random.default_rng(9), 12)
+    full = estimate_operator_norm_sq(np.linalg.cholesky(B).T)
+    assert estimate_operator_norm_sq(_metric(B).stored[0]) == pytest.approx(full, rel=1e-12)
+
+
+def test_metric_refuses_a_factor_that_is_not_a_packed_triangle():
+    for bad in (np.zeros(4), np.zeros((3, 3))):
+        with pytest.raises(ValueError, match="not a packed triangle"):
+            BlockMetric([bad])
+
+
 def test_lambda_min_estimate_errs_high_and_is_capped():
     rng = np.random.default_rng(9)
     B = _random_spd(rng, 12)
-    U = np.asfortranarray(np.linalg.cholesky(B).T)
+    R = _metric(B).stored[0]
     lam = np.linalg.eigvalsh(B)
-    mu = inner.estimate_lambda_min(U, np.inf)
+    mu = inner.estimate_lambda_min(R, np.inf)
     assert lam[0] * (1 - 1e-10) <= mu <= 1.01 * lam[0]
-    assert inner.estimate_lambda_min(U, 0.5 * lam[0]) == 0.5 * lam[0]
-    # a zero on U's diagonal is a singular factor
-    assert inner.estimate_lambda_min(np.zeros((3, 3), order="F"), 1.0) == 0.0
+    assert inner.estimate_lambda_min(R, 0.5 * lam[0]) == 0.5 * lam[0]
+    # a zero on R's diagonal is a singular factor: the packed 3 x 3 zero
+    assert inner.estimate_lambda_min(np.zeros(6), 1.0) == 0.0
 
 
 # ----------------------------------------------------- l1 subproblem
@@ -585,7 +604,7 @@ class _CountingSubproblem(LinearSubproblem):
 @pytest.mark.parametrize("solve", [solve_l1_subproblem, solve_group_subproblem])
 def test_prox_makes_one_product_pair_per_iterate(solve):
     # each iterate after the first (t = 0, where B t = 0) takes one
-    # prob.apply, the product pair U^T (U t), for its gradient, its gap and
+    # prob.apply, the product pair R (R^T t), for its gradient, its gap and
     # the next step: k products for k steps
     rng = np.random.default_rng(13)
     A = rng.standard_normal((20, 8))

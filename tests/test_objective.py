@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.linalg.blas import dtrmv
+from scipy.linalg.blas import dtpmv
+from scipy.linalg.lapack import dtpttr, dtrttp
 
 from icdkit import block_angular, blocks, inner, objective, synthetic
 from icdkit.blocks import BlockPartition, block_view
@@ -22,6 +23,17 @@ def _identity_objective(reg=None):
     smooth = QuadraticSmooth(sp.eye(2, format="csc"), np.zeros(2), p)
     reg = reg if reg is not None else SeparableRegularizer.zero()
     return CompositeObjective(smooth, reg, quadratic_metric(smooth))
+
+
+def _packed_product(R, t):
+    """R (R^T t) for a packed lower factor R: the metric's two tpmv calls."""
+    n = inner.packed_order(R)
+    return dtpmv(n, R, dtpmv(n, R, t, lower=1, trans=1), lower=1)
+
+
+def _unpacked(R):
+    """The packed lower factor R as an N x N array."""
+    return dtpttr(inner.packed_order(R), R, uplo="L")[0]
 
 
 def _random_objective(rng, M, sizes, reg=None):
@@ -147,20 +159,20 @@ def test_smooth_exact_minimizer_value():
 
 
 def test_metric_step_constant_is_estimated_once_per_block(monkeypatch):
-    # the prox step constant is the power estimate of ||U_i||^2 = ||B_i||,
-    # made on the block's first use
+    # the prox step constant is the power estimate of ||R_i||^2 = ||B_i||,
+    # made on the block's first use from its packed factor
     rng = np.random.default_rng(7)
     obj = _random_objective(rng, 9, (2, 3))
     calls = []
     estimate = blocks.estimate_operator_norm_sq
 
-    def counting(U):
-        calls.append(U.shape)
-        return estimate(U)
+    def counting(R):
+        calls.append(R.shape)
+        return estimate(R)
 
     monkeypatch.setattr(blocks, "estimate_operator_norm_sq", counting)
     values = [obj.metric.prox_constants(i)[1] for i in (1, 0, 1, 0)]
-    assert calls == [(3, 3), (2, 2)]
+    assert calls == [(6,), (3,)]
     assert values == [estimate(obj.metric.stored[i]) for i in (1, 0, 1, 0)]
 
 
@@ -178,16 +190,16 @@ def test_step_constant_of_a_rank_shifted_block_bounds_the_shifted_operator(shape
 
 
 def test_metric_prox_constants_are_estimated_once_per_block(monkeypatch):
-    # mu_i and L_i are made together from U_i on the block's first use
+    # mu_i and L_i are made together from R_i on the block's first use
     rng = np.random.default_rng(7)
     obj = _random_objective(rng, 9, (2, 3))
     calls = []
     norm_sq, lam_min = blocks.estimate_operator_norm_sq, blocks.estimate_lambda_min
 
     def counting(name, estimate):
-        def wrapped(U, *args):
-            calls.append((name, U.shape))
-            return estimate(U, *args)
+        def wrapped(R, *args):
+            calls.append((name, R.shape))
+            return estimate(R, *args)
 
         return wrapped
 
@@ -196,8 +208,8 @@ def test_metric_prox_constants_are_estimated_once_per_block(monkeypatch):
     metric = obj.metric
     values = [metric.prox_constants(1), metric.prox_constants(0)[1], metric.prox_constants(0)]
     values += [metric.prox_constants(1)[1], metric.prox_constants(1)]
-    assert calls == [("L", (3, 3)), ("mu", (3, 3)), ("L", (2, 2)), ("mu", (2, 2))]
-    expected = [(lam_min(U, norm_sq(U)), norm_sq(U)) for U in metric.stored]
+    assert calls == [("L", (6,)), ("mu", (6,)), ("L", (3,)), ("mu", (3,))]
+    expected = [(lam_min(R, norm_sq(R)), norm_sq(R)) for R in metric.stored]
     assert values == [expected[1], expected[0][1], expected[0], expected[1][1], expected[1]]
 
 
@@ -227,16 +239,16 @@ def _duplicate_column_block():
 def test_prox_constants_bracket_the_spectrum_and_keep_the_step_below_two_over_norm(make_block):
     # mu_i errs high, but never above L_i = prox_constants(i)[1] >= ||B_i||_2, so
     # the step lies in [1/L_i, 1.5/L_i], below 2/||B_i||_2. lambda_min(B_i)
-    # is sigma_min(U_i)^2: the SVD of U_i finds it to relative accuracy,
-    # where eigvalsh of the rebuilt U_i^T U_i is off by 8e-9 of it on the
+    # is sigma_min(R_i)^2: the SVD of R_i finds it to relative accuracy,
+    # where eigvalsh of the rebuilt R_i R_i^T is off by 8e-9 of it on the
     # duplicate-column block (its rounding is eps ||B_i||). The wide and
     # duplicate-column blocks are rank-shifted (B_i = A_i^T A_i + eps I)
     A = make_block()
     smooth = QuadraticSmooth(A, np.zeros(A.shape[0]), BlockPartition((A.shape[1],)))
     metric = quadratic_metric(smooth)
-    U, B = metric.stored[0], metric.operators[0]
+    R, B = metric.stored[0], metric.operators[0]
     assert (metric.sparse[0] is not None) == sp.issparse(A)
-    lam_min = np.linalg.svd(U, compute_uv=False)[-1] ** 2
+    lam_min = np.linalg.svd(_unpacked(R), compute_uv=False)[-1] ** 2
     norm = np.linalg.eigvalsh(B)[-1]
     mu, L = metric.prox_constants(0)
     assert lam_min * (1 - 1e-10) <= mu <= L == metric.prox_constants(0)[1]
@@ -331,6 +343,28 @@ def test_incremental_residual_matches_recompute():
     assert np.array_equal(state.r, fresh)
 
 
+@pytest.mark.parametrize("held", [np.asfortranarray, sp.csc_matrix], ids=["dense", "csc"])
+def test_start_at_zero_takes_no_product_and_gives_the_product_residual_bit_for_bit(held, monkeypatch):
+    # r = 0.0 - b equals A @ 0 - b to the bit, zero signs included, where b
+    # has zeros and A negative entries; a nonzero x0 still takes the product
+    rng = np.random.default_rng(24)
+    A = held(rng.standard_normal((12, 6)))
+    b = rng.standard_normal(12)
+    b[[2, 7]] = 0.0
+    obj = CompositeObjective(QuadraticSmooth(A, b, BlockPartition((2, 4))))
+    want = obj.smooth.A @ np.zeros(6) - obj.smooth.b
+    products = []
+    residual = obj.smooth.residual
+    monkeypatch.setattr(obj.smooth, "residual", lambda x: products.append(x) or residual(x))
+    state = obj.start(np.array([0.0, -0.0, 0.0, 0.0, 0.0, 0.0]))
+    assert products == []
+    assert np.array_equal(state.r, want)
+    assert np.array_equal(np.signbit(state.r), np.signbit(want))
+    x0 = np.zeros(6)
+    x0[3] = 1.0
+    assert np.array_equal(obj.start(x0).r, residual(x0)) and len(products) == 1
+
+
 def test_overapproximation_property():
     # F(x + U_i t) <= f(x) + V_i(x, t) + sum_{j != i} Psi_j(x_j);
     # equality for the quadratic metric with Psi = 0
@@ -387,7 +421,7 @@ def test_metric_keeps_one_factor_per_block(monkeypatch):
         eps = 1e-8 * float((Ai * Ai).sum()) / Ai.shape[1] if shifted[i] else 0.0
         expected = Ai.T @ Ai + eps * np.eye(Ai.shape[1])
         np.testing.assert_allclose(B, expected, rtol=0.0, atol=1e-12 * np.abs(expected).max())
-        assert metric.stored[i].flags.f_contiguous
+        assert metric.stored[i].shape == (Ai.shape[1] * (Ai.shape[1] + 1) // 2,)
         t = rng.standard_normal(Ai.shape[1])
         np.testing.assert_allclose(metric.apply(i, t), B @ t, rtol=1e-12, atol=1e-12)
     assert not metric.operators[3].any()
@@ -450,8 +484,7 @@ def test_rank_deficient_sparse_block_keeps_its_shifted_factor():
     expected = (A.T @ A).toarray() + eps * np.eye(40)
     np.testing.assert_allclose(metric.operators[0], expected, rtol=0.0, atol=1e-12 * np.abs(expected).max())
     t = np.random.default_rng(19).standard_normal(40)
-    U = metric.stored[0]
-    assert np.array_equal(metric.apply(0, t), dtrmv(U, dtrmv(U, t), trans=1))
+    assert np.array_equal(metric.apply(0, t), _packed_product(metric.stored[0], t))
 
 
 @pytest.mark.parametrize(
@@ -468,14 +501,15 @@ def test_rank_deficient_sparse_block_keeps_its_shifted_factor():
     ids=["lasso", "smallblock"],
 )
 def test_dense_data_held_as_csc_applies_its_factor_bit_for_bit(smooth):
-    # dense blocks keep the two triangular products, so their rounding, and
-    # with it every record of such a run, stays where it was
+    # dense blocks apply their packed factor by its two triangular
+    # products, so their rounding, and with it every record of such a run,
+    # is that of the factor's kernels
     metric = quadratic_metric(smooth)
     rng = np.random.default_rng(21)
-    for i, U in enumerate(metric.stored):
+    for i, R in enumerate(metric.stored):
         assert metric.sparse[i] is None
-        t = rng.standard_normal(U.shape[0])
-        assert np.array_equal(metric.apply(i, t), dtrmv(U, dtrmv(U, t), trans=1))
+        t = rng.standard_normal(metric.dims[i])
+        assert np.array_equal(metric.apply(i, t), _packed_product(R, t))
 
 
 def _every_entry_stored(rng, M, N):
@@ -619,9 +653,10 @@ def test_metric_names_the_block_whose_shifted_factor_fails(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["dense", "sparse-pair", "shifted", "all-zero"])
-def test_metric_factor_is_an_f_ordered_upper_triangle_of_B(kind):
-    # U_i as the trsv/trmv kernels read it: F-contiguous, exact zeros below
-    # the diagonal, and U_i^T U_i = B_i (shifted where the block needs it)
+def test_metric_factor_is_the_packed_lower_triangle_of_B(kind):
+    # R_i as the tpmv kernels and pptrs read it: N_i(N_i+1)/2 doubles, the
+    # lower triangle column by column, and R_i R_i^T = B_i (shifted where
+    # the block needs it)
     rng = np.random.default_rng(21)
     sizes = (4, 8)
     if kind == "sparse-pair":
@@ -635,13 +670,19 @@ def test_metric_factor_is_an_f_ordered_upper_triangle_of_B(kind):
     smooth = QuadraticSmooth(A, np.zeros(A.shape[0]), BlockPartition(sizes))
     metric = quadratic_metric(smooth)
     assert all(pair is not None for pair in metric.sparse) == (kind == "sparse-pair")
-    for i, U in enumerate(metric.stored):
+    for i, R in enumerate(metric.stored):
         B = objective._gram(smooth.blocks[i])
+        n = B.shape[0]
         if kind == "shifted":
-            B = B + 1e-8 * np.trace(B) / B.shape[0] * np.eye(B.shape[0])
-        assert U.flags.f_contiguous
-        assert not np.tril(U, -1).any()
-        np.testing.assert_allclose(U.T @ U, B, rtol=0.0, atol=1e-13 * max(np.abs(B).max(), 1.0))
+            B = B + 1e-8 * np.trace(B) / n * np.eye(n)
+        assert R.shape == (n * (n + 1) // 2,) and metric.dims[i] == n
+        L = _unpacked(R)
+        # column j holds L's entries from the diagonal down, after columns 0..j-1
+        starts = np.concatenate([[0], np.cumsum(np.arange(n, 0, -1))])
+        for j in range(n):
+            assert np.array_equal(R[starts[j]:starts[j + 1]], L[j:, j])
+        assert not np.triu(L, 1).any()
+        np.testing.assert_allclose(L @ L.T, B, rtol=0.0, atol=1e-13 * max(np.abs(B).max(), 1.0))
 
 
 @pytest.mark.parametrize("held", [np.asfortranarray, sp.csc_matrix], ids=["dense", "csc"])
@@ -659,19 +700,20 @@ def test_tall_rank_deficient_block_forms_its_gram_once(held, monkeypatch):
     grams = []
     gram = objective._gram
     monkeypatch.setattr(objective, "_gram", lambda B: grams.append(B.shape) or gram(B))
-    U, pair = objective._block_metric(Ai)
+    R, pair = objective._block_metric(Ai)
     assert grams == [(300, 100)] and pair is None
-    assert U.flags.f_contiguous and np.array_equal(U, L.T)
+    assert np.array_equal(R, dtrttp(L, uplo="L")[0])
 
 
 def test_metric_build_holds_one_dense_block_at_a_time():
-    # the metric keeps n factors; building it block by block adds about one
-    # block's B_i on top, where forming every B_i first would add n; dense
-    # data held as CSC forms its Gram as the ndarray does, with no sparse
-    # product beside it (which peaked near 2.8 blocks)
+    # the metric keeps n packed factors, 4 N_i (N_i + 1) bytes each, half a
+    # dense block; building it block by block adds about one block's B_i on
+    # top, where forming every B_i first would add n; dense data held as
+    # CSC forms its Gram as the ndarray does, with no sparse product beside
+    # it (which peaked near 2.8 blocks)
     n, Ni = 8, 200
     A = np.random.default_rng(14).standard_normal((300, n * Ni))
-    block = Ni * Ni * 8
+    block, factor = Ni * Ni * 8, 4 * Ni * (Ni + 1)
     for held in (A, sp.csc_matrix(A)):
         smooth = QuadraticSmooth(held, np.zeros(300), BlockPartition((Ni,) * n))
         tracemalloc.start()
@@ -682,5 +724,5 @@ def test_metric_build_holds_one_dense_block_at_a_time():
         finally:
             tracemalloc.stop()
         assert len(metric.stored) == n
-        assert abs((kept - base) / block - n) <= 0.5
+        assert abs((kept - base) / factor - n) <= 0.5
         assert (peak - kept) / block <= 1.5
