@@ -4,23 +4,31 @@ per-block weights.
 Blocks are contiguous index ranges; any permutation of coordinates is
 assumed to have been applied when the problem was assembled, so a block
 view is a zero-copy slice.
+
+This module is the one home of the packed Cholesky factor R_i of
+B_i = R_i R_i^T: packed_cholesky writes it, and BlockMetric alone reads
+it, through apply, solve, prox_constants and operators. No other module
+calls a packed BLAS or LAPACK kernel.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.blas import dtpmv
-from scipy.linalg.lapack import dtpttr
+from scipy.linalg.lapack import dpotrf, dpptrs, dtpttr, dtrttp
 
-from icdkit.inner import estimate_lambda_min, estimate_operator_norm_sq, packed_order
+from icdkit.inner import estimate_lambda_min, estimate_operator_norm_sq
 
 __all__ = [
     "BlockPartition",
     "BlockMetric",
     "WeightVector",
     "block_view",
+    "packed_cholesky",
+    "packed_order",
 ]
 
 
@@ -60,17 +68,43 @@ def block_view(x: np.ndarray, i: int, partition: BlockPartition) -> np.ndarray:
     return x[partition.range(i)]
 
 
+def packed_order(R: np.ndarray) -> int:
+    """N of an N x N triangle packed column by column, N(N+1)/2 entries."""
+    n = (math.isqrt(8 * R.size + 1) - 1) // 2
+    if R.ndim != 1 or n * (n + 1) // 2 != R.size:
+        raise ValueError(f"an array of shape {R.shape} is not a packed triangle")
+    return n
+
+
+def packed_cholesky(B: np.ndarray) -> np.ndarray | None:
+    """The lower Cholesky factor R of the C-ordered Gram B, packed column by
+    column, or None where B is not positive definite.
+
+    B is symmetric to the bit, so B.T is B held column-major, and LAPACK's
+    lower-triangular dpotrf factors it in place as numpy's cholesky would
+    factor a copy. It writes B's upper triangle and diagonal only: a failed
+    dpotrf leaves B's strict lower triangle as it was, so the caller can
+    rebuild B from it. dtrttp copies the factor's lower triangle, column by
+    column, out of that column-major array into N(N+1)/2 doubles.
+    """
+    L, info = dpotrf(B.T, lower=1, clean=0, overwrite_a=1)
+    if info < 0:
+        raise ValueError(f"dpotrf rejected argument {-info}")
+    return dtrttp(L, uplo="L")[0] if info == 0 else None
+
+
 class BlockMetric:
     """Per-block SPD operators B_i of the block models (L_i B_i in the
     paper; only the product enters the model, and it is stored here).
 
     objective.quadratic_metric builds it by the objective module's storage
-    rule: stored[i] is the lower Cholesky factor R_i of B_i = R_i R_i^T,
-    its triangle packed column by column (LAPACK's packed storage,
-    N_i(N_i+1)/2 doubles; no block holds an N_i x N_i array), and sparse[i]
-    the pair (A_i, A_i^T) cut down to A_i's nonzero rows where the rule
-    keeps one, else None. apply reads the pair where a block has one, else
-    applies B_i as two BLAS packed triangular products (tpmv) with R_i.
+    rule: stored[i] is the lower Cholesky factor R_i of B_i = R_i R_i^T
+    made by packed_cholesky (LAPACK's packed storage, N_i(N_i+1)/2 doubles;
+    no block holds an N_i x N_i array), and sparse[i] the pair (A_i, A_i^T)
+    cut down to A_i's nonzero rows where the rule keeps one, else None.
+    apply reads the pair where a block has one, else applies B_i as two
+    BLAS packed triangular products (tpmv) with R_i; solve is one LAPACK
+    pptrs with R_i.
     """
 
     def __init__(self, stored, sparse=None):
@@ -81,13 +115,14 @@ class BlockMetric:
 
     def prox_constants(self, i: int) -> tuple[float, float]:
         """(mu_i, L_i), the prox step's estimates of lambda_min(B_i) and
-        ||B_i||_2, both made from R_i (R_i R_i^T = B_i) on first use:
-        L_i by the power iteration on R_i^T (2 N_i^2 flops a step), mu_i by
-        the inverse power iteration with R_i, at most L_i."""
+        ||B_i||_2, both made from R_i on first use: L_i by the power
+        iteration on R_i R_i^T (two tpmv a step, even where apply reads the
+        sparse pair), mu_i by the inverse power iteration with solve, at
+        most L_i."""
         if self._prox[i] is None:
-            R = self.stored[i]
-            L = estimate_operator_norm_sq(R)
-            self._prox[i] = (estimate_lambda_min(R, L), L)
+            n = self.dims[i]
+            L = estimate_operator_norm_sq(lambda v: self._factor_product(i, v), n)
+            self._prox[i] = (estimate_lambda_min(lambda v: self.solve(i, v), n, L), L)
         return self._prox[i]
 
     @property
@@ -102,6 +137,15 @@ class BlockMetric:
         if pair is not None:
             Ai, AiT = pair
             return AiT @ (Ai @ t)
+        return self._factor_product(i, t)
+
+    def solve(self, i: int, g: np.ndarray) -> np.ndarray:
+        """B_i^{-1} g with the kept factor: LAPACK pptrs, two packed
+        triangular solves (BLAS tpsv), R_i y = g and then R_i^T t = y."""
+        return dpptrs(self.dims[i], self.stored[i], g, lower=1)[0]
+
+    def _factor_product(self, i: int, t: np.ndarray) -> np.ndarray:
+        """R_i (R_i^T t), two BLAS packed triangular products."""
         n, R = self.dims[i], self.stored[i]
         return dtpmv(n, R, dtpmv(n, R, t, lower=1, trans=1), lower=1, overwrite_x=1)
 

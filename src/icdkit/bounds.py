@@ -255,8 +255,11 @@ def mu_quadratic(objective: CompositeObjective, weights: WeightVector) -> float:
     the weighted block norm: the smallest generalized eigenvalue of
     A^T A v = mu * blockdiag(w_i B_i) v, by a dense eigensolve for that
     eigenvalue alone. A^T A is QuadraticSmooth.gram, formed as the
-    objective module's storage rule forms a block's Gram."""
+    objective module's storage rule forms a block's Gram. weights holds
+    one w_i per block."""
     p = objective.partition
+    if len(weights.w) != p.n:
+        raise ValueError(f"mu_quadratic got {len(weights.w)} weights for {p.n} blocks")
     if p.N > EIGENSOLVE_DIM_CAP:
         raise ValueError(
             f"dimension {p.N} exceeds the dense eigensolve cap "

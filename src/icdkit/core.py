@@ -7,7 +7,7 @@ event is logged in the iteration record.
 
 The per-update path does only the update's arithmetic: a null update
 (no inner iteration) skips the guard, the residual update and F, and
-the guard reuses the solver's B_i t where it has one. Block indices are
+the guard reuses the B_i t that the solver hands back. Block indices are
 drawn in batches from the law's CDF (the same indices, from the same
 stream, as one ``rng.choice(n, p=p)`` per update), the budget is checked
 once, before the first update, and computed once per run when it cannot
@@ -249,7 +249,9 @@ def compute_update(
     path to the exact Cholesky solve. A null update, whose solve took no
     inner iteration (a zero gradient, a Krylov residual or a prox gap at
     t = 0 already within budget), returns t = 0 without the guard. The
-    guard reuses the B_i t that the exact and prox solvers hand back.
+    guard reuses the B_i t that every solver hands back. A rigorous cg or
+    pcg update, a null one included, is labelled
+    StopMode.RESIDUAL_SQUARED_SCALED.
     """
     if delta < 0:
         raise ValueError("delta must be nonnegative")
@@ -258,13 +260,12 @@ def compute_update(
     grad = objective.block_gradient(state, i)
     Ni = objective.partition.sizes[i]
 
-    if kind is RegularizerKind.ZERO and not np.count_nonzero(grad):
-        return np.zeros(Ni), SolveStats(0, 0.0, StopMode.RESIDUAL_SQUARED, True), False
-
     prob = LinearSubproblem(objective.metric, i, -grad)
     if kind is RegularizerKind.ZERO:
         method = solver.method if delta > 0 else "exact"
-        if method == "exact":
+        if not np.count_nonzero(grad):
+            t, stats = np.zeros(Ni), SolveStats(0, 0.0, StopMode.RESIDUAL_SQUARED)
+        elif method == "exact":
             t, stats = solve_exact_cholesky(prob)
         else:
             tol = delta * solver.lambda_min_estimates[i] if solver.rigorous else delta
@@ -272,8 +273,8 @@ def compute_update(
                 t, stats = solve_cg(prob, tol, solver.max_inner_iters)
             else:
                 t, stats = solve_pcg(prob, solver.preconditioners[i], tol, solver.max_inner_iters)
-            if solver.rigorous:
-                stats.mode = StopMode.RESIDUAL_SQUARED_SCALED
+        if solver.rigorous and method != "exact":
+            stats.mode = StopMode.RESIDUAL_SQUARED_SCALED
     else:
         # looked up at call time, so a wrapper installed on this module sees it
         solve = solve_l1_subproblem if kind is RegularizerKind.L1 else solve_group_subproblem
@@ -293,7 +294,7 @@ def compute_update(
         return t, stats, False
     # vacuous guard: never accept an update worse than t = 0. V_i(x, 0) is
     # Psi_i(x^(i)), and V_i(x, t) reuses the gradient computed above.
-    v_t = objective.model_value(state, i, t, grad, stats.product_at(t))
+    v_t = objective.model_value(state, i, t, grad, stats.product)
     if kind is RegularizerKind.ZERO:
         v_0 = 0.0
     else:
@@ -384,10 +385,10 @@ def icd_run(
     Each update takes the next block the law draws (_DRAW_BATCH indices
     per sample_block call), budgets its delta, solves its subproblem and
     applies the step. The run stops when F - F* < eps (eps a positive
-    finite number; requires a known F*), on stagnation (relative F decrease below 1e-12 over 10*n
-    consecutive updates when no eps target is available), after
-    max_block_updates updates, or when a fixed block order runs out;
-    RunResult.stop_reason says which.
+    finite number; requires a known F*), on stagnation (relative F
+    decrease below 1e-12 over 10*n consecutive updates when no eps target
+    is available), after max_block_updates updates, or when a fixed block
+    order runs out; RunResult.stop_reason says which.
     """
     solver = solver if solver is not None else SolverConfig()
     n = objective.partition.n

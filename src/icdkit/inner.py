@@ -1,12 +1,13 @@
 """Inner solvers for the per-block update subproblem.
 
-Every solver reads block i through one LinearSubproblem: B_i, applied as
-the metric keeps it (the objective module's storage rule), and
-g = -grad_i f. Smooth blocks solve B_i t = g, by CG or by two packed
-triangular solves (LAPACK pptrs) with the metric's lower Cholesky factor
-R_i of B_i = R_i R_i^T. CG and preconditioned CG share one
-Krylov loop: CG is PCG with M = I. The l1 and group-lasso blocks share
-one proximal-gradient loop on the model
+Every solver reads block i through one LinearSubproblem: B_i of a
+BlockMetric and g = -grad_i f. A solver reads B_i only through the
+metric's apply and solve; how B_i is held (its packed Cholesky factor,
+or the sparse pair the objective module's storage rule keeps) is known
+to BlockMetric alone. Smooth blocks solve B_i t = g, by CG or exactly,
+by the metric's solve. CG and preconditioned CG share one Krylov loop:
+CG is PCG with M = I. The l1 and group-lasso blocks share one
+proximal-gradient loop on the model
 <grad_i f, t> + 1/2 <B_i t, t> + Psi_i(x^(i) + t), with one product with
 B_i per iterate but the first (whose t is 0) and a duality-gap stopping
 test; only the proximal map, the penalty norm and its dual norm differ
@@ -16,14 +17,15 @@ reached, or an iterate repeats the previous one bit for bit (a fixed
 point, where further steps change nothing). The last two leave the solve
 unconverged, and its iteration count is the prox steps actually taken.
 The step is 2/(mu_i + L_i), with L_i the metric's power estimate of
-||B_i|| = ||R_i||^2 and mu_i its inverse-power estimate of
-lambda_min(B_i) (BlockMetric.prox_constants), floored at L_i/3 so the
+||B_i|| and mu_i its inverse-power estimate of lambda_min(B_i)
+(BlockMetric.prox_constants, made by estimate_operator_norm_sq and
+estimate_lambda_min, which share one power loop), floored at L_i/3 so the
 step is at most 1.5/L_i (prox_step); without mu_i it is 1/L_i.
 
-The exact and prox solvers hand back B_i t at the t they return
-(SolveStats.product_at), so the caller's vacuous guard takes no product
-of its own. The Krylov loop hands back none: a capped solve returns its
-best iterate, not its last, whose product it never formed.
+Every solver that takes an iteration hands back B_i t at the t it
+returns (SolveStats.product), so the caller's vacuous guard takes no
+product of its own. The Krylov loop forms it once, at the end: a capped
+solve returns its best iterate, not its last.
 
 The linear-path certificate is the squared normal-equation residual
 1/2 ||B_i t - g||^2 <= beta. The model gap it must control is
@@ -47,8 +49,6 @@ from itertools import chain
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.blas import dtpmv
-from scipy.linalg.lapack import dpptrs
 
 __all__ = [
     "LinearSubproblem",
@@ -95,14 +95,8 @@ class SolveStats:
     certificate: float  # final 1/2||B t - g||^2 or duality gap
     mode: StopMode
     converged: bool = True
-    # (t, B_i t) where the solver formed B_i t at the very t it returned
-    product: tuple | None = field(default=None, compare=False, repr=False)
-
-    def product_at(self, t: np.ndarray) -> np.ndarray | None:
-        """B_i t if the solver formed it at this very array t, else None."""
-        if self.product is not None and self.product[0] is t:
-            return self.product[1]
-        return None
+    # B_i t at the t the solver returned; None when it took no iteration
+    product: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def _half_sq(v: np.ndarray) -> float:
@@ -119,7 +113,8 @@ def _krylov(
 
     precond applies M^{-1}; with precond=None the search direction comes
     from r itself (M = I), which is plain CG. A capped solve returns the
-    iterate with the smallest residual seen.
+    iterate with the smallest residual seen. A solve that took an iteration
+    hands back B t at the t it returns, one more product.
     """
     # t and r are rebound, never written in place, so best_t needs no copy
     t = np.zeros(prob.dim)
@@ -147,12 +142,12 @@ def _krylov(
         if res < best_res:
             best_t, best_res = t, res
         if res <= tol:
-            return t, SolveStats(k, res, StopMode.RESIDUAL_SQUARED)
+            return t, SolveStats(k, res, StopMode.RESIDUAL_SQUARED, product=prob.apply(t))
         z = r if precond is None else precond(r)
         rz_new = rr if precond is None else float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
-    return best_t, SolveStats(k, best_res, StopMode.RESIDUAL_SQUARED, False)
+    return best_t, SolveStats(k, best_res, StopMode.RESIDUAL_SQUARED, False, prob.apply(best_t))
 
 
 def solve_cg(
@@ -307,18 +302,17 @@ def solve_pcg(
 
 
 def solve_exact_cholesky(prob: LinearSubproblem) -> tuple[np.ndarray, SolveStats]:
-    """Exact solve of B_i t = g with block i's kept lower Cholesky factor
-    R_i: LAPACK pptrs, two packed triangular solves (BLAS tpsv), R_i y = g
-    and then R_i^T t = y.
+    """Exact solve of B_i t = g by the metric's solve with block i's kept
+    Cholesky factor (BlockMetric.solve).
 
     The certificate 1/2 ||B_i t - g||^2 reads B_i t from the metric's apply,
     so on a block that applies B_i as A_i^T (A_i t) (see the objective
     module's storage rule) it measures the solve against A_i^T A_i rather
-    than R_i R_i^T. That product is handed back in the stats."""
-    t, _ = dpptrs(prob.dim, prob.metric.stored[prob.i], prob.g, lower=1)
+    than the factor's product. That product is handed back in the stats."""
+    t = prob.metric.solve(prob.i, prob.g)
     Bt = prob.apply(t)
     res = _half_sq(Bt - prob.g)
-    return t, SolveStats(1, res, StopMode.RESIDUAL_SQUARED, product=(t, Bt))
+    return t, SolveStats(1, res, StopMode.RESIDUAL_SQUARED, product=Bt)
 
 
 def soft_threshold(v, tau: float):
@@ -344,66 +338,44 @@ POWER_SEED = 0  # seed of their random start vector
 STEP_MU_FLOOR = 1.0 / 3.0  # prox_step's least mu, as a share of lipschitz
 
 
-def _power_start(n: int) -> np.ndarray:
-    """The power iterations' unit start vector, drawn from POWER_SEED."""
+def _power_norm(op, n: int) -> float:
+    """||op(v)|| at the last of POWER_ITERS power steps
+    v <- op(v) / ||op(v)|| from a unit v in R^n drawn from POWER_SEED; a
+    norm that is 0 or not finite ends the loop and is returned as it is."""
     v = np.random.default_rng(POWER_SEED).standard_normal(n)
-    return v / np.linalg.norm(v)
-
-
-def packed_order(R: np.ndarray) -> int:
-    """N of an N x N triangle packed column by column, N(N+1)/2 entries."""
-    n = (math.isqrt(8 * R.size + 1) - 1) // 2
-    if R.ndim != 1 or n * (n + 1) // 2 != R.size:
-        raise ValueError(f"an array of shape {R.shape} is not a packed triangle")
-    return n
-
-
-def estimate_operator_norm_sq(A) -> float:
-    """Power-iteration estimate of ||A||^2 with a 1.05 safety factor.
-
-    A is a matrix, or a lower triangle R packed column by column (1-D, as
-    a BlockMetric keeps a Cholesky factor), read as R^T: its estimate is
-    of ||R R^T||, each step two BLAS packed products (tpmv)."""
-    packed = A.ndim == 1
-    n = packed_order(A) if packed else A.shape[1]
-    v = _power_start(n)
-    est = 1.0
+    v = v / np.linalg.norm(v)
     for _ in range(POWER_ITERS):
-        if packed:
-            u = dtpmv(n, A, dtpmv(n, A, v, lower=1, trans=1), lower=1, overwrite_x=1)
-        else:
-            u = A.T @ (A @ v)
+        u = op(v)
         nrm = float(np.linalg.norm(u))
-        if nrm == 0:
-            return 1.0
-        est = nrm
+        if not 0 < nrm < math.inf:
+            return nrm
         v = u / nrm
-    return 1.05 * est
+    return nrm
 
 
-def estimate_lambda_min(R: np.ndarray, cap: float) -> float:
-    """Inverse-power estimate of lambda_min(R R^T), at most cap, for a
-    lower triangular R packed column by column.
+def estimate_operator_norm_sq(apply, n: int) -> float:
+    """Power-iteration estimate of ||B|| with a 1.05 safety factor, for the
+    SPD operator B on R^n that apply(v) = B v applies; B = A^T A gives
+    ||A||^2. A zero operator gives 1."""
+    nrm = _power_norm(apply, n)
+    return 1.0 if nrm == 0 else 1.05 * nrm
 
-    POWER_ITERS steps v <- (R R^T)^{-1} v / ||(R R^T)^{-1} v|| from the
-    start vector of estimate_operator_norm_sq, each two packed triangular
-    solves with R by LAPACK pptrs. For a unit v,
-    1/||(R R^T)^{-1} v|| >= lambda_min, so the estimate errs high: a prox
-    step taken with it is never longer than the one the exact lambda_min
-    gives. An R with a zero on its diagonal (an all-zero block keeps R = 0)
+
+def estimate_lambda_min(solve, n: int, cap: float) -> float:
+    """Inverse-power estimate of lambda_min(B), at most cap, for the SPD
+    operator B on R^n that solve(v) = B^{-1} v inverts.
+
+    POWER_ITERS steps v <- B^{-1} v / ||B^{-1} v|| from the start vector of
+    estimate_operator_norm_sq. For a unit v, 1/||B^{-1} v|| >= lambda_min,
+    so the estimate errs high: a prox step taken with it is never longer
+    than the one the exact lambda_min gives. A solve that is not finite (a
+    factor with a zero on its diagonal; an all-zero block keeps R = 0)
     gives 0.
     """
-    n = packed_order(R)
-    v = _power_start(n)
-    est = cap
-    for _ in range(POWER_ITERS):
-        u, _ = dpptrs(n, R, v, lower=1)
-        nrm = float(np.linalg.norm(u))
-        if not nrm < math.inf:  # inf or nan: a singular factor
-            return 0.0
-        est = 1.0 / nrm
-        v = u / nrm
-    return min(est, cap)
+    nrm = _power_norm(solve, n)
+    if not nrm < math.inf:  # inf or nan: a singular factor
+        return 0.0
+    return min(1.0 / nrm, cap)
 
 
 def prox_step(lipschitz: float, mu: float | None = None) -> float:
@@ -469,8 +441,8 @@ def _prox_gradient(
     k = 0
     while True:
         t = y - x_i
-        if k == 0:  # y is x_i's copy, so t = 0 and B t = 0 exactly
-            Bt, grad = np.zeros_like(t), -prob.g
+        if k == 0:  # y is x_i's copy, so t = 0 and grad = B t - g is -g exactly
+            Bt, grad = None, -prob.g
         else:
             Bt = prob.apply(t)
             grad = Bt - prob.g
@@ -480,10 +452,10 @@ def _prox_gradient(
         gap = 0.5 * (1.0 - s) ** 2 * res_sq + s * float(y @ grad)
         gap += weight * norm(y)
         if not gap > beta or k >= max_iters:
-            return t, SolveStats(k, gap, StopMode.DUALITY_GAP, gap <= beta, product=(t, Bt))
+            return t, SolveStats(k, gap, StopMode.DUALITY_GAP, gap <= beta, product=Bt)
         # equal iterates give equal gaps, so one float comparison gates the test
         if gap == gap_prev and np.array_equal(y, y_prev):
-            return t, SolveStats(k, gap, StopMode.DUALITY_GAP, False, product=(t, Bt))
+            return t, SolveStats(k, gap, StopMode.DUALITY_GAP, False, product=Bt)
         y_prev, gap_prev = y, gap
         y = prox(y - step * grad, weight * step)
         k += 1

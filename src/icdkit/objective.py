@@ -21,12 +21,12 @@ Storage rule. How A_i and B_i are held follows from the input alone.
   calls; a CSC slice's are scipy's. blocks_T[i] is A_i's transpose view,
   so the gradient builds no matrix object per update.
 - The metric keeps each block's lower Cholesky factor R_i of
-  B_i = R_i R_i^T, formed once, as its triangle packed column by column:
-  4 N_i (N_i + 1) bytes, half an N_i x N_i array. It applies B_i as two
-  packed triangular products with R_i, O(N_i^2). R_i comes from one
-  in-place LAPACK dpotrf of the block's Gram, then one LAPACK dtrttp
-  copy of the factor's triangle into packed storage; the Gram is then
-  freed, so the metric holds no N_i x N_i array. A sparse block that
+  B_i = R_i R_i^T, formed once, in the Gram's own buffer, by
+  blocks.packed_cholesky and held packed: 4 N_i (N_i + 1) bytes, half an
+  N_i x N_i array. The Gram is then freed, so the metric holds no
+  N_i x N_i array. Only the blocks module reads R_i: the metric applies
+  B_i as two products with it, O(N_i^2), and solves with it. This module
+  keeps the rank verdict and the shift. A sparse block that
   needed no rank shift and has 2 nnz(A_i) < N_i^2 also keeps A_i cut down
   to its nonzero rows (about 4 nnz(A_i) bytes of row indices; the values
   are A_i's) and applies B_i as A_i^T (A_i t), O(nnz(A_i)).
@@ -39,9 +39,8 @@ from enum import Enum
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dpotrf, dtrttp
 
-from icdkit.blocks import BlockMetric, BlockPartition, block_view
+from icdkit.blocks import BlockMetric, BlockPartition, block_view, packed_cholesky
 
 __all__ = [
     "QuadraticSmooth",
@@ -182,7 +181,7 @@ def _block_metric(Ai):
     B = _gram(Ai)
     if Ai.shape[0] >= Ni:
         d = B.diagonal().copy()
-        R = _packed_factor(B)
+        R = packed_cholesky(B)
         if R is not None:
             cheaper = sp.issparse(Ai) and 2 * Ai.nnz < Ni * Ni
             return R, _nonzero_rows(Ai) if cheaper else None
@@ -195,24 +194,10 @@ def _block_metric(Ai):
     if eps == 0:  # an all-zero block, whose B_i = 0 is its own factor
         return np.zeros(Ni * (Ni + 1) // 2), None
     B[np.diag_indices(Ni)] += eps
-    R = _packed_factor(B)
+    R = packed_cholesky(B)
     if R is None:
         raise np.linalg.LinAlgError("the rank-shifted Gram is not positive definite")
     return R, None
-
-
-def _packed_factor(B):
-    """The lower Cholesky factor R of the C-ordered Gram B, packed column by
-    column, or None where B is not positive definite. B is symmetric to the
-    bit, so B.T is B held column-major, and LAPACK's lower-triangular dpotrf
-    factors it in place as numpy's cholesky would factor a copy. It writes
-    B's upper triangle and diagonal only, leaving B's strict lower triangle
-    as it was. dtrttp copies the factor's lower triangle, column by column,
-    out of that column-major array into N(N+1)/2 doubles."""
-    L, info = dpotrf(B.T, lower=1, clean=0, overwrite_a=1)
-    if info < 0:
-        raise ValueError(f"dpotrf rejected argument {-info}")
-    return dtrttp(L, uplo="L")[0] if info == 0 else None
 
 
 def _nonzero_rows(Ai):

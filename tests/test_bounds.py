@@ -260,6 +260,14 @@ def test_mu_quadratic_two_blocks_in_unit_interval():
     assert mu_quadratic(dense, WeightVector((1.0, 1.0))) == pytest.approx(mu, rel=1e-10)
 
 
+@pytest.mark.parametrize("w", [(1.0,), (1.0, 1.0, 1.0)], ids=["short", "long"])
+def test_mu_quadratic_refuses_a_weight_count_other_than_the_block_count(w):
+    A = np.random.default_rng(4).standard_normal((12, 6))
+    obj = _quadratic_objective(A, np.zeros(12), (3, 3))
+    with pytest.raises(ValueError, match=rf"{len(w)} weights for 2 blocks"):
+        mu_quadratic(obj, WeightVector(w))
+
+
 def test_bound_inputs_validation():
     with pytest.raises(ValueError):
         BoundInputs(c=-1.0, alpha=0.0, beta=0.0, eps=1.0, rho=0.5, xi0=2.0)

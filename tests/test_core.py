@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from icdkit import core, inner, objective
+from icdkit import blocks, core, inner
 from icdkit.block_angular import GeneratorSpec, build_preconditioner, generate
 from icdkit.blocks import BlockMetric, BlockPartition
 from icdkit.core import (
@@ -491,7 +491,7 @@ def test_run_exact_factors_no_block(monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", counting(np.linalg.cholesky))
     monkeypatch.setattr(cholesky_module, "_cholesky", counting(cholesky_module._cholesky))
     monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", counting(scipy.linalg.lapack.dpotrf))
-    monkeypatch.setattr(objective, "dpotrf", counting(objective.dpotrf))
+    monkeypatch.setattr(blocks, "dpotrf", counting(blocks.dpotrf))
     for obj, x0 in problems:
         n = obj.partition.n
         res = icd_run(obj, x0, InexactnessPolicy(), SamplingLaw.uniform(n, seed=0),
@@ -549,11 +549,13 @@ def _count_update_calls(monkeypatch, states):
     return calls
 
 
-def _zero_gradient_problem():
+def _zero_gradient_problem(rigorous=False):
     # b = 0 and x0 = 0 leave r = 0, so every block gradient is exactly zero
     rng = np.random.default_rng(4)
     smooth = QuadraticSmooth(rng.standard_normal((20, 7)), np.zeros(20), BlockPartition((4, 3)))
-    return CompositeObjective(smooth, F_star=0.0), np.zeros(7), SolverConfig(method="cg")
+    solver = SolverConfig(method="cg", rigorous=rigorous,
+                          lambda_min_estimates=[1.0, 1.0] if rigorous else None)
+    return CompositeObjective(smooth, F_star=0.0), np.zeros(7), solver
 
 
 def _loose_cg_problem(rigorous):
@@ -567,10 +569,11 @@ def _loose_cg_problem(rigorous):
 
 @pytest.mark.parametrize("problem, mode, solver_applies", [
     (_zero_gradient_problem, "residual_squared", 0),
+    (lambda: _zero_gradient_problem(True), "residual_squared_scaled", 0),
     (lambda: _loose_cg_problem(False), "residual_squared", 0),
     (lambda: _loose_cg_problem(True), "residual_squared_scaled", 0),
     (_prox_problem, "duality_gap", 0),
-], ids=["zero-gradient", "cg", "rigorous-cg", "prox"])
+], ids=["zero-gradient", "rigorous-zero-gradient", "cg", "rigorous-cg", "prox"])
 def test_a_null_update_leaves_the_state_and_skips_guard_residual_and_F(
     monkeypatch, problem, mode, solver_applies
 ):
@@ -605,6 +608,23 @@ def test_an_exact_or_prox_update_guards_with_the_solver_product(monkeypatch, met
     [rec] = res.records
     assert rec.inner_iterations > 0 and not rec.vacuous_fallback
     expected = 1 if method == "exact" else rec.inner_iterations
+    assert calls == {"apply_update": 1, "F_value": 2, "model_value": 1, "apply": expected}
+
+
+@pytest.mark.parametrize("max_inner_iters", [10_000, 2], ids=["converged", "capped"])
+@pytest.mark.parametrize("method", ["cg", "pcg"])
+def test_a_krylov_update_guards_with_the_solver_product(monkeypatch, method, max_inner_iters):
+    # the Krylov loop forms B_i t once, at the t it returns, and the guard
+    # reads it: k products for k steps and one more, none in the guard
+    obj, x0, factors = _pcg_problem()
+    solver = SolverConfig(method=method, max_inner_iters=max_inner_iters,
+                          precond_factors=factors if method == "pcg" else None)
+    calls = _count_update_calls(monkeypatch, [])
+    res = icd_run(obj, x0, InexactnessPolicy.uniform(1e-12), SamplingLaw.uniform(3),
+                  solver, max_block_updates=1)
+    [rec] = res.records
+    assert rec.inner_iterations > 0 and rec.inner_converged == (max_inner_iters > 2)
+    expected = rec.inner_iterations + 1
     assert calls == {"apply_update": 1, "F_value": 2, "model_value": 1, "apply": expected}
 
 
@@ -795,7 +815,9 @@ def test_vacuous_guard_keeps_x_when_the_step_overshoots(monkeypatch):
 
     def overshoot(prob, tol, max_iters):
         t, stats = inner.solve_exact_cholesky(prob)
-        return 2.5 * t, stats
+        t = 2.5 * t
+        stats.product = prob.apply(t)  # a solver hands back B_i t at its t
+        return t, stats
 
     monkeypatch.setattr(core, "solve_cg", overshoot)
     res = icd_run(obj, x0, InexactnessPolicy.uniform(1e-6), SamplingLaw.uniform(2, seed=0),

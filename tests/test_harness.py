@@ -260,7 +260,9 @@ def test_summary_csv_counts_null_updates_and_vacuous_fallbacks(tmp_path, monkeyp
     # update; pcg's loose budget leaves some blocks without an inner step
     def overshoot(prob, tol, max_iters):
         t, stats = solve_exact_cholesky(prob)
-        return 2.5 * t, stats
+        t = 2.5 * t
+        stats.product = prob.apply(t)  # a solver hands back B_i t at its t
+        return t, stats
 
     monkeypatch.setattr(core, "solve_cg", overshoot)
     cfg = harness.parse_config(

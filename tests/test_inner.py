@@ -47,6 +47,11 @@ def _system(B, g):
     return LinearSubproblem(_metric(B), 0, g)
 
 
+def _norm_sq(A):
+    """The power estimate of ||A||^2, run on A^T A as a product with A."""
+    return estimate_operator_norm_sq(lambda v: A.T @ (A @ v), A.shape[1])
+
+
 def _prox_args(A, r):
     """Block model of 1/2||A t + r||^2 as the prox solvers read it, and f_x = 1/2||r||^2."""
     return _system(A.T @ A, -A.T @ r), 0.5 * float(r @ r)
@@ -404,22 +409,29 @@ def test_exact_cholesky_equals_cho_solve_on_the_kept_factor(kind):
     assert np.linalg.norm(t - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-def test_exact_and_prox_hand_back_their_product_at_the_returned_t_only():
-    # the product serves the caller's guard only at the very array it was
-    # taken at; CG hands none back (a capped solve returns its best iterate)
+def test_every_solver_hands_back_its_product_at_the_returned_t():
+    # the caller's guard reads B t from the stats: each solver that took an
+    # iteration forms it at the t it returns, a capped Krylov solve at its
+    # best iterate; a solve that took none hands back no product
     rng = np.random.default_rng(14)
     A = rng.standard_normal((20, 8))
     prob, f_x = _prox_args(A, rng.standard_normal(20))
     L = np.linalg.norm(A, 2) ** 2
+    pre = _TriangularPreconditioner(np.linalg.cholesky(A.T @ A + np.eye(8)))
     solves = [
         solve_exact_cholesky(prob),
         solve_l1_subproblem(prob, f_x, rng.standard_normal(8), 0.1, 1e-10, CAP, L),
+        solve_cg(prob, 1e-20, CAP),
+        solve_cg(prob, 0.0, 2),
+        solve_pcg(prob, pre, 1e-20, CAP),
     ]
+    assert [stats.converged for _, stats in solves] == [True, True, True, False, True]
     for t, stats in solves:
-        assert np.array_equal(stats.product_at(t), prob.apply(t))
-        assert stats.product_at(t.copy()) is None
-    t, stats = solve_cg(prob, 1e-20, CAP)
-    assert stats.product_at(t) is None
+        assert stats.iterations > 0
+        assert np.array_equal(stats.product, prob.apply(t))
+    for _, stats in (solve_cg(prob, np.inf, CAP), solve_l1_subproblem(
+            prob, f_x, np.zeros(8), 0.1, np.inf, CAP, L)):
+        assert stats.iterations == 0 and stats.product is None
 
 
 # ------------------------------------------------------ prox operators
@@ -441,17 +453,18 @@ def test_group_soft_threshold():
 def test_operator_norm_estimate_upper_bounds():
     rng = np.random.default_rng(9)
     A = rng.standard_normal((30, 12))
-    est = estimate_operator_norm_sq(A)
+    est = _norm_sq(A)
     true = np.linalg.norm(A, 2) ** 2
     assert true <= est <= 1.2 * true
+    assert estimate_operator_norm_sq(lambda v: 0.0 * v, 12) == 1.0
 
 
-def test_operator_norm_estimate_reads_a_packed_factor_as_its_transpose():
-    # a packed lower R is read as R^T: its estimate of ||R R^T|| matches the
-    # one made from the unpacked R^T to rounding
+def test_prox_norm_estimate_from_the_factor_matches_the_dense_operator():
+    # prox_constants runs the power loop on the factor's product R (R^T v);
+    # the same loop on B v agrees to rounding
     B = _random_spd(np.random.default_rng(9), 12)
-    full = estimate_operator_norm_sq(np.linalg.cholesky(B).T)
-    assert estimate_operator_norm_sq(_metric(B).stored[0]) == pytest.approx(full, rel=1e-12)
+    dense = estimate_operator_norm_sq(lambda v: B @ v, 12)
+    assert _metric(B).prox_constants(0)[1] == pytest.approx(dense, rel=1e-12)
 
 
 def test_metric_refuses_a_factor_that_is_not_a_packed_triangle():
@@ -463,13 +476,15 @@ def test_metric_refuses_a_factor_that_is_not_a_packed_triangle():
 def test_lambda_min_estimate_errs_high_and_is_capped():
     rng = np.random.default_rng(9)
     B = _random_spd(rng, 12)
-    R = _metric(B).stored[0]
+    metric = _metric(B)
+    solve = functools.partial(metric.solve, 0)
     lam = np.linalg.eigvalsh(B)
-    mu = inner.estimate_lambda_min(R, np.inf)
+    mu = inner.estimate_lambda_min(solve, 12, np.inf)
     assert lam[0] * (1 - 1e-10) <= mu <= 1.01 * lam[0]
-    assert inner.estimate_lambda_min(R, 0.5 * lam[0]) == 0.5 * lam[0]
+    assert inner.estimate_lambda_min(solve, 12, 0.5 * lam[0]) == 0.5 * lam[0]
     # a zero on R's diagonal is a singular factor: the packed 3 x 3 zero
-    assert inner.estimate_lambda_min(np.zeros(6), 1.0) == 0.0
+    zero = BlockMetric([np.zeros(6)])
+    assert inner.estimate_lambda_min(functools.partial(zero.solve, 0), 3, 1.0) == 0.0
 
 
 # ----------------------------------------------------- l1 subproblem
@@ -502,7 +517,7 @@ def test_l1_matches_long_reference_run():
         return 0.5 * np.sum((Ai @ t + r) ** 2) + lam * np.sum(np.abs(x_i + t))
 
     prob, f_x = _prox_args(Ai, r)
-    t, stats = solve_l1_subproblem(prob, f_x, x_i, lam, 1e-10, CAP, estimate_operator_norm_sq(Ai))
+    t, stats = solve_l1_subproblem(prob, f_x, x_i, lam, 1e-10, CAP, _norm_sq(Ai))
     # independent long-run proximal gradient reference
     L = np.linalg.norm(Ai, 2) ** 2
     y = x_i.copy()
@@ -530,7 +545,7 @@ def test_l1_iteration_cap_flags_not_converged():
     rng = np.random.default_rng(12)
     Ai = rng.standard_normal((20, 10))
     prob, f_x = _prox_args(Ai, rng.standard_normal(20))
-    L = estimate_operator_norm_sq(Ai)
+    L = _norm_sq(Ai)
     t, stats = solve_l1_subproblem(prob, f_x, np.zeros(10), 0.01, 1e-16, 2, L)
     assert not stats.converged
 
@@ -626,7 +641,7 @@ def test_prox_without_mu_steps_at_one_over_lipschitz_to_the_bit(solve):
     rng = np.random.default_rng(15)
     A = rng.standard_normal((20, 8))
     r, x_i = rng.standard_normal(20), rng.standard_normal(8)
-    L = estimate_operator_norm_sq(A)
+    L = _norm_sq(A)
     prob, f_x = _prox_args(A, r)
     for cap in range(40):
         t, stats = solve(prob, f_x, x_i, 0.1, 1e-12, cap, L)
@@ -709,7 +724,7 @@ def test_prox_certificate_is_the_residual_form_gap(solve, order, dual_order, cap
     r, x_i = 3.0 * rng.standard_normal(40), rng.standard_normal(8)
     weight = 0.5
     prob, f_x = _prox_args(A, r)
-    t, stats = solve(prob, f_x, x_i, weight, 1e-10, cap, estimate_operator_norm_sq(A))
+    t, stats = solve(prob, f_x, x_i, weight, 1e-10, cap, _norm_sq(A))
     gap = _residual_form_gap(A, r, x_i, t, weight, order, dual_order)
     assert abs(stats.certificate - gap) <= 1e-12 * (1.0 + f_x)
 
@@ -729,7 +744,7 @@ def test_l1_certificate_bounds_the_shifted_model_of_a_rank_deficient_block():
     assert B[0, 0] - A[:, 0] @ A[:, 0] == pytest.approx(eps, rel=1e-6)
     f_x = 0.5 * float(r @ r)
     prob = LinearSubproblem(metric, 0, -grad)
-    t, stats = solve_l1_subproblem(prob, f_x, x_i, lam, 1e-12, CAP, estimate_operator_norm_sq(A))
+    t, stats = solve_l1_subproblem(prob, f_x, x_i, lam, 1e-12, CAP, _norm_sq(A))
     assert stats.converged
 
     # min V from the optimality conditions on the support of x_i + t, checked

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg.blas import dtpmv
-from scipy.linalg.lapack import dtpttr, dtrttp
+from scipy.linalg.lapack import dpptrs, dtpttr, dtrttp
 
 from icdkit import block_angular, blocks, inner, objective, synthetic
 from icdkit.blocks import BlockPartition, block_view
@@ -27,13 +27,13 @@ def _identity_objective(reg=None):
 
 def _packed_product(R, t):
     """R (R^T t) for a packed lower factor R: the metric's two tpmv calls."""
-    n = inner.packed_order(R)
+    n = blocks.packed_order(R)
     return dtpmv(n, R, dtpmv(n, R, t, lower=1, trans=1), lower=1)
 
 
 def _unpacked(R):
     """The packed lower factor R as an N x N array."""
-    return dtpttr(inner.packed_order(R), R, uplo="L")[0]
+    return dtpttr(blocks.packed_order(R), R, uplo="L")[0]
 
 
 def _random_objective(rng, M, sizes, reg=None):
@@ -159,21 +159,24 @@ def test_smooth_exact_minimizer_value():
 
 
 def test_metric_step_constant_is_estimated_once_per_block(monkeypatch):
-    # the prox step constant is the power estimate of ||R_i||^2 = ||B_i||,
+    # the prox step constant is the power estimate of ||R_i R_i^T|| = ||B_i||,
     # made on the block's first use from its packed factor
     rng = np.random.default_rng(7)
     obj = _random_objective(rng, 9, (2, 3))
     calls = []
     estimate = blocks.estimate_operator_norm_sq
 
-    def counting(R):
-        calls.append(R.shape)
-        return estimate(R)
+    def counting(apply, n):
+        calls.append(n)
+        return estimate(apply, n)
 
     monkeypatch.setattr(blocks, "estimate_operator_norm_sq", counting)
     values = [obj.metric.prox_constants(i)[1] for i in (1, 0, 1, 0)]
-    assert calls == [(6,), (3,)]
-    assert values == [estimate(obj.metric.stored[i]) for i in (1, 0, 1, 0)]
+    assert calls == [3, 2]
+    metric = obj.metric
+    expected = [estimate(lambda v: _packed_product(R, v), n)
+                for R, n in zip(metric.stored, metric.dims)]
+    assert values == [expected[i] for i in (1, 0, 1, 0)]
 
 
 @pytest.mark.parametrize("shape", [(40, 8), (5, 8)], ids=["duplicate-column", "wide"])
@@ -197,9 +200,9 @@ def test_metric_prox_constants_are_estimated_once_per_block(monkeypatch):
     norm_sq, lam_min = blocks.estimate_operator_norm_sq, blocks.estimate_lambda_min
 
     def counting(name, estimate):
-        def wrapped(R, *args):
-            calls.append((name, R.shape))
-            return estimate(R, *args)
+        def wrapped(op, n, *args):
+            calls.append((name, n))
+            return estimate(op, n, *args)
 
         return wrapped
 
@@ -208,8 +211,12 @@ def test_metric_prox_constants_are_estimated_once_per_block(monkeypatch):
     metric = obj.metric
     values = [metric.prox_constants(1), metric.prox_constants(0)[1], metric.prox_constants(0)]
     values += [metric.prox_constants(1)[1], metric.prox_constants(1)]
-    assert calls == [("L", (6,)), ("mu", (6,)), ("L", (3,)), ("mu", (3,))]
-    expected = [(lam_min(R, norm_sq(R)), norm_sq(R)) for R in metric.stored]
+    assert calls == [("L", 3), ("mu", 3), ("L", 2), ("mu", 2)]
+    expected = []
+    for i, R in enumerate(metric.stored):
+        n = metric.dims[i]
+        L = norm_sq(lambda v: _packed_product(R, v), n)
+        expected.append((lam_min(lambda v: dpptrs(n, R, v, lower=1)[0], n, L), L))
     assert values == [expected[1], expected[0][1], expected[0], expected[1][1], expected[1]]
 
 
@@ -410,8 +417,8 @@ def test_metric_keeps_one_factor_per_block(monkeypatch):
     A[:, 16:] = 0.0  # block 3: all zero
     smooth = QuadraticSmooth(sp.csc_matrix(A), np.zeros(8), BlockPartition((3, 3, 10, 2)))
     calls = []
-    dpotrf = objective.dpotrf
-    monkeypatch.setattr(objective, "dpotrf",
+    dpotrf = blocks.dpotrf
+    monkeypatch.setattr(blocks, "dpotrf",
                         lambda B, **kw: calls.append(B.shape) or dpotrf(B, **kw))
     metric = quadratic_metric(smooth)
     assert calls == [(3, 3), (3, 3), (3, 3), (10, 10), (2, 2)]
@@ -621,14 +628,14 @@ def test_metric_names_the_block_whose_factor_does_not_fit(monkeypatch):
     # names the block and its width, not a MemoryError from deep inside
     A = np.random.default_rng(15).standard_normal((12, 9))
     smooth = QuadraticSmooth(sp.csc_matrix(A), np.zeros(12), BlockPartition((3, 4, 2)))
-    dpotrf = objective.dpotrf
+    dpotrf = blocks.dpotrf
 
     def no_room_for_block_1(B, **kwargs):
         if B.shape == (4, 4):
             raise MemoryError
         return dpotrf(B, **kwargs)
 
-    monkeypatch.setattr(objective, "dpotrf", no_room_for_block_1)
+    monkeypatch.setattr(blocks, "dpotrf", no_room_for_block_1)
     with pytest.raises(ValueError, match=r"block 1 \(4 columns\)"):
         quadratic_metric(smooth)
 
@@ -638,7 +645,7 @@ def test_metric_names_the_block_whose_shifted_factor_fails(monkeypatch):
     # (dpotrf's info > 0 both times): an input error that names the block
     A = np.random.default_rng(15).standard_normal((12, 9))
     smooth = QuadraticSmooth(sp.csc_matrix(A), np.zeros(12), BlockPartition((3, 4, 2)))
-    dpotrf = objective.dpotrf
+    dpotrf = blocks.dpotrf
     calls = []
 
     def block_1_never_factors(B, **kwargs):
@@ -646,7 +653,7 @@ def test_metric_names_the_block_whose_shifted_factor_fails(monkeypatch):
         L, info = dpotrf(B, **kwargs)
         return L, 2 if B.shape == (4, 4) else info
 
-    monkeypatch.setattr(objective, "dpotrf", block_1_never_factors)
+    monkeypatch.setattr(blocks, "dpotrf", block_1_never_factors)
     with pytest.raises(ValueError, match=r"block 1 \(4 columns\): the rank-shifted Gram"):
         quadratic_metric(smooth)
     assert calls == [(3, 3), (4, 4), (4, 4)]
@@ -695,7 +702,7 @@ def test_tall_rank_deficient_block_forms_its_gram_once(held, monkeypatch):
     Ai = held(A)
     expected = objective._gram(Ai)
     expected[np.diag_indices(100)] += 1e-8 * float(np.trace(expected)) / 100
-    L, info = objective.dpotrf(expected.T, lower=1, clean=1, overwrite_a=1)
+    L, info = blocks.dpotrf(expected.T, lower=1, clean=1, overwrite_a=1)
     assert info == 0
     grams = []
     gram = objective._gram
